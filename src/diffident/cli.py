@@ -37,21 +37,34 @@ _BUDGET_ERRORS = (SizeCap, WordCapExceeded)
 
 
 def _config() -> dict:
+    """Settings from the file named by DIFFIDENT_CONFIG: key=value lines."""
     cfg = {"seed": 0, "prime_count": 3, "max_entries": 10**7}
     path = os.environ.get("DIFFIDENT_CONFIG")
-    if path:
-        try:
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    key, _, value = line.partition("=")
-                    key = key.strip()
-                    if key in cfg:
-                        cfg[key] = int(value.strip())
-        except OSError as exc:
-            raise ParseError(f"cannot read config: {exc}", path)
+    if not path:
+        return cfg
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read config: {exc}", path)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in cfg:
+            try:
+                cfg[key] = int(value)
+            except ValueError:
+                raise ParseError(
+                    f"config {key} must be an integer, not {value!r}", f"{path}:{lineno}"
+                )
+    if cfg["prime_count"] < 2:
+        raise ParseError(
+            "config prime_count must be at least 2: one prime has no agreement check",
+            path,
+        )
     return cfg
 
 
@@ -156,7 +169,7 @@ def cmd_envelope(args, cfg) -> int:
 
 
 def cmd_codim(args, cfg) -> int:
-    from .piengine import codim
+    from .piengine import codim, monomial_count
     from .shipped import identify_shipped, known_formula
 
     f = _load(args.infile)
@@ -167,6 +180,7 @@ def cmd_codim(args, cfg) -> int:
     out.append("action " + (" ".join(names) if names else "(trivial)"))
     values = {}
     for n in range(1, args.max_n + 1):
+        start = time.monotonic()
         values[n] = codim(
             alg,
             act,
@@ -176,6 +190,9 @@ def cmd_codim(args, cfg) -> int:
             seed=cfg["seed"],
             max_entries=cfg["max_entries"],
         )
+        rows = monomial_count(n, act.envelope.dim)
+        elapsed = time.monotonic() - start
+        print(f"n {n} rows {rows} rank {values[n]} {elapsed:.2f}s", file=sys.stderr)
         out.append(f"n {n} c {values[n]}")
     ident = identify_shipped(f)
     if ident is not None:
@@ -355,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config()
     start = time.monotonic()
     try:
+        cfg = _config()
         code = args.fn(args, cfg)
     except _BUDGET_ERRORS as exc:
         print(f"error budget: {exc}", file=sys.stderr)

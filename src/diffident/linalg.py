@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch, DenominatorDivisibleByPrime, PrimeDisagreement
@@ -215,18 +216,34 @@ def left_kernel(m: Matrix) -> "Subspace":
 # modular rank
 
 
-def _draw_primes(count: int, seed: int, avoid: set[int]) -> list[int]:
+def common_denominator(values: Iterable[Fraction]) -> int:
+    den = 1
+    for x in values:
+        den = lcm(den, x.denominator)
+    return den
+
+
+def draw_primes(count: int, seed: int, denominator: int = 1) -> list[int]:
+    """count distinct random 31-bit primes, none dividing denominator.
+
+    Attempt i draws from Random(seed * 1_000_003 + i); a repeat is redrawn
+    from the same generator, and a divisor of denominator is skipped, since
+    the entries it would reduce have no residue.
+    """
     from sympy import nextprime
 
-    rng = random.Random(seed)
     primes: list[int] = []
-    seen = set(avoid)
+    used: set[int] = set()
+    attempt = 0
     while len(primes) < count:
-        candidate = nextprime(rng.randrange(2**30, 2**31))
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        primes.append(candidate)
+        rng = random.Random(seed * 1_000_003 + attempt)
+        attempt += 1
+        p = nextprime(rng.randrange(2**30, 2**31))
+        while p in used:
+            p = nextprime(rng.randrange(2**30, 2**31))
+        used.add(p)
+        if denominator % p:
+            primes.append(p)
     return primes
 
 
@@ -262,22 +279,13 @@ def rank_modular(m: Matrix, prime_count: int = 3, seed: int = 0) -> int:
     """Rank modulo prime_count distinct random 31-bit primes.
 
     Primes are drawn deterministically from the seed; a prime dividing some
-    entry denominator is silently replaced.  All residual ranks must agree,
-    otherwise PrimeDisagreement is raised for the caller to escalate.
+    entry denominator is skipped.  All residual ranks must agree, otherwise
+    PrimeDisagreement is raised for the caller to escalate.
     """
     if prime_count < 2:
         raise ValueError("prime_count must be at least 2")
-    used: set[int] = set()
-    ranks = []
-    attempt = 0
-    while len(ranks) < prime_count:
-        (p,) = _draw_primes(1, seed * 1_000_003 + attempt, used)
-        attempt += 1
-        used.add(p)
-        try:
-            ranks.append(_rank_mod(m.entries, p))
-        except DenominatorDivisibleByPrime:
-            continue
+    den = common_denominator(x for row in m.entries for x in row)
+    ranks = [_rank_mod(m.entries, p) for p in draw_primes(prime_count, seed, den)]
     if len(set(ranks)) != 1:
         raise PrimeDisagreement(f"ranks {ranks} disagree")
     return ranks[0]
@@ -406,12 +414,15 @@ class SparseRREF:
         self.rank = 0
 
     def _coerce(self, x):
-        if self.prime is None:
-            return frac(x)
+        p = self.prime
+        if isinstance(x, int):
+            return x if p is None else x % p
         x = frac(x)
-        if x.denominator % self.prime == 0:
-            raise DenominatorDivisibleByPrime(str(self.prime))
-        return x.numerator * pow(x.denominator, -1, self.prime) % self.prime
+        if p is None:
+            return x
+        if x.denominator % p == 0:
+            raise DenominatorDivisibleByPrime(str(p))
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def _inv(self, x):
         if self.prime is None:
@@ -421,7 +432,7 @@ class SparseRREF:
     def add_row(self, row: dict, tag=None) -> bool:
         """Insert a row; returns True if it enlarged the span."""
         row = {c: v for c, v in ((c, self._coerce(v)) for c, v in row.items()) if v}
-        combo = {tag: self._coerce(1)} if self.track_kernel else None
+        combo = {tag: self._coerce(ONE)} if self.track_kernel else None
         p = self.prime
         while row:
             lead = min(row)

@@ -23,7 +23,8 @@ from .errors import (
     SizeCap,
     WordCapExceeded,
 )
-from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, frac, _draw_primes
+from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, frac
+from .linalg import common_denominator, draw_primes
 
 Word = tuple  # of closure-basis indices
 
@@ -163,13 +164,6 @@ class LPolynomial:
         # renumbering is the caller's concern; degree tracked structurally
         return poly
 
-    def relabel(self, mapping: dict) -> "LPolynomial":
-        out = {}
-        for (vars_, words), c in self.terms.items():
-            key = (tuple(mapping[v] for v in vars_), words)
-            _accumulate(out, {key: c}, ONE)
-        return LPolynomial.from_terms(out)
-
 
 def commutator_poly(f: LPolynomial, g: LPolynomial) -> LPolynomial:
     return f * g - g * f
@@ -284,102 +278,138 @@ def _concat(f: LPolynomial, g: LPolynomial) -> LPolynomial:
 
 
 def monomial_basis(n: int, env_dim: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-    """All (vars, envelope-exponent) monomials, lex-ordered; lazily streamed."""
+    """All (vars, envelope-exponent) monomials, lex-ordered; lazily streamed.
+
+    The budget is checked when called, before any monomial is produced.
+    """
     if n < 1:
         raise SizeCap("degree must be at least 1")
-    count = factorial(n) * env_dim**n
+    count = monomial_count(n, env_dim)
     if count > max_entries:
         raise SizeCap(f"{count} monomials exceed the budget {max_entries}")
-    for vars_ in permutations(range(1, n + 1)):
-        for exps in iproduct(range(env_dim), repeat=n):
-            yield vars_, exps
+    return (
+        (vars_, exps)
+        for vars_ in permutations(range(1, n + 1))
+        for exps in iproduct(range(env_dim), repeat=n)
+    )
 
 
 def monomial_count(n: int, env_dim: int) -> int:
     return factorial(n) * env_dim**n
 
 
-def _applied_table(alg: StructureAlgebra, ops: list[Matrix]):
-    """applied[b][u] = e_b acted by ops[u], or None when zero."""
-    table = []
-    for b in range(alg.dim):
-        e = alg.basis_vector(b)
-        row = []
-        for op in ops:
-            vec = op.apply(e)
-            row.append(vec if any(vec) else None)
-        table.append(row)
-    return table
+class EvaluationRows:
+    """Integer evaluation rows of an algebra under a list of operators.
 
+    Row (vars, exps) maps (basis tuple indexed by variable, output coordinate)
+    to the value of the monomial whose variable in position i carries
+    ops[exps[i]].  Denominators are cleared once: D_a for the applied-operator
+    table, D_c for the structure constants.  Every degree-n row is then the
+    rational row times D_a^n * D_c^(n-1), one scale for all rows of a degree,
+    so ranks and left kernels are those of the rational rows.  Modulo a prime
+    dividing `denominator` that scale vanishes, so such a prime is refused.
+    """
 
-def _eval_row(alg: StructureAlgebra, applied, vars_, exps) -> dict:
-    """Sparse evaluation row {(basis tuple, output coord): value}."""
-    n = len(vars_)
-    row: dict = {}
-    assign = [0] * n
+    def __init__(self, alg: StructureAlgebra, ops: list[Matrix]):
+        d_a = common_denominator(x for op in ops for r in op.entries for x in r)
+        d_c = common_denominator(x for r in alg.constants for cell in r for x in cell)
+        self.denominator = d_a * d_c
+        self.width = len(ops)
+        # by_op[u] = [(b, {k: D_a * (e_b acted by ops[u])_k}), ...], nonzero only
+        self.by_op = [
+            [
+                (b, {k: int(x * d_a) for k, x in enumerate(row) if x})
+                for b, row in enumerate(op.entries)
+                if any(row)
+            ]
+            for op in ops
+        ]
+        # products[i][j] = [(k, D_c * c_ijk), ...], nonzero only
+        self.products = [
+            [[(k, int(c * d_c)) for k, c in enumerate(cell) if c] for cell in r]
+            for r in alg.constants
+        ]
 
-    def rec(pos, prod):
-        if pos == n:
-            key = tuple(assign)
-            for k, c in enumerate(prod):
-                if c:
+    def _multiply(self, u: dict, v: dict) -> dict:
+        out: dict = {}
+        products = self.products
+        for i, a in u.items():
+            row = products[i]
+            for j, b in v.items():
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] = out.get(k, 0) + ab * c
+        return {k: x for k, x in out.items() if x}
+
+    def _positional_table(self, n: int, max_entries: int) -> tuple[dict, int]:
+        """{exps: [(positional basis tuple, product)]}, nonzero products only,
+        and its number of stored entries.
+
+        A product depends only on the exponent tuple and on which basis
+        element sits in each position, so it is computed once per tuple,
+        level by level, each level extending the products of the one before.
+        """
+        level: dict = {(): [((), None)]}
+        stored = 0
+        for _ in range(n):
+            stored = 0
+            nxt = {}
+            for exps, partial in level.items():
+                for u, column in enumerate(self.by_op):
+                    out = []
+                    for bt, prod in partial:
+                        for b, vec in column:
+                            p = vec if prod is None else self._multiply(prod, vec)
+                            if p:
+                                out.append((bt + (b,), p))
+                                stored += len(p)
+                    nxt[exps + (u,)] = out
+            if stored > max_entries:
+                raise SizeCap(f"positional table exceeds the budget {max_entries}")
+            level = nxt
+        return level, stored
+
+    def rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES):
+        """Rows in monomial_basis order: a variable order relabels the keys.
+
+        The positional table and the rows streamed so far count against
+        max_entries.
+        """
+        monomials = monomial_basis(n, self.width, max_entries)
+        table, stored = self._positional_table(n, max_entries)
+        vars_at = None
+        for vars_, exps in monomials:
+            if vars_ != vars_at:
+                vars_at = vars_
+                pos = [vars_.index(v) for v in range(1, n + 1)]
+            row = {}
+            for bt, prod in table[exps]:
+                key = tuple([bt[i] for i in pos])
+                for k, c in prod.items():
                     row[(key, k)] = c
-            return
-        var = vars_[pos] - 1
-        for b in range(alg.dim):
-            vec = applied[b][exps[pos]]
-            if vec is None:
-                continue
-            newprod = vec if prod is None else alg.multiply(prod, vec)
-            if any(newprod):
-                assign[var] = b
-                rec(pos + 1, newprod)
-
-    rec(0, None)
-    return row
+            stored += len(row)
+            if stored > max_entries:
+                raise SizeCap(f"stored entries exceed the budget {max_entries}")
+            yield row
 
 
-def evaluation_matrix(
-    alg: StructureAlgebra,
-    act: LieAction,
+def _row_pass(
+    rows: EvaluationRows,
     n: int,
+    primes=(None,),
+    track_kernel: bool = False,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> Matrix:
-    """Dense evaluation matrix; rows are monomials, columns (tuple, coord)."""
-    e = act.envelope.dim
-    rows = monomial_count(n, e)
-    cols = alg.dim**n * alg.dim
-    if rows * cols > max_entries:
-        raise SizeCap(f"{rows}x{cols} dense matrix exceeds the budget")
-    applied = _applied_table(alg, act.envelope.op_basis)
-    col_index = {}
-    for i, tup in enumerate(iproduct(range(alg.dim), repeat=n)):
-        for k in range(alg.dim):
-            col_index[(tup, k)] = i * alg.dim + k
-    out = []
-    for vars_, exps in monomial_basis(n, e, max_entries):
-        sparse = _eval_row(alg, applied, vars_, exps)
-        dense = [ZERO] * cols
-        for key, v in sparse.items():
-            dense[col_index[key]] = v
-        out.append(dense)
-    return Matrix(rows, cols, out)
-
-
-def _stream_rank(
-    alg, act, n, prime=None, track_kernel=False, max_entries=DEFAULT_MAX_ENTRIES
-):
-    e = act.envelope.dim
-    applied = _applied_table(alg, act.envelope.op_basis)
-    rr = SparseRREF(track_kernel=track_kernel, prime=prime)
-    stored = 0
-    for idx, (vars_, exps) in enumerate(monomial_basis(n, e, max_entries)):
-        row = _eval_row(alg, applied, vars_, exps)
-        stored += len(row)
-        if stored > max_entries:
-            raise SizeCap(f"stored entries exceed the budget {max_entries}")
-        rr.add_row(row, tag=idx)
-    return rr
+) -> list[SparseRREF]:
+    """Generate each row once and feed it to one eliminator per prime
+    (None: exact over Q), tagged with its monomial_basis index."""
+    for p in primes:
+        if p is not None and rows.denominator % p == 0:
+            raise DenominatorDivisibleByPrime(f"{p} divides {rows.denominator}")
+    rrs = [SparseRREF(track_kernel=track_kernel, prime=p) for p in primes]
+    for tag, row in enumerate(rows.rows(n, max_entries)):
+        for rr in rrs:
+            rr.add_row(row, tag=tag)
+    return rrs
 
 
 def codim(
@@ -391,26 +421,23 @@ def codim(
     seed: int = 0,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> int:
-    """n-th differential codimension: rank of the evaluation matrix."""
-    if mode == "exact":
-        return _stream_rank(alg, act, n, max_entries=max_entries).rank
-    if mode != "modular":
+    """n-th differential codimension: rank of the evaluation matrix.
+
+    Modular mode takes the rank modulo prime_count primes in one row pass;
+    when they disagree, the exact rank decides.
+    """
+    if mode not in ("exact", "modular"):
         raise ValueError("mode must be 'exact' or 'modular'")
-    used: set = set()
-    ranks = []
-    attempt = 0
-    while len(ranks) < prime_count:
-        (p,) = _draw_primes(1, seed * 1_000_003 + attempt, used)
-        attempt += 1
-        used.add(p)
-        try:
-            ranks.append(_stream_rank(alg, act, n, prime=p, max_entries=max_entries).rank)
-        except DenominatorDivisibleByPrime:
-            continue
-    if len(set(ranks)) != 1:
-        # escalate to the exact arbiter
-        return _stream_rank(alg, act, n, max_entries=max_entries).rank
-    return ranks[0]
+    rows = EvaluationRows(alg, act.envelope.op_basis)
+    if mode == "exact":
+        return _row_pass(rows, n, max_entries=max_entries)[0].rank
+    if prime_count < 2:
+        raise ValueError("prime_count must be at least 2")
+    primes = draw_primes(prime_count, seed, rows.denominator)
+    ranks = {rr.rank for rr in _row_pass(rows, n, primes, max_entries=max_entries)}
+    if len(ranks) != 1:
+        return _row_pass(rows, n, max_entries=max_entries)[0].rank
+    return ranks.pop()
 
 
 @dataclass
@@ -428,9 +455,9 @@ def identity_space(
     n: int,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> IdentityReport:
-    e = act.envelope.dim
-    order = list(monomial_basis(n, e, max_entries))
-    rr = _stream_rank(alg, act, n, track_kernel=True, max_entries=max_entries)
+    order = list(monomial_basis(n, act.envelope.dim, max_entries))
+    rows = EvaluationRows(alg, act.envelope.op_basis)
+    (rr,) = _row_pass(rows, n, track_kernel=True, max_entries=max_entries)
     total = len(order)
     kernel_vecs = []
     for combo in rr.kernel:
@@ -559,31 +586,6 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _formal_index(n: int, act: LieAction, cap: int):
-    """Canonical order of formal monomials (PBW words up to the cap)."""
-    letters = act.closure_dim
-    words = _pbw_words(letters, cap)
-    index = {}
-    for vars_ in permutations(range(1, n + 1)):
-        for ws in iproduct(words, repeat=n):
-            index[(vars_, ws)] = len(index)
-    return index
-
-
-def _pbw_words(letters: int, cap: int) -> list:
-    words = [()]
-    frontier = [()]
-    for _ in range(cap):
-        nxt = []
-        for w in frontier:
-            start = w[-1] if w else 0
-            for letter in range(start, letters):
-                nxt.append(w + (letter,))
-        words.extend(nxt)
-        frontier = nxt
-    return words
 
 
 def _collapsed_terms(f: LPolynomial, act: LieAction) -> dict:
@@ -717,30 +719,17 @@ def _generator_words(m: int, cap: int) -> list:
 
 
 def _formal_rows(act: LieAction, n: int, words: list, max_entries: int):
-    """Evaluation rows over formal generator-word monomials, canonical order."""
+    """Formal generator-word monomials in canonical order, and their rows."""
     alg = act.algebra
     mats = {(): Matrix.identity(alg.dim)}
     for w in words:
         if w not in mats:
             mats[w] = mats[w[:-1]] * act.generators[w[-1]].matrix
-    applied = []
-    for b in range(alg.dim):
-        e = alg.basis_vector(b)
-        row = []
-        for w in words:
-            vec = mats[w].apply(e)
-            row.append(vec if any(vec) else None)
-        applied.append(row)
-    rows = []
-    count = factorial(n) * len(words) ** n
-    if count > max_entries:
-        raise SizeCap(f"{count} formal monomials exceed the budget")
-    order = []
-    for vars_ in permutations(range(1, n + 1)):
-        for widx in iproduct(range(len(words)), repeat=n):
-            order.append((vars_, tuple(words[i] for i in widx)))
-            rows.append(_eval_row(alg, applied, vars_, widx))
-    return order, rows
+    order = [
+        (vars_, tuple(words[i] for i in widx))
+        for vars_, widx in monomial_basis(n, len(words), max_entries)
+    ]
+    return order, EvaluationRows(alg, [mats[w] for w in words])
 
 
 def containment_check(
@@ -765,10 +754,8 @@ def containment_check(
     words = _generator_words(m, cap)
     order, rows_a = _formal_rows(act_a, n, words, max_entries)
     _, rows_b = _formal_rows(act_b, n, words, max_entries)
-
-    rra = SparseRREF(track_kernel=True)
-    for i, row in enumerate(rows_a):
-        rra.add_row(row, tag=i)
+    (rra,) = _row_pass(rows_a, n, track_kernel=True, max_entries=max_entries)
+    rows_b = list(rows_b.rows(n, max_entries))
     for combo in rra.kernel:
         # apply the same combination to the B-side rows
         val: dict = {}

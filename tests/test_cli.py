@@ -140,6 +140,37 @@ class TestCommands:
         assert "formula 2^(n-1)n+1 n 3 agrees" in text
         assert "MISMATCH" not in text
 
+    def test_codim_reports_each_degree_on_stderr(self, tmp_path, capsys):
+        path = self._gen(tmp_path, "ut2-eps")
+        assert main(["codim", path, "--max-n", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "n 1 rows 2 rank 2 " in captured.err
+        assert "n 2 rows 8 rank 5 " in captured.err
+        assert "rows" not in captured.out
+
+    def test_config_file_sets_seed_and_primes(self, tmp_path, capsys, monkeypatch):
+        path = self._gen(tmp_path, "ut2-eps")
+        cfg = tmp_path / "config"
+        cfg.write_text("# modular settings\nseed=7\nprime_count=2\n")
+        monkeypatch.setenv("DIFFIDENT_CONFIG", str(cfg))
+        assert main(["codim", path, "--max-n", "2", "--mode", "modular"]) == 0
+        out = capsys.readouterr().out
+        assert "config seed=7 prime_count=2 max_entries=10000000" in out
+        assert "n 2 c 5" in out
+
+    @pytest.mark.parametrize(
+        "line,key", [("seed=abc", "seed"), ("prime_count=1", "prime_count")]
+    )
+    def test_bad_config_is_input_error(self, tmp_path, capsys, monkeypatch, line, key):
+        path = self._gen(tmp_path, "ut2-eps")
+        cfg = tmp_path / "config"
+        cfg.write_text(line + "\n")
+        monkeypatch.setenv("DIFFIDENT_CONFIG", str(cfg))
+        assert main(["codim", path, "--max-n", "1", "--mode", "modular"]) == 2
+        err = capsys.readouterr().err
+        assert "error input: config " + key in err
+        assert str(cfg) in err
+
     def test_decompose_report(self, tmp_path, capsys):
         path = self._gen(tmp_path, "ut2")
         assert main(["decompose", path]) == 0
