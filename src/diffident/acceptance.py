@@ -248,7 +248,7 @@ def criterion_6() -> CriterionResult:
         k = len(wd.blocks)
         for r in range(1, k + 1):
             for seq in permutations(range(k), r):
-                hyp, concl = lemma_bridge_check(alg, act, seq)
+                hyp, concl = lemma_bridge_check(alg, act, seq, wd)
                 if hyp and not concl:
                     violations.append((label, seq))
     ok = not violations

@@ -7,13 +7,20 @@ right, so "apply d1, then d2" is the matrix product d1*d2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import AmbientMismatch, BadParams, NotADerivation, NotAssociative, NotAUnit
-from .linalg import Matrix, ONE, ZERO, Subspace, frac
+from .errors import (
+    AmbientMismatch,
+    BadParams,
+    InternalVerificationFailed,
+    NotADerivation,
+    NotAssociative,
+    NotAUnit,
+)
+from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, frac
 
 
 class StructureAlgebra:
@@ -90,9 +97,6 @@ class StructureAlgebra:
 
     # -- misc --------------------------------------------------------------
 
-    def subspace(self, vectors) -> Subspace:
-        return Subspace.from_vectors(self.dim, vectors)
-
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
         """Span of all pairwise products of basis vectors."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
@@ -150,14 +154,6 @@ def check_derivation(alg: StructureAlgebra, m: Matrix) -> bool:
     return True
 
 
-def _matrix_to_vec(m: Matrix) -> list:
-    return [x for row in m.entries for x in row]
-
-
-def _vec_to_matrix(v: Sequence, n: int) -> Matrix:
-    return Matrix(n, n, [list(v[i * n : (i + 1) * n]) for i in range(n)])
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 
@@ -168,11 +164,13 @@ class Envelope:
 
     op_basis[0] is the identity; word_reps[i] is one word in closure-basis
     indices realizing op_basis[i] as a product (left-to-right application).
+    solver holds op_basis[i] under tag i, so the basis is factored once.
     """
 
     op_basis: list[Matrix]
     mult_table: list[list[list[Fraction]]]
     word_reps: list[tuple[int, ...]]
+    solver: SparseRREF = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -180,26 +178,21 @@ class Envelope:
 
     def expand(self, m: Matrix) -> Optional[list]:
         """Coordinates of m in op_basis, or None if outside the span."""
-        return _solve_in_span(
-            [_matrix_to_vec(b) for b in self.op_basis], _matrix_to_vec(m)
-        )
+        combo = self.solver.solve(m.sparse())
+        return None if combo is None else [combo.get(i, ZERO) for i in range(self.dim)]
 
 
-def _lie_closure_matrices(alg_dim: int, generators: list[Matrix]) -> list[Matrix]:
-    n2 = alg_dim * alg_dim
-    basis_mats: list[Matrix] = []
-    span = Subspace.zero(n2)
+def _lie_closure_matrices(generators: list[Matrix]) -> tuple[list[Matrix], SparseRREF]:
+    """A basis of the Lie algebra the generators generate, and a tagged
+    eliminator holding its i-th element under tag i."""
+    basis: list[Matrix] = []
+    solver = SparseRREF(tagged=True)
     queue = list(generators)
-    while queue:
-        m = queue.pop(0)
-        v = _matrix_to_vec(m)
-        if span.member(v):
-            continue
-        span = span.sum(Subspace.from_vectors(n2, [v]))
-        basis_mats.append(m)
-        for other in list(basis_mats):
-            queue.append(commutator(other, m))
-    return basis_mats
+    for m in queue:  # the queue grows while it is walked
+        if solver.add_row(m.sparse(), tag=len(basis)):
+            basis.append(m)
+            queue.extend(commutator(other, m) for other in basis)
+    return basis, solver
 
 
 @dataclass
@@ -211,56 +204,40 @@ class LieAction:
     closure_basis: list[Derivation]
     bracket_constants: list[list[list[Fraction]]]
     envelope: Envelope
+    # word -> result caches of piengine.pbw_normalize_word and collapse_word
+    _pbw_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _collapse_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def closure_dim(self) -> int:
         return len(self.closure_basis)
 
-    def nonunital_ops(self) -> list[Matrix]:
-        """Envelope basis elements with a non-empty generating word."""
-        return [
-            b
-            for b, w in zip(self.envelope.op_basis, self.envelope.word_reps)
-            if len(w) > 0
-        ]
-
 
 def envelope(alg: StructureAlgebra, closure_matrices: list[Matrix]) -> Envelope:
     """Multiplicative closure of {identity} u closure basis, breadth-first."""
-    n = alg.dim
-    ident = Matrix.identity(n)
+    ident = Matrix.identity(alg.dim)
     op_basis = [ident]
     words: list[tuple[int, ...]] = [()]
-    span = Subspace.from_vectors(n * n, [_matrix_to_vec(ident)])
-    frontier = list(range(len(op_basis)))
-    # seed with the closure matrices themselves
+    solver = SparseRREF(tagged=True)
+    solver.add_row(ident.sparse(), tag=0)
+
+    def offer(m: Matrix, word: tuple[int, ...]):
+        if solver.add_row(m.sparse(), tag=len(op_basis)):
+            op_basis.append(m)
+            words.append(word)
+
     for gi, g in enumerate(closure_matrices):
-        v = _matrix_to_vec(g)
-        if not span.member(v):
-            span = span.sum(Subspace.from_vectors(n * n, [v]))
-            op_basis.append(g)
-            words.append((gi,))
-    changed = True
-    while changed:
-        changed = False
-        for bi in range(len(op_basis)):
-            for gi, g in enumerate(closure_matrices):
-                prod = op_basis[bi] * g  # apply word, then g
-                v = _matrix_to_vec(prod)
-                if not span.member(v):
-                    span = span.sum(Subspace.from_vectors(n * n, [v]))
-                    op_basis.append(prod)
-                    words.append(words[bi] + (gi,))
-                    changed = True
-    env = Envelope(op_basis=op_basis, mult_table=[], word_reps=words)
+        offer(g, (gi,))
+    for bi, op in enumerate(op_basis):  # op_basis grows while it is walked
+        for gi, g in enumerate(closure_matrices):
+            offer(op * g, words[bi] + (gi,))  # apply word, then g
+    env = Envelope(op_basis=op_basis, mult_table=[], word_reps=words, solver=solver)
     table = []
     for a in op_basis:
         row = []
         for b in op_basis:
             coords = env.expand(a * b)
             if coords is None:
-                from .errors import InternalVerificationFailed
-
                 raise InternalVerificationFailed("envelope not multiplicatively closed")
             row.append(coords)
         table.append(row)
@@ -272,24 +249,22 @@ def lie_closure(alg: StructureAlgebra, generators: list[Derivation]) -> LieActio
     for d in generators:
         if not check_derivation(alg, d.matrix):
             raise NotADerivation()
-    closure_mats = _lie_closure_matrices(alg.dim, [d.matrix for d in generators])
+    closure_mats, solver = _lie_closure_matrices([d.matrix for d in generators])
     closure = [
         Derivation(m, name=generators[i].name if i < len(generators) else f"d{i}")
         for i, m in enumerate(closure_mats)
     ]
     env = envelope(alg, closure_mats)
     # bracket constants of the closure in its own basis
-    n2 = alg.dim * alg.dim
-    basis_vecs = [_matrix_to_vec(m) for m in closure_mats]
+    k = len(closure_mats)
     brackets = []
     for a in closure_mats:
         row = []
         for b in closure_mats:
-            c = commutator(a, b)
-            coords = _solve_in_span(basis_vecs, _matrix_to_vec(c))
-            if coords is None:
+            combo = solver.solve(commutator(a, b).sparse())
+            if combo is None:
                 raise NotADerivation("closure not bracket-closed (internal)")
-            row.append(coords)
+            row.append([combo.get(i, ZERO) for i in range(k)])
         brackets.append(row)
     return LieAction(
         algebra=alg,
@@ -300,35 +275,8 @@ def lie_closure(alg: StructureAlgebra, generators: list[Derivation]) -> LieActio
     )
 
 
-def _solve_in_span(basis_vecs: list[list], target: Sequence) -> Optional[list]:
-    """Coefficients expressing target in basis_vecs, or None."""
-    if not basis_vecs:
-        return [] if all(x == 0 for x in target) else None
-    from .linalg import _echelonize
-
-    k = len(basis_vecs)
-    ncols = len(target)
-    aug = [
-        list(bv) + [ONE if j == i else ZERO for j in range(k)]
-        for i, bv in enumerate(basis_vecs)
-    ]
-    reduced, pivots = _echelonize(aug)
-    v = [frac(x) for x in target]
-    combo = [ZERO] * k
-    for row, pc in zip(reduced, pivots):
-        if pc >= ncols:
-            continue
-        f = v[pc]
-        if f:
-            v = [a - f * b for a, b in zip(v, row[:ncols])]
-            combo = [a + f * b for a, b in zip(combo, row[ncols:])]
-    if any(x != 0 for x in v):
-        return None
-    return combo
-
-
 def subspace_under_action(
-    s: Subspace, env: Envelope, include_identity: bool = True, word_reps=None
+    s: Subspace, env: Envelope, include_identity: bool = True
 ) -> Subspace:
     """Span of b^u for b in s and u over the envelope basis.
 
@@ -339,8 +287,7 @@ def subspace_under_action(
     if s.ambient_dim != ambient:
         raise AmbientMismatch("subspace ambient differs from algebra dimension")
     vecs = []
-    reps = word_reps if word_reps is not None else env.word_reps
-    for op, w in zip(env.op_basis, reps):
+    for op, w in zip(env.op_basis, env.word_reps):
         if not include_identity and len(w) == 0:
             continue
         for b in s.basis:
@@ -475,17 +422,3 @@ def direct_sum(a: StructureAlgebra, b: StructureAlgebra, label: str = "") -> Str
         label=label or f"{a.label}(+){b.label}",
         _skip_checks=True,
     )
-
-
-def builtin(name: str, params: Sequence = ()) -> StructureAlgebra:
-    if name == "ut":
-        return ut(int(params[0]))
-    if name == "full_matrix":
-        return full_matrix(int(params[0]))
-    if name == "truncated_grassmann":
-        return truncated_grassmann(int(params[0]))
-    if name == "direct_sum":
-        if len(params) != 2:
-            raise BadParams("direct_sum takes two algebras")
-        return direct_sum(params[0], params[1])
-    raise BadParams(f"unknown builtin {name!r}")

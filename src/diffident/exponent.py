@@ -14,7 +14,7 @@ from .algebra import (
     subspace_under_action,
     ut,
 )
-from .linalg import Matrix, Subspace, ZERO
+from .linalg import Matrix, SparseRREF, Subspace, ZERO
 from .structure import WedderburnData, wedderburn_malcev
 
 
@@ -114,14 +114,15 @@ def verify_gk(alg: StructureAlgebra, act: LieAction) -> bool:
 
 
 def lemma_bridge_check(
-    alg: StructureAlgebra, act: LieAction, sequence
+    alg: StructureAlgebra, act: LieAction, sequence, wd: WedderburnData | None = None
 ) -> tuple[bool, bool]:
     """(hypothesis, conclusion) for one distinct-block sequence.
 
     hypothesis: B_1^L A+ B_2^L ... A+ B_k^L != 0 inside A+;
     conclusion: B_1 J B_2 ... J B_k != 0 inside A.
     """
-    wd = wedderburn_malcev(alg)
+    if wd is None:
+        wd = wedderburn_malcev(alg)
     sequence = tuple(sequence)
     if len(set(sequence)) != len(sequence):
         raise ValueError("block indices must be distinct")
@@ -154,33 +155,17 @@ def lemma_bridge_check(
 
 def is_solvable(act: LieAction) -> bool:
     """Derived series of the Lie closure reaches zero."""
-    mats = [d.matrix for d in act.closure_basis]
-    if not mats:
-        return True
-    n = mats[0].rows
-    n2 = n * n
-
-    def to_vec(m):
-        return [m.entries[i][j] for i in range(n) for j in range(n)]
-
-    current = mats
-    for _ in range(len(mats) + 1):
+    current = [d.matrix for d in act.closure_basis]  # a basis, and so is each nxt
+    for _ in range(len(current) + 1):
         if not current:
             return True
-        brackets = [
+        derived = SparseRREF()
+        brackets = (
             commutator(a, b) for ia, a in enumerate(current) for b in current[ia + 1 :]
-        ]
-        span = Subspace.from_vectors(n2, [to_vec(m) for m in brackets])
-        if span.dim >= Subspace.from_vectors(n2, [to_vec(m) for m in current]).dim:
+        )
+        nxt = [m for m in brackets if derived.add_row(m.sparse())]
+        if len(nxt) >= len(current):
             return False
-        # pick a matrix basis of the derived algebra
-        nxt = []
-        acc = Subspace.zero(n2)
-        for m in brackets:
-            v = to_vec(m)
-            if not acc.member(v):
-                acc = acc.sum(Subspace.from_vectors(n2, [v]))
-                nxt.append(m)
         current = nxt
     return not current
 

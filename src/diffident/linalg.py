@@ -1,8 +1,10 @@
 """Exact rational and modular linear algebra.
 
 Everything downstream (structure theory, codimension ranks, subspace
-lattices) is built on the three primitives here: reduced row echelon form
-over the rationals, multi-prime modular rank, and echelonized subspaces.
+lattices) is built on the primitives here: reduced row echelon form over
+the rationals, multi-prime modular rank, echelonized subspaces, and one
+incremental exact/modular eliminator, SparseRREF, whose add_row grows a span
+and whose solve gives coordinates in it, so a basis is factored only once.
 Vectors are rows; a linear map given by a matrix M acts as v -> v*M, so
 composing "apply M1, then M2" is the ordinary product M1*M2.
 """
@@ -111,12 +113,15 @@ class Matrix:
                             orow[j] += a * b
         return Matrix(self.rows, other.cols, out)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+    def sparse(self) -> dict:
+        """Nonzero entries keyed by their row-major position."""
+        cols = self.cols
+        return {
+            i * cols + j: x
+            for i, row in enumerate(self.entries)
+            for j, x in enumerate(row)
+            if x
+        }
 
     def apply(self, v: Sequence) -> list:
         """Row vector times matrix."""
@@ -401,14 +406,19 @@ class SparseRREF:
     """Incremental row-space basis over sparse rows with hashable column labels.
 
     Rows are fed one at a time as {column_label: value} dicts.  Maintains the
-    rank; optionally tracks the combination of input rows expressing each
-    pivot row, so that rows reducing to zero yield left-kernel vectors over
-    the input row tags.  With a prime, arithmetic is done modulo it.
+    rank.  A tagged eliminator also tracks the combination of input row tags
+    expressing each pivot row, so that solve(row) gives the coordinates of a
+    row in the span of the rows fed; with track_kernel (which implies tagged)
+    rows reducing to zero are kept as left-kernel vectors over the tags.
+    With a prime, arithmetic is done modulo it.
     """
 
-    def __init__(self, track_kernel: bool = False, prime: int | None = None):
+    def __init__(
+        self, track_kernel: bool = False, prime: int | None = None, tagged: bool = False
+    ):
         self.prime = prime
         self.track_kernel = track_kernel
+        self.tagged = tagged or track_kernel
         self._pivots: dict = {}  # column label -> (row dict, combo dict)
         self.kernel: list[dict] = []
         self.rank = 0
@@ -429,27 +439,17 @@ class SparseRREF:
             return ONE / x
         return pow(x, -1, self.prime)
 
-    def add_row(self, row: dict, tag=None) -> bool:
-        """Insert a row; returns True if it enlarged the span."""
+    def _reduce(self, row: dict, combo: dict | None) -> tuple[dict, object]:
+        """(residual, lead): row coerced and reduced against the pivots, and
+        its lead column, which has no pivot, or None when it reduced to zero.
+        The same multiples of the pivot combinations are taken off combo."""
         row = {c: v for c, v in ((c, self._coerce(v)) for c, v in row.items()) if v}
-        combo = {tag: self._coerce(ONE)} if self.track_kernel else None
         p = self.prime
         while row:
             lead = min(row)
             hit = self._pivots.get(lead)
             if hit is None:
-                inv = self._inv(row[lead])
-                if p is None:
-                    row = {c: v * inv for c, v in row.items()}
-                    if combo is not None:
-                        combo = {t: v * inv for t, v in combo.items()}
-                else:
-                    row = {c: v * inv % p for c, v in row.items()}
-                    if combo is not None:
-                        combo = {t: v * inv % p for t, v in combo.items()}
-                self._pivots[lead] = (row, combo)
-                self.rank += 1
-                return True
+                return row, lead
             prow, pcombo = hit
             f = row[lead]
             if p is None:
@@ -480,6 +480,54 @@ class SparseRREF:
                             combo[t] = nv
                         else:
                             combo.pop(t, None)
-        if combo is not None:
-            self.kernel.append(combo)
-        return False
+        return row, None
+
+    def add_row(self, row: dict, tag=None) -> bool:
+        """Insert a row; returns True if it enlarged the span."""
+        combo = {tag: self._coerce(ONE)} if self.tagged else None
+        row, lead = self._reduce(row, combo)
+        if lead is None:
+            if self.track_kernel:
+                self.kernel.append(combo)
+            return False
+        inv = self._inv(row[lead])
+        p = self.prime
+        if p is None:
+            row = {c: v * inv for c, v in row.items()}
+            if combo is not None:
+                combo = {t: v * inv for t, v in combo.items()}
+        else:
+            row = {c: v * inv % p for c, v in row.items()}
+            if combo is not None:
+                combo = {t: v * inv % p for t, v in combo.items()}
+        self._pivots[lead] = (row, combo)
+        self.rank += 1
+        return True
+
+    def solve(self, row: dict) -> dict | None:
+        """{tag: coefficient} combining the rows fed into row, or None when
+        row is outside their span.  Needs a tagged eliminator; leaves it
+        unchanged."""
+        if not self.tagged:
+            raise ValueError("solve needs a tagged SparseRREF")
+        combo: dict = {}
+        if self._reduce(row, combo)[1] is not None:
+            return None
+        # row = sum f_i pivot_i, and the loop left combo = -sum f_i combo_i
+        p = self.prime
+        return {t: -v if p is None else -v % p for t, v in combo.items()}
+
+
+def span_coordinates(vectors: Sequence[Sequence]):
+    """Factor the span of dense vectors once; the returned function gives the
+    coordinates of a dense vector in them, or None outside their span."""
+    rr = SparseRREF(tagged=True)
+    for i, v in enumerate(vectors):
+        rr.add_row(dict(enumerate(v)), tag=i)
+    count = len(vectors)
+
+    def coordinates(target: Sequence) -> list | None:
+        combo = rr.solve(dict(enumerate(target)))
+        return None if combo is None else [combo.get(i, ZERO) for i in range(count)]
+
+    return coordinates

@@ -41,10 +41,7 @@ def _bracket_coeffs(act: LieAction, a: int, b: int) -> list:
 
 def pbw_normalize_word(act: LieAction, word: Word) -> dict:
     """Rewrite a word into the span of non-decreasing words."""
-    cache = getattr(act, "_pbw_cache", None)
-    if cache is None:
-        cache = {}
-        act._pbw_cache = cache
+    cache = act._pbw_cache
     if word in cache:
         return cache[word]
     for i in range(len(word) - 1):
@@ -81,10 +78,7 @@ def word_matrix(act: LieAction, word: Word) -> Matrix:
 
 def collapse_word(act: LieAction, word: Word) -> tuple:
     """Coordinates of the word's operator in the envelope basis."""
-    cache = getattr(act, "_collapse_cache", None)
-    if cache is None:
-        cache = {}
-        act._collapse_cache = cache
+    cache = act._collapse_cache
     if word not in cache:
         coords = act.envelope.expand(word_matrix(act, word))
         if coords is None:

@@ -15,7 +15,7 @@ from .algebra import (
 )
 from .errors import BadParams
 from .fileformat import AlgebraFile
-from .linalg import frac
+from .linalg import frac, span_coordinates
 
 
 def _eta_matrix(alpha, beta):
@@ -84,9 +84,6 @@ def shipped_algebra_file(name: str, params: list[str]) -> AlgebraFile:
     raise BadParams(f"unknown generator {name!r}")
 
 
-GENERATOR_NAMES = ("ut2", "ut2-eps", "ut2-eta", "utn", "matn", "grassmann-k", "dsum")
-
-
 def checksum(f: AlgebraFile) -> str:
     return hashlib.sha256(f.serialize().encode()).hexdigest()[:16]
 
@@ -111,12 +108,9 @@ def identify_shipped(f: AlgebraFile):
         )
         if checksum(stripped) != checksum(ref):
             return None
-        from .algebra import _solve_in_span
-
-        eps = _eta_matrix(1, 0)
-        delta = _eta_matrix(0, 1)
         flat = lambda m: [x for row in m.entries for x in row]
-        coords = _solve_in_span([flat(eps), flat(delta)], flat(f.derivations[0][1]))
+        in_eta_plane = span_coordinates([flat(_eta_matrix(1, 0)), flat(_eta_matrix(0, 1))])
+        coords = in_eta_plane(flat(f.derivations[0][1]))
         if coords is None or (not coords[0] and not coords[1]):
             return None
         return "ut2-eta", {

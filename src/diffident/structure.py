@@ -8,15 +8,18 @@ from fractions import Fraction
 
 import sympy
 
-from .algebra import (
-    LieAction,
-    StructureAlgebra,
-    adjoin_unit,
-    subspace_under_action,
-    _solve_in_span,
-)
+from .algebra import LieAction, StructureAlgebra, adjoin_unit, subspace_under_action
 from .errors import InternalVerificationFailed, NonSplitCenter
-from .linalg import Matrix, ONE, ZERO, Subspace, frac, left_kernel
+from .linalg import (
+    Matrix,
+    ONE,
+    ZERO,
+    SparseRREF,
+    Subspace,
+    frac,
+    left_kernel,
+    span_coordinates,
+)
 
 
 def radical(alg: StructureAlgebra) -> Subspace:
@@ -105,11 +108,10 @@ def quotient_by_ideal(alg: StructureAlgebra, ideal: Subspace) -> QuotientAlgebra
 
 def _restricted_matrix(alg: StructureAlgebra, space: Subspace, z) -> Matrix:
     """Matrix of x -> z*x restricted to an invariant subspace, in its basis."""
-    basis_vecs = [list(b) for b in space.basis]
+    solve = span_coordinates(space.basis)
     rows = []
     for b in space.basis:
-        img = alg.multiply(z, b)
-        coords = _solve_in_span(basis_vecs, img)
+        coords = solve(alg.multiply(z, b))
         if coords is None:
             raise InternalVerificationFailed("subspace not invariant under center element")
         rows.append(coords)
@@ -118,21 +120,19 @@ def _restricted_matrix(alg: StructureAlgebra, space: Subspace, z) -> Matrix:
 
 def _min_poly(m: Matrix) -> sympy.Poly:
     x = sympy.Symbol("x")
-    n = m.rows
-    powers = [Matrix.identity(n)]
-    vecs = [[x_ for row in powers[0].entries for x_ in row]]
+    power = Matrix.identity(m.rows)
+    powers = SparseRREF(tagged=True)  # m^i under tag i
+    powers.add_row(power.sparse(), tag=0)
     while True:
-        nxt = powers[-1] * m
-        target = [x_ for row in nxt.entries for x_ in row]
-        coords = _solve_in_span(vecs, target)
+        power = power * m
+        coords = powers.solve(power.sparse())
         if coords is not None:
-            poly = x ** len(powers) - sum(
+            poly = x**powers.rank - sum(
                 sympy.Rational(c.numerator, c.denominator) * x**i
-                for i, c in enumerate(coords)
+                for i, c in sorted(coords.items())
             )
             return sympy.Poly(poly, x, domain="QQ")
-        powers.append(nxt)
-        vecs.append(target)
+        powers.add_row(power.sparse(), tag=powers.rank)
 
 
 def _rational_eigenvalues(m: Matrix) -> list[Fraction]:
@@ -224,7 +224,7 @@ def subalgebra_unit(alg: StructureAlgebra, space: Subspace) -> list:
             for ci, bk in enumerate(basis):
                 eq_rows[ci].append(alg.multiply(b, bk)[coord])
             t_vec.append(frac(b[coord]))
-    coords = _solve_in_span(eq_rows, t_vec)
+    coords = span_coordinates(eq_rows)(t_vec)
     if coords is None:
         raise InternalVerificationFailed("subalgebra has no unit")
     u = [ZERO] * alg.dim
@@ -338,23 +338,24 @@ def _block_matrix_units(alg: StructureAlgebra, block: Subspace) -> list[list[lis
     wbasis = [list(b) for b in w.basis]
     # rho(b): matrix of x -> b*x on W in row convention (anti-homomorphism)
     block_vecs = [list(b) for b in block.basis]
+    in_w = span_coordinates(wbasis)
     rho_vecs = []
     for b in block_vecs:
         rows = []
         for wb in wbasis:
-            img = alg.multiply(b, wb)
-            coords = _solve_in_span(wbasis, img)
+            coords = in_w(alg.multiply(b, wb))
             if coords is None:
                 raise InternalVerificationFailed("left ideal not invariant")
             rows.append(coords)
         rho_vecs.append([x for row in rows for x in row])
+    in_rho = span_coordinates(rho_vecs)
     units = [[None] * r for _ in range(r)]
     for s in range(r):
         for t in range(r):
             # anti-iso: preimage of E_{ts} realizes the matrix unit e_st
             target = [ZERO] * (r * r)
             target[t * r + s] = ONE
-            coords = _solve_in_span(rho_vecs, target)
+            coords = in_rho(target)
             if coords is None:
                 raise NonSplitCenter("block does not act as a full matrix algebra")
             vec = [ZERO] * alg.dim

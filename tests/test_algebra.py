@@ -20,6 +20,7 @@ from diffident.algebra import (
     truncated_grassmann,
     ut,
 )
+from diffident.acceptance import battery_fixtures
 from diffident.errors import NotADerivation, NotAssociative, NotAUnit
 from diffident.linalg import Matrix, Subspace
 
@@ -102,6 +103,44 @@ def test_envelope_multiplicatively_closed():
     for a in env.op_basis:
         for b in env.op_basis:
             assert env.expand(a * b) is not None
+
+
+def _combination(mats, coeffs, n):
+    total = Matrix.zero(n, n)
+    for m, c in zip(mats, coeffs):
+        if c:
+            total = total + m.scale(c)
+    return total
+
+
+def test_battery_mult_tables_reconstruct_products():
+    for label, alg, act in battery_fixtures():
+        ops = act.envelope.op_basis
+        for a, row in zip(ops, act.envelope.mult_table):
+            for b, coeffs in zip(ops, row):
+                assert _combination(ops, coeffs, alg.dim) == a * b, label
+
+
+def test_battery_bracket_constants_reconstruct_commutators():
+    for label, alg, act in battery_fixtures():
+        mats = [d.matrix for d in act.closure_basis]
+        for a, row in zip(mats, act.bracket_constants):
+            for b, coeffs in zip(mats, row):
+                assert _combination(mats, coeffs, alg.dim) == a * b - b * a, label
+
+
+def test_battery_expand_rejects_matrix_outside_envelope():
+    """Derivations kill the unit u, so every envelope operator maps u into
+    F*u; a matrix unit E_ij with u_i != 0 and e_j not parallel to u does not,
+    so it lies outside the envelope."""
+    for label, alg, act in battery_fixtures():
+        u = alg.unit_vector
+        i = next(k for k, x in enumerate(u) if x)
+        # e_j is parallel to u only when u is supported on j alone
+        j = next(k for k in range(alg.dim) if any(x for m, x in enumerate(u) if m != k))
+        outside = Matrix.zero(alg.dim, alg.dim)
+        outside.entries[i][j] = Fraction(1)
+        assert act.envelope.expand(outside) is None, label
 
 
 def test_word_reps_realize_operators():

@@ -121,6 +121,25 @@ class TestBridgeLemma:
         assert lemma_bridge_check(u2, act, (1, 0)) == (False, False)
         assert lemma_bridge_check(u2, act, (0,)) == (True, True)
 
+    def test_same_result_with_precomputed_decomposition(self):
+        ds = direct_sum(ut(2), full_matrix(2))
+        mixed = [
+            inner_derivation(ds, [Fraction(x) for x in (1, 0, 0, 0, 0, 0, 0)]),
+            inner_derivation(ds, [Fraction(x) for x in (0, 0, 0, 1, 0, 0, 0)]),
+        ]
+        u3 = ut(3)
+        for alg, act in (
+            (ds, lie_closure(ds, mixed)),
+            (u3, lie_closure(u3, [ad_unit(u3, 1, 2)])),
+        ):
+            wd = wedderburn_malcev(alg)
+            k = len(wd.blocks)
+            for r in range(1, k + 1):
+                for seq in permutations(range(k), r):
+                    assert lemma_bridge_check(alg, act, seq, wd) == lemma_bridge_check(
+                        alg, act, seq
+                    )
+
     def test_rejects_repeated_blocks(self):
         u2 = ut(2)
         act = trivial_action(u2)

@@ -1,8 +1,9 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from diffident.errors import AmbientMismatch
 from diffident.linalg import (
@@ -148,3 +149,75 @@ class TestSparseRREF:
             rr.add_row({j: v for j, v in enumerate(row) if v})
         _, exact, _ = rref(m)
         assert rr.rank == exact
+
+
+PRIME = (1 << 31) - 1
+
+
+@st.composite
+def span_problems(draw):
+    """(basis, target): small integer or rational rows, and a target that is
+    a combination of them or a free vector."""
+    entries = draw(st.sampled_from([st.integers(-3, 3), rationals]))
+    ncols = draw(st.integers(1, 5))
+    vector = st.lists(entries, min_size=ncols, max_size=ncols)
+    basis = draw(st.lists(vector, max_size=5))
+    if basis and draw(st.booleans()):
+        coeffs = draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+        target = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(ncols)]
+    else:
+        target = draw(vector)
+    return basis, target
+
+
+def _fed(basis, prime):
+    rr = SparseRREF(prime=prime, tagged=True)
+    for i, row in enumerate(basis):
+        rr.add_row(dict(enumerate(row)), tag=i)
+    return rr
+
+
+def _residue(x, prime):
+    x = Fraction(x)
+    return x if prime is None else x.numerator * pow(x.denominator, -1, prime) % prime
+
+
+@pytest.mark.parametrize("prime", [None, PRIME], ids=["exact", "modular"])
+class TestSparseRREFSolve:
+    @seed(1)
+    @settings(max_examples=80, deadline=None)
+    @given(span_problems())
+    def test_combination_reconstructs_target(self, prime, problem):
+        basis, target = problem
+        combo = _fed(basis, prime).solve(dict(enumerate(target)))
+        if combo is None:
+            return
+        total = [
+            sum(c * _residue(basis[t][j], prime) for t, c in combo.items())
+            for j in range(len(target))
+        ]
+        if prime is not None:
+            total = [x % prime for x in total]
+        assert total == [_residue(x, prime) for x in target]
+
+    @seed(2)
+    @settings(max_examples=80, deadline=None)
+    @given(span_problems())
+    def test_none_exactly_when_add_row_raises_rank(self, prime, problem):
+        basis, target = problem
+        combo = _fed(basis, prime).solve(dict(enumerate(target)))
+        assert (combo is None) == _fed(basis, prime).add_row(dict(enumerate(target)))
+
+    @seed(3)
+    @settings(max_examples=80, deadline=None)
+    @given(span_problems())
+    def test_solve_leaves_eliminator_unchanged(self, prime, problem):
+        basis, target = problem
+        rr = _fed(basis, prime)
+        before = (rr.rank, copy.deepcopy(rr._pivots))
+        rr.solve(dict(enumerate(target)))
+        assert (rr.rank, rr._pivots) == before
+
+    def test_needs_tags(self, prime):
+        with pytest.raises(ValueError):
+            SparseRREF(prime=prime).solve({0: 1})
