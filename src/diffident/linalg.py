@@ -1,10 +1,11 @@
 """Exact rational and modular linear algebra.
 
 Everything downstream (structure theory, codimension ranks, subspace
-lattices) is built on the primitives here: reduced row echelon form over
-the rationals, multi-prime modular rank, echelonized subspaces, and one
-incremental exact/modular eliminator, SparseRREF, whose add_row grows a span
-and whose solve gives coordinates in it, so a basis is factored only once.
+lattices) is built on one incremental exact/modular eliminator, SparseRREF:
+add_row grows a span, solve gives coordinates in it (so a basis is factored
+only once), and reduced_basis reads out its reduced row-echelon basis.
+Reduced row echelon form, left kernels, canonical subspaces and the
+multi-prime modular rank are all views of it.
 Vectors are rows; a linear map given by a matrix M acts as v -> v*M, so
 composing "apply M1, then M2" is the ordinary product M1*M2.
 """
@@ -68,9 +69,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
-
-    def row(self, i: int) -> list:
-        return list(self.entries[i])
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -137,84 +135,23 @@ class Matrix:
         return out
 
 
-def _echelonize(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place fraction-free reduction to RREF; returns (nonzero rows, pivots).
-
-    Rows are scaled to integers first so the forward sweep postpones all
-    divisions; the final pass rescales pivots to 1 and clears above.
-    """
-    work = []
-    for r in rows:
-        den = 1
-        for x in r:
-            if x.denominator != 1:
-                den = den * x.denominator // _gcd(den, x.denominator)
-        work.append([x.numerator * (den // x.denominator) for x in r])
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    piv_rows: list[list[int]] = []
-    for r in work:
-        # reduce against accepted pivot rows (cross-multiplication, no division)
-        for pr, pc in zip(piv_rows, pivots):
-            if r[pc]:
-                a, b = pr[pc], r[pc]
-                g = _gcd(a, b)
-                ra, rb = a // g, b // g
-                for j in range(ncols):
-                    r[j] = r[j] * ra - pr[j] * rb
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is None:
-            continue
-        g = 0
-        for x in r:
-            g = _gcd(g, x)
-        if r[lead] < 0:
-            g = -g
-        r = [x // g for x in r]
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < lead:
-            pos += 1
-        pivots.insert(pos, lead)
-        piv_rows.insert(pos, r)
-    # back substitution: clear above pivots, normalize pivots to 1
-    out = [[Fraction(x) for x in r] for r in piv_rows]
-    for i in range(len(out) - 1, -1, -1):
-        pc = pivots[i]
-        pv = out[i][pc]
-        if pv != 1:
-            out[i] = [x / pv for x in out[i]]
-        for k in range(i):
-            f = out[k][pc]
-            if f:
-                out[k] = [a - f * b for a, b in zip(out[k], out[i])]
-    return out, pivots
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row-echelon form, rank and pivot columns."""
-    reduced, pivots = _echelonize([list(r) for r in m.entries])
-    rank = len(reduced)
-    rows = reduced + [[ZERO] * m.cols for _ in range(m.rows - rank)]
-    return Matrix(m.rows, m.cols, rows), rank, pivots
+    s = Subspace.from_vectors(m.cols, m.entries)
+    rows = list(s.basis) + [[ZERO] * m.cols] * (m.rows - s.dim)
+    return Matrix(m.rows, m.cols, rows), s.dim, list(s.pivot_columns)
 
 
 def left_kernel(m: Matrix) -> "Subspace":
     """Subspace of row vectors v with v*M = 0."""
-    n = m.rows
-    aug = [list(m.entries[i]) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    reduced, pivots = _echelonize(aug)
-    kernel_rows = [r[m.cols :] for r in reduced if all(x == 0 for x in r[: m.cols])]
-    # rows reduced to zero in the original columns disappear from _echelonize
-    # output only if the whole augmented row vanished, which cannot happen;
-    # rows with pivot beyond m.cols are exactly the kernel combinations
-    return Subspace.from_vectors(n, kernel_rows)
+    rr = SparseRREF(track_kernel=True)
+    for i, row in enumerate(m.entries):
+        rr.add_row(dict(enumerate(row)), tag=i)
+    # the kernel combinations are independent; one more pass makes them canonical
+    kernel = SparseRREF()
+    for combo in rr.kernel:
+        kernel.add_row(combo)
+    return Subspace.from_eliminator(m.rows, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +189,6 @@ def draw_primes(count: int, seed: int, denominator: int = 1) -> list[int]:
     return primes
 
 
-def _rank_mod(entries: Sequence[Sequence[Fraction]], p: int) -> int:
-    rows = []
-    for r in entries:
-        row = []
-        for x in r:
-            if x.denominator % p == 0:
-                raise DenominatorDivisibleByPrime(str(p))
-            row.append(x.numerator * pow(x.denominator, -1, p) % p)
-        rows.append(row)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    pivot_rows: list[tuple[int, list[int]]] = []
-    for r in rows:
-        for pc, pr in pivot_rows:
-            f = r[pc]
-            if f:
-                for j in range(pc, ncols):
-                    r[j] = (r[j] - f * pr[j]) % p
-        lead = next((j for j, x in enumerate(r) if x), None)
-        if lead is None:
-            continue
-        inv = pow(r[lead], -1, p)
-        r = [x * inv % p for x in r]
-        pivot_rows.append((lead, r))
-        rank += 1
-    return rank
-
-
 def rank_modular(m: Matrix, prime_count: int = 3, seed: int = 0) -> int:
     """Rank modulo prime_count distinct random 31-bit primes.
 
@@ -290,7 +199,12 @@ def rank_modular(m: Matrix, prime_count: int = 3, seed: int = 0) -> int:
     if prime_count < 2:
         raise ValueError("prime_count must be at least 2")
     den = common_denominator(x for row in m.entries for x in row)
-    ranks = [_rank_mod(m.entries, p) for p in draw_primes(prime_count, seed, den)]
+    ranks = []
+    for p in draw_primes(prime_count, seed, den):
+        rr = SparseRREF(prime=p)
+        for row in m.entries:
+            rr.add_row(dict(enumerate(row)))
+        ranks.append(rr.rank)
     if len(set(ranks)) != 1:
         raise PrimeDisagreement(f"ranks {ranks} disagree")
     return ranks[0]
@@ -301,25 +215,48 @@ def rank_modular(m: Matrix, prime_count: int = 3, seed: int = 0) -> int:
 
 
 class Subspace:
-    """Subspace of F^n held as a reduced row-echelon basis (canonical)."""
+    """Subspace of F^n held as its reduced row-echelon basis (canonical).
+
+    A frozen view of an exact SparseRREF: every constructor but zero and
+    full reads the basis out of an eliminator fed with spanning rows.
+    """
 
     __slots__ = ("ambient_dim", "basis", "pivot_columns")
 
     def __init__(self, ambient_dim: int, basis, pivot_columns):
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(v) for v in basis)
-        self.pivot_columns = tuple(pivot_columns)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", tuple(tuple(v) for v in basis))
+        object.__setattr__(self, "pivot_columns", tuple(pivot_columns))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def from_eliminator(cls, ambient_dim: int, rr: "SparseRREF") -> "Subspace":
+        """Span of the rows fed to an exact eliminator with columns
+        0..ambient_dim-1."""
+        return cls._read_out(ambient_dim, rr.reduced_basis())
+
+    @classmethod
+    def _read_out(cls, ambient_dim: int, rows: list) -> "Subspace":
+        """Dense Subspace of reduced row-echelon (lead, row) pairs."""
+        basis = []
+        for _, row in rows:
+            vec = [ZERO] * ambient_dim
+            for c, x in row.items():
+                vec[c] = x
+            basis.append(vec)
+        return cls(ambient_dim, basis, [lead for lead, _ in rows])
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [[frac(x) for x in v] for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch(f"vector length {len(v)} != {ambient_dim}")
-        if not vecs:
-            return cls(ambient_dim, [], [])
-        reduced, pivots = _echelonize(vecs)
-        return cls(ambient_dim, reduced, pivots)
+        rr = SparseRREF()
+        for v in vectors:
+            row = dict(enumerate(v))
+            if len(row) != ambient_dim:
+                raise AmbientMismatch(f"vector length {len(row)} != {ambient_dim}")
+            rr.add_row(row)
+        return cls.from_eliminator(ambient_dim, rr)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -327,9 +264,10 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(
+        return cls(
             ambient_dim,
             [[ONE if j == i else ZERO for j in range(ambient_dim)] for i in range(ambient_dim)],
+            range(ambient_dim),
         )
 
     @property
@@ -381,17 +319,22 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonize [u|u] and [v|0]; rows with zero left half
-        carry the intersection in their right half."""
+        """Zassenhaus: eliminate [u|u] and [v|0] over columns j and n+j; the
+        reduced rows with lead at or beyond n carry the intersection in
+        their right half."""
         self._check_ambient(other)
         n = self.ambient_dim
-        block = [list(v) + list(v) for v in self.basis]
-        block += [list(v) + [ZERO] * n for v in other.basis]
-        if not block:
-            return Subspace.zero(n)
-        reduced, _ = _echelonize(block)
-        inter = [r[n:] for r in reduced if all(x == 0 for x in r[:n])]
-        return Subspace.from_vectors(n, inter)
+        rr = SparseRREF()
+        for v in self.basis:
+            rr.add_row(dict(enumerate(v + v)))
+        for v in other.basis:
+            rr.add_row(dict(enumerate(v)))
+        inter = [
+            (lead - n, {c - n: x for c, x in row.items()})
+            for lead, row in rr.reduced_basis()
+            if lead >= n
+        ]
+        return Subspace._read_out(n, inter)
 
     def image(self, m: Matrix) -> "Subspace":
         """Image of the subspace under v -> v*M."""
@@ -516,6 +459,31 @@ class SparseRREF:
         # row = sum f_i pivot_i, and the loop left combo = -sum f_i combo_i
         p = self.prime
         return {t: -v if p is None else -v % p for t, v in combo.items()}
+
+    def reduced_basis(self) -> list[tuple]:
+        """The reduced row-echelon basis of the span as (lead, row) pairs in
+        ascending lead order: each lead entry is 1 and each lead column is
+        zero in every other row.  Needs an exact eliminator.
+
+        Back-substitutes in descending lead order.  A stored pivot row has
+        entries only at columns >= its lead, so the rows it is reduced by
+        are final, and each of them is zero at every other lead column:
+        the row's own entries at those columns are the multiples to take.
+        """
+        if self.prime is not None:
+            raise ValueError("reduced_basis needs an exact SparseRREF")
+        done: dict = {}
+        for lead in sorted(self._pivots, reverse=True):
+            row = dict(self._pivots[lead][0])
+            for c, f in [(c, f) for c, f in row.items() if c in done]:
+                for k, v in done[c].items():
+                    nv = row.get(k, ZERO) - f * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        row.pop(k, None)
+            done[lead] = row
+        return sorted(done.items())
 
 
 def span_coordinates(vectors: Sequence[Sequence]):

@@ -452,14 +452,11 @@ def identity_space(
     order = list(monomial_basis(n, act.envelope.dim, max_entries))
     rows = EvaluationRows(alg, act.envelope.op_basis)
     (rr,) = _row_pass(rows, n, track_kernel=True, max_entries=max_entries)
-    total = len(order)
-    kernel_vecs = []
+    # kernel combinations are sparse over the monomial tags and independent
+    kernel_rr = SparseRREF()
     for combo in rr.kernel:
-        vec = [ZERO] * total
-        for tag, v in combo.items():
-            vec[tag] = v
-        kernel_vecs.append(vec)
-    kernel = Subspace.from_vectors(total, kernel_vecs)
+        kernel_rr.add_row(combo)
+    kernel = Subspace.from_eliminator(len(order), kernel_rr)
     return IdentityReport(
         degree=n,
         codim=rr.rank,
@@ -508,30 +505,6 @@ def is_identity(
         if any(val):
             return (False, tup) if witness else False
     return (True, None) if witness else True
-
-
-def poly_to_envelope_vector(
-    f: LPolynomial, act: LieAction, n: int, max_entries: int = DEFAULT_MAX_ENTRIES
-) -> list:
-    """Coordinates of f in the envelope-collapsed monomial basis of degree n."""
-    e = act.envelope.dim
-    index = {
-        mono: i for i, mono in enumerate(monomial_basis(n, e, max_entries))
-    }
-    vec = [ZERO] * len(index)
-    for (vars_, words), c in f.terms.items():
-        expansions = [collapse_word(act, w) for w in words]
-        stack = [((), ONE)]
-        for exp in expansions:
-            stack = [
-                (done + (u,), coeff * wc)
-                for done, coeff in stack
-                for u, wc in enumerate(exp)
-                if wc
-            ]
-        for done, coeff in stack:
-            vec[index[(vars_, done)]] += c * coeff
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -652,16 +625,11 @@ def consequences_space(
     for g in generators:
         for (_v, words) in g.terms:
             cap = max(cap, max((len(w) for w in words), default=0))
+    index = {mono: i for i, mono in enumerate(monomial_basis(n, act.envelope.dim, max_entries))}
     rr = SparseRREF()
-    rows: list[dict] = []
 
     def push(terms: dict) -> bool:
-        if not terms:
-            return False
-        if rr.add_row(dict(terms)):
-            rows.append(terms)
-            return True
-        return False
+        return bool(terms) and rr.add_row({index[key]: c for key, c in terms.items()})
 
     queue: list[dict] = []
     for g in generators:
@@ -686,15 +654,7 @@ def consequences_space(
                 decorated = _collapsed_decorate(terms, var, u, table)
                 if push(decorated):
                     queue.append(decorated)
-    total = monomial_count(n, act.envelope.dim)
-    index = {mono: i for i, mono in enumerate(monomial_basis(n, act.envelope.dim, max_entries))}
-    vecs = []
-    for terms in rows:
-        vec = [ZERO] * total
-        for key, c in terms.items():
-            vec[index[key]] = c
-        vecs.append(vec)
-    return Subspace.from_vectors(total, vecs)
+    return Subspace.from_eliminator(len(index), rr)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The reference builds every degree-n monomial as an LPolynomial (exponent
 words taken from the envelope's word representatives), evaluates it with
 `evaluate_poly` on every basis tuple, and takes the rank of those rows with
-the dense `rref`.  It shares neither the row generator nor SparseRREF with
-`codim`.
+sympy's `DomainMatrix` over QQ.  It shares neither the row generator nor
+SparseRREF with `codim`.
 """
 
 import random
@@ -13,6 +13,8 @@ from itertools import product as iproduct
 from math import factorial
 
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from diffident import piengine as pe
 from diffident.algebra import (
@@ -26,7 +28,7 @@ from diffident.algebra import (
     ut,
 )
 from diffident.errors import DenominatorDivisibleByPrime
-from diffident.linalg import Matrix, draw_primes, rref
+from diffident.linalg import Matrix, draw_primes
 
 
 def _reference_codim(act, n):
@@ -39,8 +41,8 @@ def _reference_codim(act, n):
         row = []
         for tup in tuples:
             row += pe.evaluate_poly(mono, act, [alg.basis_vector(b) for b in tup])
-        rows.append(row)
-    return rref(Matrix.from_rows(rows))[1]
+        rows.append([QQ(x.numerator, x.denominator) for x in row])
+    return DomainMatrix(rows, (len(rows), len(tuples) * alg.dim), QQ).rank()
 
 
 def _ut2_eps():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from diffident.errors import AmbientMismatch
 from diffident.linalg import (
@@ -18,6 +20,19 @@ from diffident.linalg import (
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
 )
+
+
+def qq(rows, ncols):
+    """Rational rows as a sympy DomainMatrix over QQ, the exact oracle that
+    rref, left_kernel, rank_modular and SparseRREF are checked against."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    return DomainMatrix(
+        [[QQ(x.numerator, x.denominator) for x in r] for r in rows], (len(rows), ncols), QQ
+    )
+
+
+def fractions(dm):
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in dm.to_list()]
 
 
 def random_matrix(seed, rows=None, cols=None):
@@ -55,8 +70,7 @@ class TestModularRank:
     @pytest.mark.parametrize("seed", range(40))
     def test_agrees_with_exact(self, seed):
         m = random_matrix(seed)
-        _, exact, _ = rref(m)
-        assert rank_modular(m, seed=seed) == exact
+        assert rank_modular(m, seed=seed) == qq(m.entries, m.cols).rank()
 
     def test_needs_two_primes(self):
         with pytest.raises(ValueError):
@@ -105,6 +119,11 @@ class TestSubspace:
         b = Subspace.from_vectors(3, [[3, 0, 0], [5, 1, 0]])
         assert a == b
 
+    def test_frozen(self):
+        s = Subspace.from_vectors(2, [[1, 2]])
+        with pytest.raises(AttributeError):
+            s.basis = ()
+
 
 class TestLeftKernel:
     def test_kernel_annihilates(self):
@@ -116,8 +135,7 @@ class TestLeftKernel:
     def test_rank_nullity(self):
         for seed in range(10):
             m = random_matrix(seed, rows=4, cols=4)
-            _, rank, _ = rref(m)
-            assert left_kernel(m).dim == 4 - rank
+            assert left_kernel(m).dim == 4 - qq(m.entries, 4).rank()
 
 
 class TestSparseRREF:
@@ -127,8 +145,7 @@ class TestSparseRREF:
             rr = SparseRREF()
             for row in m.entries:
                 rr.add_row({j: v for j, v in enumerate(row) if v})
-            _, exact, _ = rref(m)
-            assert rr.rank == exact
+            assert rr.rank == qq(m.entries, m.cols).rank()
 
     def test_kernel_combinations_vanish(self):
         m = random_matrix(3, rows=6, cols=3)
@@ -139,7 +156,7 @@ class TestSparseRREF:
         for combo in rr.kernel:
             total = [Fraction(0)] * 3
             for tag, c in combo.items():
-                total = [t + c * x for t, x in zip(total, m.row(tag))]
+                total = [t + c * x for t, x in zip(total, m.entries[tag])]
             assert all(x == 0 for x in total)
 
     def test_modular_mode(self):
@@ -147,8 +164,56 @@ class TestSparseRREF:
         rr = SparseRREF(prime=(1 << 31) - 1)
         for row in m.entries:
             rr.add_row({j: v for j, v in enumerate(row) if v})
-        _, exact, _ = rref(m)
-        assert rr.rank == exact
+        assert rr.rank == qq(m.entries, m.cols).rank()
+        with pytest.raises(ValueError):
+            rr.reduced_basis()
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices, possibly empty, with zero rows and with
+    repeated rows scaled by a rational."""
+    ncols = draw(st.integers(0, 5))
+    row = st.lists(rationals, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * ncols)), max_size=6))
+    if rows:
+        repeats = draw(st.lists(st.tuples(st.integers(0, 5), rationals), max_size=3))
+        rows += [[c * x for x in rows[i % len(rows)]] for i, c in repeats]
+    return Matrix(len(rows), ncols, rows)
+
+
+class TestAgainstSympy:
+    @seed(4)
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_rref_matches(self, m):
+        reduced, rank, pivots = rref(m)
+        expected, expected_pivots = qq(m.entries, m.cols).rref()
+        assert pivots == list(expected_pivots) and rank == len(pivots)
+        assert reduced.entries == fractions(expected)
+
+    @seed(5)
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_left_kernel_is_nullspace_of_transpose(self, m):
+        null = qq(m.entries, m.cols).transpose().nullspace()
+        canonical, pivots = qq(fractions(null), m.rows).rref()
+        ker = left_kernel(m)
+        assert ker.ambient_dim == m.rows
+        assert ker.pivot_columns == tuple(pivots)
+        assert [list(v) for v in ker.basis] == fractions(canonical)[: len(pivots)]
+
+    @seed(6)
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices(), st.randoms(use_true_random=False))
+    def test_subspace_ignores_row_order_and_scale(self, m, rng):
+        scales = [rng.choice([-3, -1, Fraction(1, 2), 2, 5]) for _ in m.entries]
+        rows = [[c * x for x in r] for c, r in zip(scales, m.entries)]
+        rng.shuffle(rows)
+        moved = Subspace.from_vectors(m.cols, rows)
+        original = Subspace.from_vectors(m.cols, m.entries)
+        assert moved == original
+        assert (moved.basis, moved.pivot_columns) == (original.basis, original.pivot_columns)
 
 
 PRIME = (1 << 31) - 1
