@@ -204,9 +204,11 @@ class LieAction:
     closure_basis: list[Derivation]
     bracket_constants: list[list[list[Fraction]]]
     envelope: Envelope
-    # word -> result caches of piengine.pbw_normalize_word and collapse_word
+    # word -> result caches of piengine.pbw_normalize_word, collapse_word
+    # and word_matrix
     _pbw_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _collapse_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _word_matrix_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def closure_dim(self) -> int:

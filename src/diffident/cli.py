@@ -285,7 +285,7 @@ def cmd_check_identity(args, cfg) -> int:
         raise ParseError(str(exc), args.poly)
     poly = parse_polynomial(text, act)
     check_multilinear(poly)
-    holds, witness = is_identity(poly, act, witness=True)
+    holds, witness = is_identity(poly, act, witness=True, max_entries=cfg["max_entries"])
     out = []
     _report_header(out, "check-identity", args.infile, cfg, [f"poly {args.poly}"])
     out.append(f"algebra {f.name} dim {alg.dim}")

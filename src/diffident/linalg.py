@@ -4,6 +4,8 @@ Everything downstream (structure theory, codimension ranks, subspace
 lattices) is built on one incremental exact/modular eliminator, SparseRREF:
 add_row grows a span, solve gives coordinates in it (so a basis is factored
 only once), and reduced_basis reads out its reduced row-echelon basis.
+Exact elimination is fraction-free: pivot rows are primitive integer rows,
+and Fractions appear only when solve, kernel and reduced_basis read out.
 Reduced row echelon form, left kernels, canonical subspaces and the
 multi-prime modular rank are all views of it.
 Vectors are rows; a linear map given by a matrix M acts as v -> v*M, so
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch, DenominatorDivisibleByPrime, PrimeDisagreement
@@ -345,6 +347,23 @@ class Subspace:
 # incremental sparse rank / left kernel
 
 
+# stands for solve's target row in the combinations; never a caller's tag
+_TARGET = object()
+
+
+def _combine(target: dict, a: int, b: int, source: dict) -> None:
+    """target <- a * target - b * source in place, dropping zeros."""
+    if a != 1:
+        for k in target:
+            target[k] *= a
+    for k, v in source.items():
+        nv = target.get(k, 0) - b * v
+        if nv:
+            target[k] = nv
+        else:
+            del target[k]
+
+
 class SparseRREF:
     """Incremental row-space basis over sparse rows with hashable column labels.
 
@@ -352,7 +371,15 @@ class SparseRREF:
     rank.  A tagged eliminator also tracks the combination of input row tags
     expressing each pivot row, so that solve(row) gives the coordinates of a
     row in the span of the rows fed; with track_kernel (which implies tagged)
-    rows reducing to zero are kept as left-kernel vectors over the tags.
+    rows reducing to zero are kept as left-kernel vectors over the tags,
+    each with coefficient 1 at its own tag.
+
+    Exact mode is fraction-free: a rational input row is scaled to integers
+    once, reduction cross-multiplies, and every pivot row is stored
+    primitive (content 1, positive lead).  Its tag combination is an integer
+    dict over one positive integer denominator.  Fractions appear only when
+    solve, kernel and reduced_basis read results out, and those values are
+    the unique ones, independent of how the rows were scaled.
     With a prime, arithmetic is done modulo it.
     """
 
@@ -362,88 +389,113 @@ class SparseRREF:
         self.prime = prime
         self.track_kernel = track_kernel
         self.tagged = tagged or track_kernel
-        self._pivots: dict = {}  # column label -> (row dict, combo dict)
+        # column label -> (row dict, combo dict, denominator); denominator * row
+        # is the combo's sum of input rows (always 1 modulo a prime)
+        self._pivots: dict = {}
         self.kernel: list[dict] = []
         self.rank = 0
 
-    def _coerce(self, x):
+    def _coerce(self, row: dict) -> tuple[dict, int]:
+        """(entries, scale): the nonzero entries of row times scale, as ints.
+        Exact mode scales by the lcm of the denominators; modulo a prime the
+        entries are residues and the scale is 1."""
         p = self.prime
-        if isinstance(x, int):
-            return x if p is None else x % p
-        x = frac(x)
         if p is None:
-            return x
-        if x.denominator % p == 0:
-            raise DenominatorDivisibleByPrime(str(p))
-        return x.numerator * pow(x.denominator, -1, p) % p
+            row = {c: v if type(v) is int else frac(v) for c, v in row.items() if v}
+            scale = lcm(*(v.denominator for v in row.values()))
+            return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}, scale
+        out = {}
+        for c, x in row.items():
+            if not isinstance(x, int):
+                x = frac(x)
+                if x.denominator % p == 0:
+                    raise DenominatorDivisibleByPrime(str(p))
+                x = x.numerator * pow(x.denominator, -1, p)
+            x %= p
+            if x:
+                out[c] = x
+        return out, 1
 
-    def _inv(self, x):
-        if self.prime is None:
-            return ONE / x
-        return pow(x, -1, self.prime)
-
-    def _reduce(self, row: dict, combo: dict | None) -> tuple[dict, object]:
-        """(residual, lead): row coerced and reduced against the pivots, and
-        its lead column, which has no pivot, or None when it reduced to zero.
-        The same multiples of the pivot combinations are taken off combo."""
-        row = {c: v for c, v in ((c, self._coerce(v)) for c, v in row.items()) if v}
+    def _reduce(self, row: dict, combo: dict | None) -> tuple[dict, object, dict | None, int]:
+        """(residual, lead, combo, denominator): row (coerced, with combo
+        scaled to match) reduced against the pivots, and its lead column,
+        which has no pivot, or None when it reduced to zero.  The same
+        multiples of the pivot combinations are taken off combo, so that
+        denominator * residual is combo's sum of input rows."""
         p = self.prime
+        pivots = self._pivots
+        den = 1
+        if p is None:
+            while row:
+                lead = min(row)
+                hit = pivots.get(lead)
+                if hit is None:
+                    return row, lead, combo, den
+                prow, pcombo, pden = hit
+                f, g = row[lead], prow[lead]
+                d = gcd(f, g)
+                a, b = g // d, f // d
+                _combine(row, a, b, prow)
+                if combo is not None:
+                    m = lcm(den, pden)
+                    _combine(combo, a * (m // den), b * (m // pden), pcombo)
+                    den = m
+            return row, None, combo, den
         while row:
             lead = min(row)
-            hit = self._pivots.get(lead)
+            hit = pivots.get(lead)
             if hit is None:
-                return row, lead
-            prow, pcombo = hit
+                return row, lead, combo, den
+            prow, pcombo, _ = hit
             f = row[lead]
-            if p is None:
-                for c, v in prow.items():
-                    nv = row.get(c, ZERO) - f * v
+            for c, v in prow.items():
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+            if combo is not None:
+                for t, v in pcombo.items():
+                    nv = (combo.get(t, 0) - f * v) % p
                     if nv:
-                        row[c] = nv
+                        combo[t] = nv
                     else:
-                        row.pop(c, None)
-                if combo is not None:
-                    for t, v in pcombo.items():
-                        nv = combo.get(t, ZERO) - f * v
-                        if nv:
-                            combo[t] = nv
-                        else:
-                            combo.pop(t, None)
-            else:
-                for c, v in prow.items():
-                    nv = (row.get(c, 0) - f * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-                if combo is not None:
-                    for t, v in pcombo.items():
-                        nv = (combo.get(t, 0) - f * v) % p
-                        if nv:
-                            combo[t] = nv
-                        else:
-                            combo.pop(t, None)
-        return row, None
+                        combo.pop(t, None)
+        return row, None, combo, den
 
     def add_row(self, row: dict, tag=None) -> bool:
         """Insert a row; returns True if it enlarged the span."""
-        combo = {tag: self._coerce(ONE)} if self.tagged else None
-        row, lead = self._reduce(row, combo)
+        row, scale = self._coerce(row)
+        combo = {tag: scale} if self.tagged else None
+        row, lead, combo, den = self._reduce(row, combo)
         if lead is None:
             if self.track_kernel:
+                if self.prime is None:
+                    own = combo[tag]
+                    combo = {t: Fraction(v, own) for t, v in combo.items()}
                 self.kernel.append(combo)
             return False
-        inv = self._inv(row[lead])
         p = self.prime
         if p is None:
-            row = {c: v * inv for c, v in row.items()}
+            content = gcd(*row.values())
+            if row[lead] < 0:
+                content = -content
+            if content != 1:
+                row = {c: v // content for c, v in row.items()}
             if combo is not None:
-                combo = {t: v * inv for t, v in combo.items()}
+                den *= content
+                shared = gcd(den, *combo.values())
+                if den < 0:
+                    shared = -shared
+                if shared != 1:
+                    den //= shared
+                    combo = {t: v // shared for t, v in combo.items()}
         else:
+            inv = pow(row[lead], -1, p)
             row = {c: v * inv % p for c, v in row.items()}
             if combo is not None:
                 combo = {t: v * inv % p for t, v in combo.items()}
-        self._pivots[lead] = (row, combo)
+        self._pivots[lead] = (row, combo, den)
         self.rank += 1
         return True
 
@@ -453,37 +505,46 @@ class SparseRREF:
         unchanged."""
         if not self.tagged:
             raise ValueError("solve needs a tagged SparseRREF")
-        combo: dict = {}
-        if self._reduce(row, combo)[1] is not None:
+        row, scale = self._coerce(row)
+        # the target enters the combination under a tag of its own
+        row, lead, combo, _ = self._reduce(row, {_TARGET: scale})
+        if lead is not None:
             return None
-        # row = sum f_i pivot_i, and the loop left combo = -sum f_i combo_i
+        # 0 = own * target + sum_t combo[t] * input_t
+        own = combo.pop(_TARGET)
         p = self.prime
-        return {t: -v if p is None else -v % p for t, v in combo.items()}
+        if p is None:
+            return {t: Fraction(-v, own) for t, v in combo.items()}
+        inv = pow(own, -1, p)
+        return {t: -v * inv % p for t, v in combo.items()}
 
     def reduced_basis(self) -> list[tuple]:
         """The reduced row-echelon basis of the span as (lead, row) pairs in
         ascending lead order: each lead entry is 1 and each lead column is
         zero in every other row.  Needs an exact eliminator.
 
-        Back-substitutes in descending lead order.  A stored pivot row has
-        entries only at columns >= its lead, so the rows it is reduced by
-        are final, and each of them is zero at every other lead column:
-        the row's own entries at those columns are the multiples to take.
+        Back-substitutes on integers in descending lead order, then divides
+        each row by its lead.  A stored pivot row has entries only at
+        columns >= its lead, so the rows it is reduced by are final, and
+        each of them is zero at every other lead column.
         """
         if self.prime is not None:
             raise ValueError("reduced_basis needs an exact SparseRREF")
         done: dict = {}
         for lead in sorted(self._pivots, reverse=True):
             row = dict(self._pivots[lead][0])
-            for c, f in [(c, f) for c, f in row.items() if c in done]:
-                for k, v in done[c].items():
-                    nv = row.get(k, ZERO) - f * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
+            for c in [c for c in row if c in done]:
+                f, g = row[c], done[c][c]
+                d = gcd(f, g)
+                _combine(row, g // d, f // d, done[c])
+            content = gcd(*row.values())
+            if content != 1:
+                row = {k: v // content for k, v in row.items()}
             done[lead] = row
-        return sorted(done.items())
+        return [
+            (lead, {k: Fraction(v, row[lead]) for k, v in row.items()})
+            for lead, row in sorted(done.items())
+        ]
 
 
 def span_coordinates(vectors: Sequence[Sequence]):

@@ -70,10 +70,15 @@ def _accumulate(target: dict, source: dict, factor):
 
 
 def word_matrix(act: LieAction, word: Word) -> Matrix:
-    m = Matrix.identity(act.algebra.dim)
-    for letter in word:
-        m = m * act.closure_basis[letter].matrix
-    return m
+    """The word's operator (apply its letters left to right), built once per
+    word and shared: callers must not mutate it."""
+    cache = act._word_matrix_cache
+    if word not in cache:
+        m = Matrix.identity(act.algebra.dim)
+        for letter in word:
+            m = m * act.closure_basis[letter].matrix
+        cache[word] = m
+    return cache[word]
 
 
 def collapse_word(act: LieAction, word: Word) -> tuple:
@@ -488,9 +493,17 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
 
 
 def is_identity(
-    f: LPolynomial, act: LieAction, cap: int | None = None, witness: bool = False
+    f: LPolynomial,
+    act: LieAction,
+    cap: int | None = None,
+    witness: bool = False,
+    max_entries: int = DEFAULT_MAX_ENTRIES,
 ):
-    """True iff f vanishes on all basis tuples (sufficient by multilinearity)."""
+    """True iff f vanishes on all basis tuples (sufficient by multilinearity).
+
+    The work is dim^n basis tuples times the terms of f; more than
+    max_entries raises SizeCap before any evaluation.
+    """
     if cap is None:
         cap = default_word_cap(act)
     for (_vars, words) in f.terms:
@@ -499,6 +512,11 @@ def is_identity(
                 raise WordCapExceeded(f"word {w} longer than cap {cap}")
     alg = act.algebra
     n = f.degree
+    work = alg.dim**n * len(f.terms)
+    if work > max_entries:
+        raise SizeCap(
+            f"{alg.dim}^{n} basis tuples times {len(f.terms)} terms exceed the budget {max_entries}"
+        )
     for tup in iproduct(range(alg.dim), repeat=n):
         assignment = [alg.basis_vector(b) for b in tup]
         val = evaluate_poly(f, act, assignment)

@@ -203,6 +203,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "result false" in out and "witness" in out
 
+    def test_check_identity_honours_budget(self, tmp_path, capsys, monkeypatch):
+        path = self._gen(tmp_path, "ut2")
+        poly = tmp_path / "p.poly"
+        poly.write_text("[x1,x2][x3,x4]")
+        cfg = tmp_path / "config"
+        cfg.write_text("max_entries=10\n")
+        monkeypatch.setenv("DIFFIDENT_CONFIG", str(cfg))
+        assert main(["check-identity", path, "--poly", str(poly)]) == 3
+        assert "error budget" in capsys.readouterr().err
+
     def test_bad_generator_name_is_input_error(self, capsys):
         assert main(["gen", "nosuch"]) == 2
 

@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -214,6 +215,74 @@ class TestAgainstSympy:
         original = Subspace.from_vectors(m.cols, m.entries)
         assert moved == original
         assert (moved.basis, moved.pivot_columns) == (original.basis, original.pivot_columns)
+
+
+class _IntegerOnly(SparseRREF):
+    """An exact eliminator that fails if its reduction loop ever holds a
+    value other than an int."""
+
+    def _reduce(self, row, combo):
+        assert all(type(v) is int for v in row.values())
+        assert combo is None or all(type(v) is int for v in combo.values())
+        out, lead, combo, den = super()._reduce(row, combo)
+        assert all(type(v) is int for v in out.values()) and type(den) is int
+        assert combo is None or all(type(v) is int for v in combo.values())
+        return out, lead, combo, den
+
+
+def _feed_exact(m, track_kernel):
+    rr = _IntegerOnly(track_kernel=track_kernel)
+    for i, row in enumerate(m.entries):
+        rr.add_row(dict(enumerate(row)), tag=i)
+    return rr
+
+
+class TestFractionFree:
+    """The exact eliminator works on integers: pivot rows are primitive with
+    a positive lead, tag combinations are integers over one denominator per
+    pivot, and Fractions appear only in what solve and kernel read out."""
+
+    @seed(7)
+    @settings(max_examples=80, deadline=None)
+    @given(rational_matrices(), st.booleans())
+    def test_pivot_rows_are_primitive_integer_rows(self, m, tagged):
+        rr = _feed_exact(m, tagged)
+        for lead, (row, combo, den) in rr._pivots.items():
+            assert all(type(v) is int for v in row.values())
+            assert min(row) == lead and row[lead] > 0
+            assert gcd(*row.values()) == 1
+            if not tagged:
+                continue
+            assert all(type(v) is int for v in combo.values())
+            assert type(den) is int and den > 0
+            # den * row is the combination of the rational input rows
+            total = [sum(c * m.entries[t][j] for t, c in combo.items()) for j in range(m.cols)]
+            assert total == [den * row.get(j, 0) for j in range(m.cols)]
+
+    @seed(8)
+    @settings(max_examples=80, deadline=None)
+    @given(rational_matrices())
+    def test_kernel_is_sympy_nullspace_of_transpose(self, m):
+        rr = _feed_exact(m, True)
+        for combo in rr.kernel:
+            # a dependent row's own tag comes after every pivot tag it uses
+            assert combo[max(combo)] == 1
+            assert all(type(v) is Fraction for v in combo.values())
+        null = fractions(qq(m.entries, m.cols).transpose().nullspace())
+        assert [[combo.get(t, 0) for t in range(m.rows)] for combo in rr.kernel] == null
+
+    @seed(9)
+    @settings(max_examples=80, deadline=None)
+    @given(rational_matrices(), st.randoms(use_true_random=False))
+    def test_solve_reconstructs_rescaled_rows(self, m, rng):
+        rr = _feed_exact(m, True)
+        for row in m.entries:
+            c = rng.choice([-3, Fraction(-2, 7), Fraction(1, 2), 5])
+            target = [c * x for x in row]
+            combo = rr.solve(dict(enumerate(target)))
+            assert all(type(v) is Fraction for v in combo.values())
+            total = [sum(v * m.entries[t][j] for t, v in combo.items()) for j in range(m.cols)]
+            assert total == target
 
 
 PRIME = (1 << 31) - 1

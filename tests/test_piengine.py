@@ -152,6 +152,15 @@ class TestIsIdentity:
         assert pe.is_identity(f, act_eps)
         assert pe.is_identity(pe.derive_polynomial(f, 0, act_eps), act_eps)
 
+    def test_budget_counts_tuples_times_terms(self, triv, monkeypatch):
+        # [x1,x2][x3,x4] on ut2: 3^4 basis tuples times 4 terms = 324
+        f = pe.commutator_poly(x(1), x(2)) * pe.commutator_poly(x(3), x(4))
+        assert pe.is_identity(f, triv, max_entries=324)
+        # an oversized check is refused before anything is evaluated
+        monkeypatch.setattr(pe, "evaluate_poly", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(SizeCap):
+            pe.is_identity(f, triv, max_entries=323)
+
     def test_collapse_of_envelope_relation_vanishes(self, act_eps):
         f = x(1, (0, 0)) - x(1, (0,))
         assert pe._collapsed_terms(f, act_eps) == {}

@@ -1,0 +1,100 @@
+"""Record the benchmark of one checkout in BENCH_<pr>.json.
+
+    python3 tools/bench_record.py --pr N [--checkout DIR]
+
+Runs ``bench/run.py`` of the checkout (default: this repository) on every
+workload in its BENCHMARK.json with seed 0 and the benchmark's own run
+length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
+(per-layer metrics), one run at a time, and writes BENCH_<pr>.json at the
+root of this repository.  The file holds the checkout's commit (and whether
+its tree had uncommitted changes), the Python version, nproc, the load
+average before and after, and for each workload and trace level the run's
+correct/attempted/failed counts and every metric with its unit.  Two files made on the same machine can be
+compared workload by workload and layer by layer.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SEED = 0
+
+
+def _git(checkout: Path, *args: str) -> str | None:
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(checkout), *args], capture_output=True, text=True, check=True
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return proc.stdout.strip()
+
+
+def run_bench(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
+    """One bench/run.py run; its result line, or the error it ended with."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED)]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    t0 = time.monotonic()
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    elapsed = time.monotonic() - t0
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        tail = proc.stderr.strip().splitlines()[-5:]
+        return {"error": f"exit code {proc.returncode}", "stderr_tail": tail, "elapsed_s": elapsed}
+    result = json.loads(lines[-1])
+    result["elapsed_s"] = elapsed
+    return result
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
+    p.add_argument("--checkout", type=Path, default=REPO, help="tree whose bench/run.py is run")
+    args = p.parse_args(argv)
+
+    checkout = args.checkout.resolve()
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    record = {
+        "pr": args.pr,
+        "commit": _git(checkout, "rev-parse", "HEAD") or "unknown",
+        "uncommitted_changes": bool(_git(checkout, "status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "loadavg_start": os.getloadavg(),
+        "seed": SEED,
+        "seconds": seconds,
+        "workloads": {},
+    }
+    for w in spec["workloads"]:
+        name = w["name"]
+        record["workloads"][name] = {}
+        for trace in (0, 1):
+            print(f"{name} --trace {trace} ...", file=sys.stderr, flush=True)
+            result = run_bench(checkout, name, seconds, trace)
+            record["workloads"][name][f"trace{trace}"] = result
+            summary = result.get("error") or f"correct {result['correct']}, failed {result['failed']}"
+            print(f"  {summary} in {result['elapsed_s']:.0f}s", file=sys.stderr, flush=True)
+    record["loadavg_end"] = os.getloadavg()
+    out = REPO / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    failed = [
+        (name, level)
+        for name, runs in record["workloads"].items()
+        for level, result in runs.items()
+        if "error" in result or not result["correct"]
+    ]
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
