@@ -512,8 +512,7 @@ def is_identity(
                 raise WordCapExceeded(f"word {w} longer than cap {cap}")
     alg = act.algebra
     n = f.degree
-    work = alg.dim**n * len(f.terms)
-    if work > max_entries:
+    if alg.dim**n * len(f.terms) > max_entries:
         raise SizeCap(
             f"{alg.dim}^{n} basis tuples times {len(f.terms)} terms exceed the budget {max_entries}"
         )
