@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from typing import Iterator
 
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
@@ -35,13 +36,14 @@ from .exponent import (
 )
 from .linalg import Matrix, PrimeDisagreement, Subspace, frac, rank_modular, rref
 from .piengine import (
+    EvaluationRows,
     LPolynomial,
     codim,
+    collapsed_terms,
     commutator_poly,
     consequences_space,
     containment_check,
     derive_polynomial,
-    evaluate_poly,
     identity_space,
     is_identity,
     monomial_count,
@@ -49,7 +51,6 @@ from .piengine import (
 from .families import ut2_eps_spanning_set, ut2_spanning_set
 from .structure import wedderburn_malcev
 from .linalg import SparseRREF
-from itertools import product as iproduct
 
 
 @dataclass
@@ -284,19 +285,20 @@ def criterion_7() -> CriterionResult:
 
 
 def _evaluation_rank(polys, act):
-    alg = act.algebra
-    rr = SparseRREF()
-    rank = 0
+    """Rank of the polynomials' value rows over all basis tuples.
+
+    Each row is summed from EvaluationRows rows over the polynomial's
+    collapsed terms; polynomials of one degree share a positional table.
+    """
+    rows = EvaluationRows(act.algebra, act.envelope.op_basis)
+    by_degree: dict = {}
     for p in polys:
-        row = {}
-        for ti, tup in enumerate(iproduct(range(alg.dim), repeat=p.degree)):
-            val = evaluate_poly(p, act, [alg.basis_vector(b) for b in tup])
-            for k, c in enumerate(val):
-                if c:
-                    row[(ti, k)] = c
-        if rr.add_row(row):
-            rank += 1
-    return rank
+        by_degree.setdefault(p.degree, []).append(collapsed_terms(p, act))
+    rr = SparseRREF()
+    for n, combos in by_degree.items():
+        for row in rows.combined_rows(n, combos):
+            rr.add_row(row)
+    return rr.rank
 
 
 def criterion_8() -> CriterionResult:
@@ -495,9 +497,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str) -> list[CriterionResult]:
+def run_suite(name: str) -> Iterator[CriterionResult]:
+    """The suite's results, each criterion run when its result is reached."""
     from .errors import BadParams
 
     if name not in SUITES:
         raise BadParams(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return [CRITERIA[i]() for i in SUITES[name]]
+    return (CRITERIA[i]() for i in SUITES[name])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -20,13 +21,19 @@ from .errors import (
     NotAssociative,
     NotAUnit,
 )
-from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, frac
+from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, common_denominator, frac
 
 
 class StructureAlgebra:
-    """Finite-dimensional associative algebra over Q given by structure constants."""
+    """Finite-dimensional associative algebra over Q given by structure constants.
 
-    def __init__(self, constants, unit_vector=None, label: str = "", _skip_checks=False):
+    unit_pairs, set by the matrix-unit built-ins, maps (i, j) to the basis
+    index of e_(i+1)(j+1).
+    """
+
+    def __init__(
+        self, constants, unit_vector=None, label: str = "", unit_pairs=None, _skip_checks=False
+    ):
         self.dim = len(constants)
         self.constants = [
             [[frac(x) for x in cell] for cell in row] for row in constants
@@ -36,6 +43,7 @@ class StructureAlgebra:
                 raise BadParams("structure constants must be N x N x N")
         self.unit_vector = None if unit_vector is None else [frac(x) for x in unit_vector]
         self.label = label
+        self.unit_pairs: dict | None = unit_pairs
         if not _skip_checks:
             self._check_associative()
             if self.unit_vector is not None:
@@ -60,6 +68,17 @@ class StructureAlgebra:
                     if c:
                         out[k] += ab * c
         return out
+
+    @cached_property
+    def integer_table(self) -> tuple[int, list]:
+        """(D_c, table): D_c is the common denominator of the structure
+        constants and table[i][j] = [(k, D_c * c_ijk), ...], nonzero only."""
+        d_c = common_denominator(x for r in self.constants for cell in r for x in cell)
+        table = [
+            [[(k, int(c * d_c)) for k, c in enumerate(cell) if c] for cell in r]
+            for r in self.constants
+        ]
+        return d_c, table
 
     def basis_vector(self, i: int) -> list:
         return [ONE if j == i else ZERO for j in range(self.dim)]
@@ -204,11 +223,12 @@ class LieAction:
     closure_basis: list[Derivation]
     bracket_constants: list[list[list[Fraction]]]
     envelope: Envelope
-    # word -> result caches of piengine.pbw_normalize_word, collapse_word
-    # and word_matrix
+    # word -> result caches of piengine.pbw_normalize_word, collapse_word,
+    # word_matrix and word_operator
     _pbw_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _collapse_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _word_matrix_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _word_operator_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def closure_dim(self) -> int:
@@ -342,9 +362,9 @@ def _matrix_units_algebra(pairs, label):
     for d in range(size):
         if (d, d) in index:
             unit[index[(d, d)]] = ONE
-    alg = StructureAlgebra(constants, unit_vector=unit, label=label, _skip_checks=True)
-    alg._unit_pairs = index  # basis lookup for named inner derivations
-    return alg
+    return StructureAlgebra(
+        constants, unit_vector=unit, label=label, unit_pairs=index, _skip_checks=True
+    )
 
 
 def ut(n: int) -> StructureAlgebra:
@@ -362,7 +382,7 @@ def full_matrix(n: int) -> StructureAlgebra:
 
 def matrix_unit_vector(alg: StructureAlgebra, i: int, j: int) -> list:
     """Coordinate vector of e_ij in a matrix-unit built-in (1-based indices)."""
-    index = getattr(alg, "_unit_pairs", None)
+    index = alg.unit_pairs
     if index is None or (i - 1, j - 1) not in index:
         raise BadParams(f"no matrix unit e{i}{j} in {alg.label}")
     return alg.basis_vector(index[(i - 1, j - 1)])

@@ -300,11 +300,13 @@ def cmd_check_identity(args, cfg) -> int:
 def cmd_battery(args, cfg) -> int:
     from .acceptance import run_suite
 
-    results = run_suite(args.suite)
     out = []
     _report_header(out, "battery", f"suite:{args.suite}", cfg)
-    failed = 0
-    for r in results:
+    ran = failed = 0
+    start = time.monotonic()
+    for r in run_suite(args.suite):
+        print(f"criterion {r.number} {time.monotonic() - start:.2f}s", file=sys.stderr)
+        ran += 1
         status = "PASS" if r.passed else "FAIL"
         if not r.passed:
             failed += 1
@@ -312,7 +314,8 @@ def cmd_battery(args, cfg) -> int:
         out.append(f"criterion {r.number} detail {r.detail}")
         for flag in r.flags:
             out.append(f"criterion {r.number} flag {flag}")
-    out.append(f"summary {len(results) - failed}/{len(results)} passed")
+        start = time.monotonic()
+    out.append(f"summary {ran - failed}/{ran} passed")
     _emit(out)
     return 0 if failed == 0 else 1
 

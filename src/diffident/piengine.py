@@ -7,13 +7,20 @@ Two exponent representations coexist:
   manipulation, consequence closure and cross-algebra comparison.
 * envelope indices: a formal word collapses to a linear combination of
   envelope basis operators; codimension ranks only ever see this form.
+
+Evaluation runs on integers.  EvaluationRows gives the rows of codim,
+identity_space and containment_check, and is_identity sums its rows over a
+polynomial's collapsed terms.  evaluate_poly, at an arbitrary rational
+assignment, goes through the same integer product table of the algebra and
+each word's integer operator (word_operator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations, product as iproduct
-from math import factorial
+from math import factorial, lcm
 
 from .algebra import LieAction, StructureAlgebra
 from .errors import (
@@ -78,6 +85,18 @@ def word_matrix(act: LieAction, word: Word) -> Matrix:
         for letter in word:
             m = m * act.closure_basis[letter].matrix
         cache[word] = m
+    return cache[word]
+
+
+def word_operator(act: LieAction, word: Word) -> tuple[int, list]:
+    """(D_w, rows): the word's operator as D_w times it, with rows[b] =
+    [(k, int), ...] the nonzero coordinates of e_b acted on.  Built once per
+    word from word_matrix."""
+    cache = act._word_operator_cache
+    if word not in cache:
+        entries = word_matrix(act, word).entries
+        d_w = common_denominator(x for r in entries for x in r)
+        cache[word] = d_w, [[(k, int(x * d_w)) for k, x in enumerate(r) if x] for r in entries]
     return cache[word]
 
 
@@ -297,21 +316,35 @@ def monomial_count(n: int, env_dim: int) -> int:
     return factorial(n) * env_dim**n
 
 
+def _product(table: list, u: dict, v: dict) -> dict:
+    """D_c * u * v for sparse integer vectors u, v, with (D_c, table) the
+    algebra's integer_table; zeros dropped."""
+    out: dict = {}
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            ab = a * b
+            for k, c in row[j]:
+                out[k] = out.get(k, 0) + ab * c
+    return {k: x for k, x in out.items() if x}
+
+
 class EvaluationRows:
     """Integer evaluation rows of an algebra under a list of operators.
 
     Row (vars, exps) maps (basis tuple indexed by variable, output coordinate)
     to the value of the monomial whose variable in position i carries
     ops[exps[i]].  Denominators are cleared once: D_a for the applied-operator
-    table, D_c for the structure constants.  Every degree-n row is then the
-    rational row times D_a^n * D_c^(n-1), one scale for all rows of a degree,
-    so ranks and left kernels are those of the rational rows.  Modulo a prime
-    dividing `denominator` that scale vanishes, so such a prime is refused.
+    table, D_c for the structure constants (the algebra's integer_table).
+    Every degree-n row is then the rational row times D_a^n * D_c^(n-1), one
+    scale for all rows of a degree, so ranks and left kernels are those of
+    the rational rows.  Modulo a prime dividing `denominator` that scale
+    vanishes, so such a prime is refused.
     """
 
     def __init__(self, alg: StructureAlgebra, ops: list[Matrix]):
         d_a = common_denominator(x for op in ops for r in op.entries for x in r)
-        d_c = common_denominator(x for r in alg.constants for cell in r for x in cell)
+        d_c, self.products = alg.integer_table
         self.denominator = d_a * d_c
         self.width = len(ops)
         # by_op[u] = [(b, {k: D_a * (e_b acted by ops[u])_k}), ...], nonzero only
@@ -323,31 +356,23 @@ class EvaluationRows:
             ]
             for op in ops
         ]
-        # products[i][j] = [(k, D_c * c_ijk), ...], nonzero only
-        self.products = [
-            [[(k, int(c * d_c)) for k, c in enumerate(cell) if c] for cell in r]
-            for r in alg.constants
-        ]
 
-    def _multiply(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        products = self.products
-        for i, a in u.items():
-            row = products[i]
-            for j, b in v.items():
-                ab = a * b
-                for k, c in row[j]:
-                    out[k] = out.get(k, 0) + ab * c
-        return {k: x for k, x in out.items() if x}
-
-    def _positional_table(self, n: int, max_entries: int) -> tuple[dict, int]:
+    def _positional_table(
+        self, n: int, max_entries: int, wanted: set | None = None
+    ) -> tuple[dict, int]:
         """{exps: [(positional basis tuple, product)]}, nonzero products only,
         and its number of stored entries.
 
         A product depends only on the exponent tuple and on which basis
         element sits in each position, so it is computed once per tuple,
         level by level, each level extending the products of the one before.
+        With wanted, a set of exponent tuples, only those and their prefixes
+        are built.
         """
+        prefixes = None
+        if wanted is not None:
+            prefixes = {exps[:i] for exps in wanted for i in range(1, n + 1)}
+        products = self.products
         level: dict = {(): [((), None)]}
         stored = 0
         for _ in range(n):
@@ -355,10 +380,12 @@ class EvaluationRows:
             nxt = {}
             for exps, partial in level.items():
                 for u, column in enumerate(self.by_op):
+                    if prefixes is not None and exps + (u,) not in prefixes:
+                        continue
                     out = []
                     for bt, prod in partial:
                         for b, vec in column:
-                            p = vec if prod is None else self._multiply(prod, vec)
+                            p = vec if prod is None else _product(products, prod, vec)
                             if p:
                                 out.append((bt + (b,), p))
                                 stored += len(p)
@@ -390,6 +417,32 @@ class EvaluationRows:
             if stored > max_entries:
                 raise SizeCap(f"stored entries exceed the budget {max_entries}")
             yield row
+
+    def combined_rows(
+        self, n: int, combos: list[dict], max_entries: int = DEFAULT_MAX_ENTRIES
+    ) -> list[dict]:
+        """For each combination {(vars, exps): c} of degree-n monomials, the
+        integer row sum c * row(vars, exps), keyed as in rows().
+
+        Each row is the rational one times a positive integer, so it has the
+        same nonzero keys, and a set of them the same rank.  Only the
+        exponent tuples the combinations use are built.
+        """
+        wanted = {exps for combo in combos for _vars, exps in combo}
+        table, _ = self._positional_table(n, max_entries, wanted)
+        out = []
+        for combo in combos:
+            scale = lcm(*(c.denominator for c in combo.values()))
+            row: dict = {}
+            for (vars_, exps), c in combo.items():
+                c = c.numerator * (scale // c.denominator)
+                pos = [vars_.index(v) for v in range(1, n + 1)]
+                for bt, prod in table[exps]:
+                    key = tuple([bt[i] for i in pos])
+                    for k, x in prod.items():
+                        row[(key, k)] = row.get((key, k), 0) + c * x
+            out.append({key: x for key, x in row.items() if x})
+        return out
 
 
 def _row_pass(
@@ -476,20 +529,56 @@ def identity_space(
 
 
 def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
-    """Value of f at a tuple of coordinate vectors (index i for variable i+1)."""
+    """Value of f at a tuple of coordinate vectors (index i for variable i+1).
+
+    The arithmetic is on integers: each vector is scaled to integers once,
+    each (variable, word) image is taken once through word_operator, and
+    products go through the algebra's integer_table.  A term's value is its
+    integer product over the product of those scales, one division per
+    output coordinate.
+    """
     alg = act.algebra
+    d_c, table = alg.integer_table
+    scaled: dict = {}  # variable -> (scale, {b: int})
+    images: dict = {}  # (variable, word) -> (scale, {k: int})
     out = [ZERO] * alg.dim
     for (vars_, words), c in f.terms.items():
         prod = None
+        den = 1
         for v, w in zip(vars_, words):
-            vec = word_matrix(act, w).apply(assignment[v - 1])
-            prod = vec if prod is None else alg.multiply(prod, vec)
-            if not any(prod):
-                prod = None
+            image = images.get((v, w))
+            if image is None:
+                if v not in scaled:
+                    scaled[v] = _integer_vector(assignment[v - 1], alg.dim)
+                d_v, vec = scaled[v]
+                d_w, rows = word_operator(act, w)
+                acc: dict = {}
+                for b, a in vec.items():
+                    for k, x in rows[b]:
+                        acc[k] = acc.get(k, 0) + a * x
+                image = images[(v, w)] = d_v * d_w, {k: x for k, x in acc.items() if x}
+            d, vec = image
+            if prod is None:
+                prod, den = vec, d
+            else:
+                prod = _product(table, prod, vec)
+                den *= d * d_c
+            if not prod:
                 break
-        if prod is not None:
-            out = [a + c * b for a, b in zip(out, prod)]
+        if prod:
+            for k, x in prod.items():
+                out[k] += c * Fraction(x, den)
     return out
+
+
+def _integer_vector(vec, dim: int) -> tuple[int, dict]:
+    """(D, {b: D * vec[b]}): a vector of Fractions or ints scaled by its
+    common denominator, sparse."""
+    if len(vec) != dim:
+        raise ValueError("assignment vector length does not match the algebra")
+    nonzero = [(b, x) for b, x in enumerate(vec) if x]
+    d = lcm(*[x.denominator for _b, x in nonzero])
+    return d, {b: x.numerator * (d // x.denominator) for b, x in nonzero}
 
 
 def is_identity(
@@ -501,8 +590,12 @@ def is_identity(
 ):
     """True iff f vanishes on all basis tuples (sufficient by multilinearity).
 
-    The work is dim^n basis tuples times the terms of f; more than
-    max_entries raises SizeCap before any evaluation.
+    f's value row on every basis tuple is summed from EvaluationRows rows
+    over its collapsed terms; the witness is the least basis tuple (indexed
+    by variable) where it is nonzero.  The work is charged as dim^n basis
+    tuples times the terms of f; more than max_entries raises SizeCap before
+    any evaluation.  The positional table behind the rows counts against
+    max_entries as it does in codim.
     """
     if cap is None:
         cap = default_word_cap(act)
@@ -516,11 +609,10 @@ def is_identity(
         raise SizeCap(
             f"{alg.dim}^{n} basis tuples times {len(f.terms)} terms exceed the budget {max_entries}"
         )
-    for tup in iproduct(range(alg.dim), repeat=n):
-        assignment = [alg.basis_vector(b) for b in tup]
-        val = evaluate_poly(f, act, assignment)
-        if any(val):
-            return (False, tup) if witness else False
+    rows = EvaluationRows(alg, act.envelope.op_basis)
+    (row,) = rows.combined_rows(n, [collapsed_terms(f, act)], max_entries)
+    if row:
+        return (False, min(tup for tup, _k in row)) if witness else False
     return (True, None) if witness else True
 
 
@@ -572,7 +664,7 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _collapsed_terms(f: LPolynomial, act: LieAction) -> dict:
+def collapsed_terms(f: LPolynomial, act: LieAction) -> dict:
     """Terms of f keyed by (vars, envelope index tuple)."""
     out: dict = {}
     for (vars_, words), c in f.terms.items():
@@ -651,7 +743,7 @@ def consequences_space(
     queue: list[dict] = []
     for g in generators:
         for inst in _degree_n_instances(g, n, act, cap):
-            terms = _collapsed_terms(inst, act)
+            terms = collapsed_terms(inst, act)
             if push(terms):
                 queue.append(terms)
     letters = [

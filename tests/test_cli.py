@@ -233,3 +233,12 @@ class TestCommands:
     def test_battery_exponents_suite(self, capsys):
         assert main(["battery", "--suite", "exponents"]) == 0
         assert "criterion 5 PASS" in capsys.readouterr().out
+
+    def test_battery_times_each_criterion_on_stderr(self, capsys):
+        import re
+
+        assert main(["battery", "--suite", "spanning"]) == 0
+        captured = capsys.readouterr()
+        assert re.search(r"^criterion 8 \d+\.\d\ds$", captured.err, re.M)
+        assert "criterion 8 PASS" in captured.out
+        assert not re.search(r"\d\.\d+s\b", captured.out)

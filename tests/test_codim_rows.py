@@ -1,10 +1,17 @@
-"""Codimensions from the integer row generator against an independent path.
+"""The integer evaluators against an independent Fraction path.
 
-The reference builds every degree-n monomial as an LPolynomial (exponent
-words taken from the envelope's word representatives), evaluates it with
-`evaluate_poly` on every basis tuple, and takes the rank of those rows with
-sympy's `DomainMatrix` over QQ.  It shares neither the row generator nor
-SparseRREF with `codim`.
+`_fraction_evaluate` is the plain evaluator: each word's letters applied as
+dense Fraction matrices, then multiplied out with StructureAlgebra.multiply.
+It shares no integer table with the engine.
+
+* `_reference_codim` builds every degree-n monomial as an LPolynomial
+  (exponent words taken from the envelope's word representatives),
+  evaluates it with `_fraction_evaluate` on every basis tuple, and takes the
+  rank of those rows with sympy's `DomainMatrix` over QQ.  It shares neither
+  the row generator nor SparseRREF with `codim`.
+* `evaluate_poly`, `is_identity` (with its witness) and the spanning-set
+  rank of the battery are compared with the same evaluator on generated
+  polynomials and rational assignments.
 """
 
 import random
@@ -13,9 +20,11 @@ from itertools import product as iproduct
 from math import factorial
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from diffident import acceptance
 from diffident import piengine as pe
 from diffident.algebra import (
     Derivation,
@@ -28,21 +37,49 @@ from diffident.algebra import (
     ut,
 )
 from diffident.errors import DenominatorDivisibleByPrime
+from diffident.families import ut2_eps_spanning_set, ut2_spanning_set
 from diffident.linalg import Matrix, draw_primes
 
 
-def _reference_codim(act, n):
+def _fraction_evaluate(f, act, assignment):
+    """Value of f at a tuple of coordinate vectors (index i for variable
+    i+1), with dense Fraction arithmetic throughout."""
     alg = act.algebra
-    tuples = list(iproduct(range(alg.dim), repeat=n))
+    out = [Fraction(0)] * alg.dim
+    for (vars_, words), c in f.terms.items():
+        prod = None
+        for v, w in zip(vars_, words):
+            vec = assignment[v - 1]
+            for letter in w:
+                vec = act.closure_basis[letter].matrix.apply(vec)
+            prod = vec if prod is None else alg.multiply(prod, vec)
+            if not any(prod):
+                break
+        else:
+            out = [a + c * b for a, b in zip(out, prod)]
+    return out
+
+
+def _value_row(f, act):
+    """f's values on every basis tuple, in iproduct order, concatenated."""
+    alg = act.algebra
+    row = []
+    for tup in iproduct(range(alg.dim), repeat=f.degree):
+        row += _fraction_evaluate(f, act, [alg.basis_vector(b) for b in tup])
+    return row
+
+
+def _qq_rank(rows, width):
+    rows = [[QQ(x.numerator, x.denominator) for x in row] for row in rows]
+    return DomainMatrix(rows, (len(rows), width), QQ).rank()
+
+
+def _reference_codim(act, n):
     rows = []
     for vars_, exps in pe.monomial_basis(n, act.envelope.dim):
         words = tuple(act.envelope.word_reps[u] for u in exps)
-        mono = pe.LPolynomial.from_terms({(vars_, words): 1})
-        row = []
-        for tup in tuples:
-            row += pe.evaluate_poly(mono, act, [alg.basis_vector(b) for b in tup])
-        rows.append([QQ(x.numerator, x.denominator) for x in row])
-    return DomainMatrix(rows, (len(rows), len(tuples) * alg.dim), QQ).rank()
+        rows.append(_value_row(pe.LPolynomial.from_terms({(vars_, words): 1}), act))
+    return _qq_rank(rows, act.algebra.dim ** (n + 1))
 
 
 def _ut2_eps():
@@ -139,3 +176,102 @@ def test_modular_needs_two_primes():
     act = _ut2_eps()
     with pytest.raises(ValueError):
         pe.codim(act.algebra, act, 2, mode="modular", prime_count=1)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def polynomials(draw, act, max_degree=3):
+    """A multilinear polynomial over act's closure letters, words no longer
+    than the word cap, with nonzero rational coefficients."""
+    n = draw(st.integers(1, max_degree))
+    letters = st.integers(0, act.closure_dim - 1)
+    longest = min(2, pe.default_word_cap(act))
+    word = st.lists(letters, max_size=longest).map(tuple)
+    terms = draw(
+        st.dictionaries(
+            st.tuples(
+                st.permutations(range(1, n + 1)).map(tuple),
+                st.lists(word, min_size=n, max_size=n).map(tuple),
+            ),
+            nonzero_rationals,
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return pe.LPolynomial.from_terms(terms)
+
+
+@st.composite
+def vectors(draw, dim, count):
+    """count rational vectors, each zero with probability about 1/5."""
+    nonzero = st.lists(nonzero_rationals, min_size=dim, max_size=dim)
+    return [
+        draw(nonzero) if draw(st.integers(0, 4)) else [Fraction(0)] * dim
+        for _ in range(count)
+    ]
+
+
+ACTIONS = {name: build() for name, build, _ in CASES}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+@seed(7)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluate_poly_matches_fraction_evaluator(name, data):
+    act = ACTIONS[name]
+    f = data.draw(polynomials(act))
+    assignment = data.draw(vectors(act.algebra.dim, f.degree))
+    assert pe.evaluate_poly(f, act, assignment) == _fraction_evaluate(f, act, assignment)
+
+
+def _scan(f, act):
+    """is_identity's answer by a lexicographic scan of the basis tuples."""
+    alg = act.algebra
+    for tup in iproduct(range(alg.dim), repeat=f.degree):
+        if any(_fraction_evaluate(f, act, [alg.basis_vector(b) for b in tup])):
+            return False, tup
+    return True, None
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+@seed(8)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_is_identity_witness_matches_scan(name, data):
+    act = ACTIONS[name]
+    f = data.draw(polynomials(act))
+    assert pe.is_identity(f, act, witness=True) == _scan(f, act)
+
+
+def test_is_identity_on_zero_identities_and_a_late_witness():
+    x = pe.LPolynomial.variable
+    act = ACTIONS["ut2-eps"]
+    commutator = pe.commutator_poly(x(1), x(2))
+    cases = [
+        pe.LPolynomial.from_terms({}),
+        x(1, (0, 0)) - x(1, (0,)),
+        pe.derive_polynomial(commutator, 0, act) - commutator,
+        commutator,
+    ]
+    answers = [pe.is_identity(f, act, witness=True) for f in cases]
+    assert answers == [_scan(f, act) for f in cases]
+    # e11 e11 commutes, e11 e12 does not: the first failing tuple is (e11, e12)
+    assert answers[:3] == [(True, None)] * 3 and answers[3] == (False, (0, 1))
+
+
+@pytest.mark.parametrize("family", [ut2_spanning_set, ut2_eps_spanning_set])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluation_rank_matches_sympy(family, n):
+    """The battery's spanning-set rank, with two dependent polynomials
+    added, against the DomainMatrix rank of the Fraction value rows."""
+    act = ACTIONS["ut2-eps"]
+    if family is ut2_spanning_set:
+        act = lie_closure(act.algebra, [])
+    polys = family(n)
+    polys += [polys[0] + polys[-1], polys[-1].scale(Fraction(2, 3))]
+    expected = _qq_rank([_value_row(p, act) for p in polys], act.algebra.dim ** (n + 1))
+    assert acceptance._evaluation_rank(polys, act) == expected == len(polys) - 2

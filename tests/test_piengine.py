@@ -156,14 +156,15 @@ class TestIsIdentity:
         # [x1,x2][x3,x4] on ut2: 3^4 basis tuples times 4 terms = 324
         f = pe.commutator_poly(x(1), x(2)) * pe.commutator_poly(x(3), x(4))
         assert pe.is_identity(f, triv, max_entries=324)
-        # an oversized check is refused before anything is evaluated
-        monkeypatch.setattr(pe, "evaluate_poly", lambda *a: pytest.fail("evaluated"))
+        # an oversized check is refused before anything is collapsed or evaluated
+        monkeypatch.setattr(pe, "collapsed_terms", lambda *a: pytest.fail("collapsed"))
+        monkeypatch.setattr(pe, "EvaluationRows", lambda *a: pytest.fail("evaluated"))
         with pytest.raises(SizeCap):
             pe.is_identity(f, triv, max_entries=323)
 
     def test_collapse_of_envelope_relation_vanishes(self, act_eps):
         f = x(1, (0, 0)) - x(1, (0,))
-        assert pe._collapsed_terms(f, act_eps) == {}
+        assert pe.collapsed_terms(f, act_eps) == {}
 
 
 class TestConsequences:
