@@ -38,7 +38,7 @@ _BUDGET_ERRORS = (SizeCap, WordCapExceeded)
 
 def _config() -> dict:
     """Settings from the file named by DIFFIDENT_CONFIG: key=value lines."""
-    cfg = {"seed": 0, "prime_count": 3, "max_entries": 10**7}
+    cfg = {"seed": 0, "max_entries": 10**7}
     path = os.environ.get("DIFFIDENT_CONFIG")
     if not path:
         return cfg
@@ -60,11 +60,6 @@ def _config() -> dict:
                 raise ParseError(
                     f"config {key} must be an integer, not {value!r}", f"{path}:{lineno}"
                 )
-    if cfg["prime_count"] < 2:
-        raise ParseError(
-            "config prime_count must be at least 2: one prime has no agreement check",
-            path,
-        )
     return cfg
 
 
@@ -94,9 +89,7 @@ def _report_header(out, command: str, source: str, cfg: dict, extra=()):
     out.append("diffident-report")
     out.append(f"command {command}")
     out.append(f"input {source}")
-    out.append(
-        "config seed={seed} prime_count={prime_count} max_entries={max_entries}".format(**cfg)
-    )
+    out.append("config seed={seed} max_entries={max_entries}".format(**cfg))
     out.extend(extra)
 
 
@@ -175,7 +168,13 @@ def cmd_codim(args, cfg) -> int:
     f = _load(args.infile)
     alg, act, names = _action_for(f, args.action)
     out = []
-    _report_header(out, "codim", args.infile, cfg, [f"mode {args.mode}"])
+    extra = [f"mode {args.mode}"]
+    if args.mode == "modular":
+        extra.append(
+            "bound lower: each c is the rank modulo one 31-bit prime"
+            f" drawn from seed {cfg['seed']}"
+        )
+    _report_header(out, "codim", args.infile, cfg, extra)
     out.append(f"algebra {f.name} dim {alg.dim}")
     out.append("action " + (" ".join(names) if names else "(trivial)"))
     values = {}
@@ -186,7 +185,6 @@ def cmd_codim(args, cfg) -> int:
             act,
             n,
             mode=args.mode,
-            prime_count=cfg["prime_count"],
             seed=cfg["seed"],
             max_entries=cfg["max_entries"],
         )

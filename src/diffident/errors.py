@@ -9,10 +9,6 @@ class AmbientMismatch(DiffidentError):
     """Two subspaces (or a vector and a subspace) live in different ambient spaces."""
 
 
-class PrimeDisagreement(DiffidentError):
-    """Ranks computed modulo distinct primes did not agree."""
-
-
 class DenominatorDivisibleByPrime(DiffidentError):
     """A rational entry cannot be reduced modulo the chosen prime."""
 

@@ -7,7 +7,8 @@ only once), and reduced_basis reads out its reduced row-echelon basis.
 Exact elimination is fraction-free: pivot rows are primitive integer rows,
 and Fractions appear only when solve, kernel and reduced_basis read out.
 Reduced row echelon form, left kernels, canonical subspaces and the
-multi-prime modular rank are all views of it.
+one-prime modular rank (a proven lower bound on the rank over Q) are all
+views of it.
 Vectors are rows; a linear map given by a matrix M acts as v -> v*M, so
 composing "apply M1, then M2" is the ordinary product M1*M2.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatch, DenominatorDivisibleByPrime, PrimeDisagreement
+from .errors import AmbientMismatch, DenominatorDivisibleByPrime
 
 Scalar = Fraction
 
@@ -167,49 +168,37 @@ def common_denominator(values: Iterable[Fraction]) -> int:
     return den
 
 
-def draw_primes(count: int, seed: int, denominator: int = 1) -> list[int]:
-    """count distinct random 31-bit primes, none dividing denominator.
+def draw_prime(seed: int, denominator: int = 1) -> int:
+    """A random 31-bit prime not dividing denominator.
 
-    Attempt i draws from Random(seed * 1_000_003 + i); a repeat is redrawn
-    from the same generator, and a divisor of denominator is skipped, since
-    the entries it would reduce have no residue.
+    Attempt i draws from Random(seed * 1_000_003 + i); a divisor of
+    denominator is skipped, since the entries it would reduce have no
+    residue.
     """
     from sympy import nextprime
 
-    primes: list[int] = []
-    used: set[int] = set()
     attempt = 0
-    while len(primes) < count:
+    while True:
         rng = random.Random(seed * 1_000_003 + attempt)
         attempt += 1
         p = nextprime(rng.randrange(2**30, 2**31))
-        while p in used:
-            p = nextprime(rng.randrange(2**30, 2**31))
-        used.add(p)
         if denominator % p:
-            primes.append(p)
-    return primes
+            return p
 
 
-def rank_modular(m: Matrix, prime_count: int = 3, seed: int = 0) -> int:
-    """Rank modulo prime_count distinct random 31-bit primes.
+def rank_modular(m: Matrix, seed: int = 0) -> int:
+    """Rank modulo one random 31-bit prime drawn from the seed.
 
-    Primes are drawn deterministically from the seed; a prime dividing some
-    entry denominator is skipped.  All residual ranks must agree, otherwise
-    PrimeDisagreement is raised for the caller to escalate.
+    The rank of a matrix modulo a prime dividing none of its denominators is
+    at most its rank over Q, so the result is a proven lower bound.  It is
+    less only when the prime divides every r x r minor of the matrix cleared
+    of denominators, r being the rank over Q.
     """
-    if prime_count < 2:
-        raise ValueError("prime_count must be at least 2")
     den = common_denominator(x for row in m.entries for x in row)
-    ranks = []
-    for p in draw_primes(prime_count, seed, den):
-        rr = SparseRREF(prime=p)
-        for row in m.entries:
-            rr.add_row(dict(enumerate(row)))
-        ranks.append(rr.rank)
-    if len(set(ranks)) != 1:
-        raise PrimeDisagreement(f"ranks {ranks} disagree")
-    return ranks[0]
+    rr = SparseRREF(prime=draw_prime(seed, den))
+    for row in m.entries:
+        rr.add_row(dict(enumerate(row)))
+    return rr.rank
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     WordCapExceeded,
 )
 from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, frac
-from .linalg import common_denominator, draw_primes
+from .linalg import common_denominator, draw_prime
 
 Word = tuple  # of closure-basis indices
 
@@ -448,20 +448,18 @@ class EvaluationRows:
 def _row_pass(
     rows: EvaluationRows,
     n: int,
-    primes=(None,),
+    prime: int | None = None,
     track_kernel: bool = False,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> list[SparseRREF]:
-    """Generate each row once and feed it to one eliminator per prime
-    (None: exact over Q), tagged with its monomial_basis index."""
-    for p in primes:
-        if p is not None and rows.denominator % p == 0:
-            raise DenominatorDivisibleByPrime(f"{p} divides {rows.denominator}")
-    rrs = [SparseRREF(track_kernel=track_kernel, prime=p) for p in primes]
+) -> SparseRREF:
+    """Feed each row, tagged with its monomial_basis index, to one
+    eliminator: exact over Q, or modulo prime."""
+    if prime is not None and rows.denominator % prime == 0:
+        raise DenominatorDivisibleByPrime(f"{prime} divides {rows.denominator}")
+    rr = SparseRREF(track_kernel=track_kernel, prime=prime)
     for tag, row in enumerate(rows.rows(n, max_entries)):
-        for rr in rrs:
-            rr.add_row(row, tag=tag)
-    return rrs
+        rr.add_row(row, tag=tag)
+    return rr
 
 
 def codim(
@@ -469,27 +467,20 @@ def codim(
     act: LieAction,
     n: int,
     mode: str = "exact",
-    prime_count: int = 3,
     seed: int = 0,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> int:
     """n-th differential codimension: rank of the evaluation matrix.
 
-    Modular mode takes the rank modulo prime_count primes in one row pass;
-    when they disagree, the exact rank decides.
+    Modular mode takes the rank modulo one prime drawn from seed, a proven
+    lower bound on the exact value: the rank of an integer matrix modulo a
+    prime is at most its rank over Q.
     """
     if mode not in ("exact", "modular"):
         raise ValueError("mode must be 'exact' or 'modular'")
     rows = EvaluationRows(alg, act.envelope.op_basis)
-    if mode == "exact":
-        return _row_pass(rows, n, max_entries=max_entries)[0].rank
-    if prime_count < 2:
-        raise ValueError("prime_count must be at least 2")
-    primes = draw_primes(prime_count, seed, rows.denominator)
-    ranks = {rr.rank for rr in _row_pass(rows, n, primes, max_entries=max_entries)}
-    if len(ranks) != 1:
-        return _row_pass(rows, n, max_entries=max_entries)[0].rank
-    return ranks.pop()
+    prime = draw_prime(seed, rows.denominator) if mode == "modular" else None
+    return _row_pass(rows, n, prime, max_entries=max_entries).rank
 
 
 @dataclass
@@ -509,7 +500,7 @@ def identity_space(
 ) -> IdentityReport:
     order = list(monomial_basis(n, act.envelope.dim, max_entries))
     rows = EvaluationRows(alg, act.envelope.op_basis)
-    (rr,) = _row_pass(rows, n, track_kernel=True, max_entries=max_entries)
+    rr = _row_pass(rows, n, track_kernel=True, max_entries=max_entries)
     # kernel combinations are sparse over the monomial tags and independent
     kernel_rr = SparseRREF()
     for combo in rr.kernel:
@@ -817,7 +808,7 @@ def containment_check(
     words = _generator_words(m, cap)
     order, rows_a = _formal_rows(act_a, n, words, max_entries)
     _, rows_b = _formal_rows(act_b, n, words, max_entries)
-    (rra,) = _row_pass(rows_a, n, track_kernel=True, max_entries=max_entries)
+    rra = _row_pass(rows_a, n, track_kernel=True, max_entries=max_entries)
     rows_b = list(rows_b.rows(n, max_entries))
     for combo in rra.kernel:
         # apply the same combination to the B-side rows

@@ -5,6 +5,8 @@ Criterion 2 checks the ut2-eps differential codimensions against
 bound and a consequence-closure upper bound that must meet.
 """
 
+import re
+
 import pytest
 
 from diffident.acceptance import CRITERIA
@@ -19,3 +21,5 @@ def test_criterion(number):
     for flag in result.flags:
         print(f"  flag: {flag}")
     assert result.passed, f"criterion {number} failed: {result.detail}"
+    # battery stdout carries the detail; timings go to stderr only
+    assert not re.search(r"\d\.\d+s\b", result.detail)

@@ -151,16 +151,28 @@ class TestCommands:
     def test_config_file_sets_seed_and_primes(self, tmp_path, capsys, monkeypatch):
         path = self._gen(tmp_path, "ut2-eps")
         cfg = tmp_path / "config"
+        # prime_count, a key of older config files, is ignored like any other
         cfg.write_text("# modular settings\nseed=7\nprime_count=2\n")
         monkeypatch.setenv("DIFFIDENT_CONFIG", str(cfg))
         assert main(["codim", path, "--max-n", "2", "--mode", "modular"]) == 0
         out = capsys.readouterr().out
-        assert "config seed=7 prime_count=2 max_entries=10000000" in out
+        assert "config seed=7 max_entries=10000000" in out
         assert "n 2 c 5" in out
 
-    @pytest.mark.parametrize(
-        "line,key", [("seed=abc", "seed"), ("prime_count=1", "prime_count")]
-    )
+    def test_modular_report_says_its_values_are_lower_bounds(self, tmp_path, capsys):
+        path = self._gen(tmp_path, "ut2-eps")
+        bound = "bound lower: each c is the rank modulo one 31-bit prime drawn from seed 0"
+        assert main(["codim", path, "--max-n", "2", "--mode", "modular"]) == 0
+        modular = capsys.readouterr().out.splitlines()
+        assert modular[modular.index("mode modular") + 1] == bound
+        assert main(["codim", path, "--max-n", "2"]) == 0
+        exact = capsys.readouterr().out
+        assert "mode exact" in exact and "bound" not in exact
+        assert [l for l in modular if l.startswith("n ")] == [
+            l for l in exact.splitlines() if l.startswith("n ")
+        ]
+
+    @pytest.mark.parametrize("line,key", [("seed=abc", "seed")])
     def test_bad_config_is_input_error(self, tmp_path, capsys, monkeypatch, line, key):
         path = self._gen(tmp_path, "ut2-eps")
         cfg = tmp_path / "config"

@@ -73,9 +73,30 @@ class TestModularRank:
         m = random_matrix(seed)
         assert rank_modular(m, seed=seed) == qq(m.entries, m.cols).rank()
 
-    def test_needs_two_primes(self):
-        with pytest.raises(ValueError):
-            rank_modular(Matrix.identity(2), prime_count=1)
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(1, 5).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+    )
+    @seed(11)
+    @settings(max_examples=150, deadline=None)
+    def test_rank_modulo_a_prime_is_a_lower_bound(self, prime, rows):
+        rr = SparseRREF(prime=prime)
+        for row in rows:
+            rr.add_row(dict(enumerate(row)))
+        assert rr.rank <= qq(rows, len(rows[0])).rank()
+
+    def test_rank_modulo_a_prime_can_be_strictly_lower(self):
+        # det [[1, 1], [1, 4]] = 3
+        rr = SparseRREF(prime=3)
+        for row in ([1, 1], [1, 4]):
+            rr.add_row(dict(enumerate(row)))
+        assert rr.rank == 1 < qq([[1, 1], [1, 4]], 2).rank() == 2
 
 
 class TestSubspace:
