@@ -29,6 +29,10 @@ class StructureAlgebra:
 
     unit_pairs, set by the matrix-unit built-ins, maps (i, j) to the basis
     index of e_(i+1)(j+1).
+
+    _wedderburn holds the algebra's verified Wedderburn-Malcev decomposition
+    once structure.wedderburn_malcev has computed it (None until then), so
+    every exponent and block check shares one decomposition per algebra.
     """
 
     def __init__(
@@ -44,6 +48,7 @@ class StructureAlgebra:
         self.unit_vector = None if unit_vector is None else [frac(x) for x in unit_vector]
         self.label = label
         self.unit_pairs: dict | None = unit_pairs
+        self._wedderburn = None
         if not _skip_checks:
             self._check_associative()
             if self.unit_vector is not None:

@@ -43,9 +43,9 @@ def _config() -> dict:
     if not path:
         return cfg
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config: {exc}", path)
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -63,13 +63,18 @@ def _config() -> dict:
     return cfg
 
 
-def _load(path: str) -> AlgebraFile:
+def _read_text(path: str) -> str:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(str(exc), path)
-    return parse_algebra_file(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 ({exc.reason} at byte {exc.start})", path)
+
+
+def _load(path: str) -> AlgebraFile:
+    return parse_algebra_file(_read_text(path))
 
 
 def _action_for(f: AlgebraFile, names):
@@ -165,6 +170,8 @@ def cmd_codim(args, cfg) -> int:
     from .piengine import codim, monomial_count
     from .shipped import identify_shipped, known_formula
 
+    if args.max_n < 1:
+        raise BadParams(f"--max-n must be at least 1, not {args.max_n}")
     f = _load(args.infile)
     alg, act, names = _action_for(f, args.action)
     out = []
@@ -252,13 +259,11 @@ def cmd_classify(args, cfg) -> int:
 
 def cmd_verify_gk(args, cfg) -> int:
     from .exponent import exp_differential, exp_ordinary
-    from .structure import wedderburn_malcev
 
     f = _load(args.infile)
     alg, act, names = _action_for(f, args.action)
-    wd = wedderburn_malcev(alg)
-    ordinary = exp_ordinary(alg, wd).value
-    diff = exp_differential(alg, act, wd).value
+    ordinary = exp_ordinary(alg).value
+    diff = exp_differential(alg, act).value
     ok = ordinary == diff
     out = []
     _report_header(out, "verify-gk", args.infile, cfg)
@@ -276,12 +281,7 @@ def cmd_check_identity(args, cfg) -> int:
 
     f = _load(args.infile)
     alg, act, names = _action_for(f, args.action)
-    try:
-        with open(args.poly) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(str(exc), args.poly)
-    poly = parse_polynomial(text, act)
+    poly = parse_polynomial(_read_text(args.poly), act)
     check_multilinear(poly)
     holds, witness = is_identity(poly, act, witness=True, max_entries=cfg["max_entries"])
     out = []

@@ -101,17 +101,25 @@ class Matrix:
         return Matrix(self.rows, self.cols, [[c * x for x in row] for row in self.entries])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """The product on integers: each operand is scaled once by its common
+        denominator, and each output entry is divided once."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            orow = out[i]
-            for k, a in enumerate(row):
+        d_left, left = _integer_rows(self.entries)
+        d_right, right = _integer_rows(other.entries)
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+        den = d_left * d_right
+        out = []
+        for row in left:
+            acc = [0] * other.cols
+            for a, brow in zip(row, right):
                 if a:
-                    brow = other.entries[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
+                    for j, b in brow:
+                        acc[j] += a * b
+            if den == 1:
+                out.append([Fraction(c) if c else ZERO for c in acc])
+            else:
+                out.append([Fraction(c, den) if c else ZERO for c in acc])
         return Matrix(self.rows, other.cols, out)
 
     def sparse(self) -> dict:
@@ -138,6 +146,15 @@ class Matrix:
         return out
 
 
+def _integer_rows(entries: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(d, rows): d is the common denominator of the entries and rows holds
+    d times each entry, as ints."""
+    d = common_denominator(x for row in entries for x in row)
+    if d == 1:
+        return 1, [[x.numerator for x in row] for row in entries]
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+
+
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row-echelon form, rank and pivot columns."""
     s = Subspace.from_vectors(m.cols, m.entries)
@@ -162,26 +179,47 @@ def left_kernel(m: Matrix) -> "Subspace":
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
-    den = 1
-    for x in values:
-        den = lcm(den, x.denominator)
-    return den
+    return lcm(*{x.denominator for x in values})
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5 and 7, which is exact for
+    1 < n < 3,215,031,751, the least strong pseudoprime to all four
+    (Pomerance, Selfridge and Wagstaff 1980)."""
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def draw_prime(seed: int, denominator: int = 1) -> int:
     """A random 31-bit prime not dividing denominator.
 
-    Attempt i draws from Random(seed * 1_000_003 + i); a divisor of
-    denominator is skipped, since the entries it would reduce have no
-    residue.
+    Attempt i draws r from Random(seed * 1_000_003 + i) in [2^30, 2^31) and
+    takes the least prime above r, at most 2,147,483,659, where _is_prime is
+    exact; a divisor of denominator is skipped, since the entries it would
+    reduce have no residue.
     """
-    from sympy import nextprime
-
     attempt = 0
     while True:
         rng = random.Random(seed * 1_000_003 + attempt)
         attempt += 1
-        p = nextprime(rng.randrange(2**30, 2**31))
+        p = rng.randrange(2**30, 2**31) + 1
+        while not _is_prime(p):
+            p += 1
         if denominator % p:
             return p
 

@@ -15,7 +15,7 @@ from .algebra import (
 )
 from .errors import BadParams
 from .fileformat import AlgebraFile
-from .linalg import frac, span_coordinates
+from .linalg import span_coordinates
 
 
 def _eta_matrix(alpha, beta):
@@ -25,17 +25,31 @@ def _eta_matrix(alpha, beta):
     return eps.scale(alpha) + delta.scale(beta)
 
 
+def _int_param(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParams(f"parameter {name} must be an integer, not {text!r}")
+
+
+def _rational_param(name: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise BadParams(f"parameter {name} must be a rational number, not {text!r}")
+
+
 def _sub_spec(spec: str) -> StructureAlgebra:
     """Parse a dsum component like 'ut2', 'utn:3', 'matn:2', 'grassmann-k:2'."""
     name, _, param = spec.partition(":")
     if name == "ut2":
         return ut(2)
     if name == "utn":
-        return ut(int(param or 0))
+        return ut(_int_param(f"{name} n", param or "0"))
     if name == "matn":
-        return full_matrix(int(param or 0))
+        return full_matrix(_int_param(f"{name} n", param or "0"))
     if name == "grassmann-k":
-        return truncated_grassmann(int(param or 0))
+        return truncated_grassmann(_int_param(f"{name} k", param or "0"))
     raise BadParams(f"unknown dsum component {spec!r}")
 
 
@@ -53,7 +67,8 @@ def shipped_algebra_file(name: str, params: list[str]) -> AlgebraFile:
     if name == "ut2-eta":
         if len(params) != 2:
             raise BadParams("ut2-eta takes alpha and beta")
-        alpha, beta = frac(Fraction(params[0])), frac(Fraction(params[1]))
+        alpha = _rational_param("ut2-eta alpha", params[0])
+        beta = _rational_param("ut2-eta beta", params[1])
         if not alpha and not beta:
             raise BadParams("ut2-eta needs (alpha, beta) != (0, 0)")
         f = AlgebraFile.from_algebra("ut2-eta", ut(2))
@@ -62,17 +77,17 @@ def shipped_algebra_file(name: str, params: list[str]) -> AlgebraFile:
     if name == "utn":
         if len(params) != 1:
             raise BadParams("utn takes the size n")
-        n = int(params[0])
+        n = _int_param("utn n", params[0])
         return AlgebraFile.from_algebra(f"utn-{n}", ut(n))
     if name == "matn":
         if len(params) != 1:
             raise BadParams("matn takes the size n")
-        n = int(params[0])
+        n = _int_param("matn n", params[0])
         return AlgebraFile.from_algebra(f"matn-{n}", full_matrix(n))
     if name == "grassmann-k":
         if len(params) != 1:
             raise BadParams("grassmann-k takes the generator count k")
-        k = int(params[0])
+        k = _int_param("grassmann-k k", params[0])
         return AlgebraFile.from_algebra(f"grassmann-{k}", truncated_grassmann(k))
     if name == "dsum":
         if len(params) != 2:

@@ -366,11 +366,25 @@ def _block_matrix_units(alg: StructureAlgebra, block: Subspace) -> list[list[lis
 
 
 def wedderburn_malcev(alg: StructureAlgebra) -> WedderburnData:
+    """A = B_1 + ... + B_m + J, computed and verified once per algebra.
+
+    The first call stores the verified decomposition on alg._wedderburn and
+    later calls return that same object, so callers must not mutate its
+    lists or subspaces.  A decomposition that raises stores nothing.
+    """
+    if alg._wedderburn is None:
+        data = _decompose(alg)
+        _verify_wedderburn(alg, data)
+        alg._wedderburn = data
+    return alg._wedderburn
+
+
+def _decompose(alg: StructureAlgebra) -> WedderburnData:
     j = radical(alg)
     if j.is_zero():
         blocks = semisimple_blocks(alg)
         units = [subalgebra_unit(alg, b) for b in blocks]
-        data = WedderburnData(
+        return WedderburnData(
             radical=j,
             blocks=blocks,
             block_units=units,
@@ -378,8 +392,6 @@ def wedderburn_malcev(alg: StructureAlgebra) -> WedderburnData:
             quotient_dims=[b.dim for b in blocks],
             quotient=None,
         )
-        _verify_wedderburn(alg, data)
-        return data
 
     quo = quotient_by_ideal(alg, j)
     qblocks = semisimple_blocks(quo.algebra)
@@ -412,7 +424,7 @@ def wedderburn_malcev(alg: StructureAlgebra) -> WedderburnData:
     semisimple = blocks[0]
     for b in blocks[1:]:
         semisimple = semisimple.sum(b)
-    data = WedderburnData(
+    return WedderburnData(
         radical=j,
         blocks=blocks,
         block_units=units,
@@ -420,8 +432,6 @@ def wedderburn_malcev(alg: StructureAlgebra) -> WedderburnData:
         quotient_dims=[b.dim for b in qblocks],
         quotient=quo,
     )
-    _verify_wedderburn(alg, data)
-    return data
 
 
 def _lift_matrix_block(alg, quo: QuotientAlgebra, qblock: Subspace, e: list, j: Subspace):

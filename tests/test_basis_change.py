@@ -1,0 +1,107 @@
+"""Structure and exponents do not depend on the basis an algebra is given in.
+
+An invertible rational P gives the basis f_i = sum_j P[i][j] e_j.  Row
+coordinates change as x_f = x_e P^-1, so a derivation D (acting as
+x_e -> x_e D) becomes P D P^-1, and the structure constants of f_i f_j are
+the e-coordinates of that product times P^-1.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from diffident.algebra import (
+    Derivation,
+    StructureAlgebra,
+    direct_sum,
+    full_matrix,
+    inner_derivation,
+    lie_closure,
+    truncated_grassmann,
+    ut,
+)
+from diffident.exponent import exp_differential, exp_ordinary, verify_gk
+from diffident.linalg import Matrix
+from diffident.structure import wedderburn_malcev
+
+ALGEBRAS = {
+    "ut3": lambda: ut(3),
+    "ut2+mat2": lambda: direct_sum(ut(2), full_matrix(2)),
+    "grassmann2+ut2": lambda: direct_sum(truncated_grassmann(2), ut(2)),
+}
+
+
+def _invertible(n: int, rng: random.Random) -> tuple[Matrix, Matrix]:
+    """(P, P^-1) for P = permutation * unit lower * unit upper * diagonal."""
+    small = lambda: Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    factors = [
+        Matrix.from_rows([[1 if j == perm[i] else 0 for j in range(n)] for i in range(n)]),
+        Matrix.from_rows([[small() if j < i else int(i == j) for j in range(n)] for i in range(n)]),
+        Matrix.from_rows([[small() if j > i else int(i == j) for j in range(n)] for i in range(n)]),
+        Matrix.from_rows(
+            [[rng.choice([-2, -1, Fraction(1, 2), 1, 3]) if i == j else 0 for j in range(n)]
+             for i in range(n)]
+        ),
+    ]
+    p = factors[0]
+    for f in factors[1:]:
+        p = p * f
+    inv = DomainMatrix(
+        [[QQ(x.numerator, x.denominator) for x in row] for row in p.entries], (n, n), QQ
+    ).inv()
+    p_inv = Matrix.from_rows(
+        [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in inv.to_list()]
+    )
+    assert p * p_inv == Matrix.identity(n)
+    return p, p_inv
+
+
+def _in_basis(alg: StructureAlgebra, p: Matrix, p_inv: Matrix) -> StructureAlgebra:
+    constants = [
+        [p_inv.apply(alg.multiply(p.entries[i], p.entries[j])) for j in range(alg.dim)]
+        for i in range(alg.dim)
+    ]
+    unit = None if alg.unit_vector is None else p_inv.apply(alg.unit_vector)
+    # not skipping checks: associativity and the unit are verified again
+    return StructureAlgebra(constants, unit_vector=unit, label=f"{alg.label} moved")
+
+
+def _invariants(alg, act) -> dict:
+    wd = wedderburn_malcev(alg)
+    return {
+        "radical": wd.radical.dim,
+        "blocks": sorted(b.dim for b in wd.blocks),
+        "exp": exp_ordinary(alg).value,
+        "exp-L": exp_differential(alg, act).value,
+        "verify_gk": verify_gk(alg, act),
+        "envelope": act.envelope.dim,
+    }
+
+
+def _inner_pair(alg, action_seed: int) -> list[Derivation]:
+    rng = random.Random(action_seed)
+    return [
+        inner_derivation(alg, [Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)], name=f"r{i}")
+        for i in range(2)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@seed(20)
+@settings(max_examples=3, deadline=None)
+@given(basis_rng=st.randoms(use_true_random=False), action_seed=st.integers(0, 9))
+def test_invariant_under_change_of_basis(name, basis_rng, action_seed):
+    alg = ALGEBRAS[name]()
+    gens = _inner_pair(alg, action_seed)
+    expected = _invariants(alg, lie_closure(alg, gens))
+
+    p, p_inv = _invertible(alg.dim, basis_rng)
+    moved = _in_basis(alg, p, p_inv)
+    moved_gens = [Derivation(p * d.matrix * p_inv, name=d.name) for d in gens]
+    assert _invariants(moved, lie_closure(moved, moved_gens)) == expected

@@ -231,6 +231,27 @@ class TestCommands:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["radical", "/nonexistent/file.alg"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["radical", "{bad}"], "not valid UTF-8 (invalid start byte at byte 8) (at {bad})"),
+            (["gen", "matn", "x"], "parameter matn n must be an integer, not 'x'"),
+            (["gen", "dsum", "ut2", "matn:x"], "parameter matn n must be an integer, not 'x'"),
+            (["gen", "ut2-eta", "a", "b"], "parameter ut2-eta alpha must be a rational number"),
+            (["gen", "ut2-eta", "1/0", "2"], "ut2-eta alpha must be a rational number, not '1/0'"),
+            (["codim", "{bad}", "--max-n", "0"], "--max-n must be at least 1, not 0"),
+            (["codim", "{bad}", "--max-n", "-2"], "--max-n must be at least 1, not -2"),
+        ],
+    )
+    def test_bad_input_exits_2_with_a_message(self, tmp_path, capsys, argv, message):
+        bad = tmp_path / "latin1.alg"
+        bad.write_bytes(b"algebra \xff\xfe\n")
+        argv = [a.format(bad=bad) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error input: ") and message.format(bad=bad) in err
+        assert "Traceback" not in err
+
     def test_unknown_battery_suite(self, capsys):
         assert main(["battery", "--suite", "nosuch"]) == 2
 

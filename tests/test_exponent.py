@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -28,6 +29,30 @@ from diffident.structure import wedderburn_malcev
 
 def _field():
     return make_algebra([[[Fraction(1)]]], unit_vector=[1], label="F")
+
+
+def test_exponents_and_bridge_checks_share_one_decomposition(monkeypatch):
+    from diffident import structure
+
+    calls = []
+    real_radical = structure.radical
+    monkeypatch.setattr(structure, "radical", lambda alg: calls.append(alg) or real_radical(alg))
+    u3 = ut(3)
+    rng = random.Random(0)
+    gens = [
+        inner_derivation(u3, [Fraction(rng.randint(-2, 2)) for _ in range(u3.dim)], name=f"r{i}")
+        for i in range(2)
+    ]
+    act = lie_closure(u3, gens)
+    exp_ordinary(u3)
+    first = len(calls)
+    assert first > 0
+    exp_differential(u3, act)
+    sequences = [seq for r in (1, 2, 3) for seq in permutations(range(3), r)]
+    assert len(sequences) == 15
+    for seq in sequences:
+        lemma_bridge_check(u3, act, seq)
+    assert len(calls) == first
 
 
 class TestOrdinaryExponent:

@@ -204,6 +204,38 @@ def rational_matrices(draw):
     return Matrix(len(rows), ncols, rows)
 
 
+@st.composite
+def product_operands(draw):
+    """Two conformable matrices of any shape up to 5 x 5, zero rows and
+    columns included, with entries of denominator at most 7."""
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=7))
+    left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return Matrix(rows, inner, left), Matrix(inner, cols, right)
+
+
+class TestMatrixProduct:
+    @seed(10)
+    @settings(max_examples=60, deadline=None)
+    @given(product_operands())
+    def test_matches_the_fraction_triple_loop(self, operands):
+        a, b = operands
+        expected = [
+            [sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+             for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+        product = a * b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.entries == expected
+        assert all(type(x) is Fraction for row in product.entries for x in row)
+
+    def test_mismatched_inner_dimensions_raise(self):
+        with pytest.raises(ValueError, match="inner dimensions differ"):
+            random_matrix(1, rows=2, cols=3) * random_matrix(2, rows=2, cols=3)
+
+
 class TestAgainstSympy:
     @seed(4)
     @settings(max_examples=150, deadline=None)

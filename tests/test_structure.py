@@ -129,6 +129,21 @@ class TestWedderburn:
         for u in wd.block_units:
             assert alg.multiply(u, u) == u
 
+    def test_decomposition_is_computed_once_per_algebra(self):
+        alg = ut(3)
+        wd = wedderburn_malcev(alg)
+        assert wedderburn_malcev(alg) is wd
+        assert wedderburn_malcev(ut(3)) is not wd
+
+    def test_non_split_algebra_raises_on_every_call(self):
+        # Q(i): 1 = e0, i = e1 with i^2 = -1; x^2 + 1 has no rational root
+        c = [[[F1, F0], [F0, F1]], [[F0, F1], [-F1, F0]]]
+        gaussian = StructureAlgebra(c, unit_vector=[1, 0], label="Q(i)")
+        for _ in range(2):
+            with pytest.raises(NonSplitCenter):
+                wedderburn_malcev(gaussian)
+        assert gaussian._wedderburn is None
+
     def test_blocks_are_subalgebras(self):
         alg = direct_sum(full_matrix(2), full_matrix(2))
         wd = wedderburn_malcev(alg)

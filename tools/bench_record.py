@@ -5,11 +5,14 @@
 Runs ``bench/run.py`` of the checkout (default: this repository) on every
 workload in its BENCHMARK.json with seed 0 and the benchmark's own run
 length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
-(per-layer metrics), one run at a time, and writes BENCH_<pr>.json at the
-root of this repository.  The file holds the checkout's commit (and whether
-its tree had uncommitted changes), the Python version, nproc, the load
-average before and after, and for each workload and trace level the run's
-correct/attempted/failed counts and every metric with its unit.  Two files made on the same machine can be
+(per-layer metrics), one run at a time, then runs the checkout's
+``diffident battery`` once, and writes BENCH_<pr>.json at the root of this
+repository.  The file holds the checkout's commit (and whether its tree had
+uncommitted changes), the Python version, nproc, the load average before and
+after, for each workload and trace level the run's correct/attempted/failed
+counts and every metric with its unit, and under ``battery`` the battery's
+exit code and the seconds of each criterion, read from its
+``criterion K T s`` stderr lines.  Two files made on the same machine can be
 compared workload by workload and layer by layer.
 """
 
@@ -19,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -54,6 +58,15 @@ def run_bench(checkout: Path, workload: str, seconds: float, trace: int) -> dict
     return result
 
 
+def run_battery(checkout: Path) -> dict:
+    """One ``diffident battery`` run of the checkout's source, timed per criterion."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    cmd = [sys.executable, "-m", "diffident.cli", "battery"]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    times = re.findall(r"^criterion (\d+) (\d+\.\d+)s$", proc.stderr, re.M)
+    return {"returncode": proc.returncode, "criterion_s": {k: float(t) for k, t in times}}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
@@ -83,6 +96,9 @@ def main(argv=None) -> int:
             record["workloads"][name][f"trace{trace}"] = result
             summary = result.get("error") or f"correct {result['correct']}, failed {result['failed']}"
             print(f"  {summary} in {result['elapsed_s']:.0f}s", file=sys.stderr, flush=True)
+    print("battery ...", file=sys.stderr, flush=True)
+    record["battery"] = run_battery(checkout)
+    print(f"  exit code {record['battery']['returncode']}", file=sys.stderr, flush=True)
     record["loadavg_end"] = os.getloadavg()
     out = REPO / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
@@ -93,7 +109,7 @@ def main(argv=None) -> int:
         for level, result in runs.items()
         if "error" in result or not result["correct"]
     ]
-    return 1 if failed else 0
+    return 1 if failed or record["battery"]["returncode"] else 0
 
 
 if __name__ == "__main__":
