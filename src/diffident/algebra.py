@@ -88,17 +88,6 @@ class StructureAlgebra:
     def basis_vector(self, i: int) -> list:
         return [ONE if j == i else ZERO for j in range(self.dim)]
 
-    def left_mult_matrix(self, v: Sequence) -> Matrix:
-        """Matrix of x -> v*x in the row convention (rows indexed by x-basis)."""
-        return Matrix.from_rows(
-            [self.multiply(v, self.basis_vector(i)) for i in range(self.dim)]
-        )
-
-    def right_mult_matrix(self, v: Sequence) -> Matrix:
-        return Matrix.from_rows(
-            [self.multiply(self.basis_vector(i), v) for i in range(self.dim)]
-        )
-
     # -- verification ------------------------------------------------------
 
     def _check_associative(self):
@@ -320,26 +309,6 @@ def subspace_under_action(
         for b in s.basis:
             vecs.append(op.apply(b))
     return Subspace.from_vectors(ambient, vecs)
-
-
-def adjoin_unit(alg: StructureAlgebra) -> StructureAlgebra:
-    """A^+ = A + F*1 with A embedded in the first N coordinates."""
-    n = alg.dim
-    m = n + 1
-    constants = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                constants[i][j][k] = alg.constants[i][j][k]
-    for i in range(n):
-        constants[i][n][i] = ONE
-        constants[n][i][i] = ONE
-    constants[n][n][n] = ONE
-    unit = [ZERO] * n + [ONE]
-    return StructureAlgebra(
-        constants, unit_vector=unit, label=f"({alg.label})+" if alg.label else "A+",
-        _skip_checks=True,
-    )
 
 
 def trivial_action(alg: StructureAlgebra) -> LieAction:

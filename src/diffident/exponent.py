@@ -8,13 +8,12 @@ from .algebra import (
     Derivation,
     LieAction,
     StructureAlgebra,
-    adjoin_unit,
     commutator,
     lie_closure,
     subspace_under_action,
     ut,
 )
-from .linalg import Matrix, SparseRREF, Subspace, ZERO
+from .linalg import Matrix, SparseRREF, Subspace
 from .structure import WedderburnData, wedderburn_malcev
 
 
@@ -26,12 +25,12 @@ class ExponentReport:
     pruned_count: int
 
 
-def _best_sequence(blocks: list[Subspace], product_step, nonzero):
+def _best_sequence(blocks: list[Subspace], step) -> ExponentReport:
     """DFS over sequences of distinct blocks, pruning dead prefixes.
 
-    product_step(state, i) extends the running product by block i (state None
-    starts it); nonzero(state) decides whether a sequence qualifies.  Returns
-    the lexicographically least maximum-weight sequence.
+    step(state, i) extends the running product by block i (state None starts
+    it); a sequence qualifies when its product is nonzero.  The witness is the
+    lexicographically least maximum-weight sequence.
     """
     best_value = 0
     best_seq: tuple = ()
@@ -39,72 +38,78 @@ def _best_sequence(blocks: list[Subspace], product_step, nonzero):
 
     def rec(seq, state, weight):
         nonlocal best_value, best_seq, pruned
-        if seq and nonzero(state):
-            if weight > best_value or (weight == best_value and tuple(seq) < best_seq):
-                best_value, best_seq = weight, tuple(seq)
+        if seq and (weight > best_value or (weight == best_value and tuple(seq) < best_seq)):
+            best_value, best_seq = weight, tuple(seq)
         for i in range(len(blocks)):
             if i in seq:
                 continue
-            nstate = product_step(state, i)
-            if not nonzero(nstate):
+            nstate = step(state, i)
+            if nstate.is_zero():
                 pruned += 1
                 continue
             rec(seq + [i], nstate, weight + blocks[i].dim)
 
     rec([], None, 0)
-    return best_value, best_seq, pruned
+    return ExponentReport(
+        value=best_value, witness_sequence=best_seq, witness_dims=best_value, pruned_count=pruned
+    )
+
+
+def _ordinary_step(alg: StructureAlgebra, wd: WedderburnData):
+    """Chain step S -> S J B_i of the ordinary exponent; None starts at B_i."""
+
+    def step(state, i):
+        if state is None:
+            return wd.blocks[i]
+        return alg.subspace_product(alg.subspace_product(state, wd.radical), wd.blocks[i])
+
+    return step
+
+
+def _differential_step(alg: StructureAlgebra, act: LieAction, wd: WedderburnData):
+    """Chain step S -> S A+ B_i^L of the differential exponent, computed in A;
+    None starts at B_i^L.
+
+    A+ = A + Q*1, so S A+ = S + S A and no unit needs adjoining.  Each moved
+    block B_i^L is built on first use and kept for the life of the step.
+    """
+    full = Subspace.full(alg.dim)
+    moved: dict[int, Subspace] = {}
+
+    def step(state, i):
+        if i not in moved:
+            moved[i] = subspace_under_action(wd.blocks[i], act.envelope, include_identity=True)
+        if state is None:
+            return moved[i]
+        return alg.subspace_product(state.sum(alg.subspace_product(state, full)), moved[i])
+
+    return step
+
+
+def _chain_nonzero(step, sequence) -> bool:
+    state = None
+    for i in sequence:
+        state = step(state, i)
+    return state is not None and not state.is_zero()
 
 
 def exp_ordinary(alg: StructureAlgebra, wd: WedderburnData | None = None) -> ExponentReport:
     """Max total dimension over distinct-block chains with B_1 J B_2 ... != 0."""
     if wd is None:
         wd = wedderburn_malcev(alg)
-    blocks = wd.blocks
-    j = wd.radical
-
-    def step(state, i):
-        if state is None:
-            return blocks[i]
-        through_j = alg.subspace_product(state, j)
-        return alg.subspace_product(through_j, blocks[i])
-
-    value, seq, pruned = _best_sequence(blocks, step, lambda s: not s.is_zero())
-    return ExponentReport(
-        value=value, witness_sequence=seq, witness_dims=value, pruned_count=pruned
-    )
-
-
-def _embed_plus(s: Subspace, plus_dim: int) -> Subspace:
-    return Subspace.from_vectors(
-        plus_dim, [list(v) + [ZERO] for v in s.basis]
-    )
+    return _best_sequence(wd.blocks, _ordinary_step(alg, wd))
 
 
 def exp_differential(
     alg: StructureAlgebra, act: LieAction, wd: WedderburnData | None = None
 ) -> ExponentReport:
-    """Max over chains with A_1^L A+ A_2^L ... A+ A_r^L != 0, inside A+."""
+    """Max over chains with B_1^L A+ B_2^L ... A+ B_k^L != 0.
+
+    Every product is taken in A, since S A+ = S + S A for a subspace S of A.
+    """
     if wd is None:
         wd = wedderburn_malcev(alg)
-    plus = adjoin_unit(alg)
-    full_plus = Subspace.full(plus.dim)
-    moved = [
-        _embed_plus(
-            subspace_under_action(b, act.envelope, include_identity=True), plus.dim
-        )
-        for b in wd.blocks
-    ]
-
-    def step(state, i):
-        if state is None:
-            return moved[i]
-        through = plus.subspace_product(state, full_plus)
-        return plus.subspace_product(through, moved[i])
-
-    value, seq, pruned = _best_sequence(wd.blocks, step, lambda s: not s.is_zero())
-    return ExponentReport(
-        value=value, witness_sequence=seq, witness_dims=value, pruned_count=pruned
-    )
+    return _best_sequence(wd.blocks, _differential_step(alg, act, wd))
 
 
 def verify_gk(alg: StructureAlgebra, act: LieAction) -> bool:
@@ -117,39 +122,19 @@ def lemma_bridge_check(
 ) -> tuple[bool, bool]:
     """(hypothesis, conclusion) for one distinct-block sequence.
 
-    hypothesis: B_1^L A+ B_2^L ... A+ B_k^L != 0 inside A+;
-    conclusion: B_1 J B_2 ... J B_k != 0 inside A.
+    hypothesis: B_1^L A+ B_2^L ... A+ B_k^L != 0, taken in A as S + S A;
+    conclusion: B_1 J B_2 ... J B_k != 0.
+    Both fold the chain steps of exp_differential and exp_ordinary.
     """
     if wd is None:
         wd = wedderburn_malcev(alg)
     sequence = tuple(sequence)
     if len(set(sequence)) != len(sequence):
         raise ValueError("block indices must be distinct")
-    plus = adjoin_unit(alg)
-    full_plus = Subspace.full(plus.dim)
-
-    hstate = None
-    for i in sequence:
-        m = _embed_plus(
-            subspace_under_action(wd.blocks[i], act.envelope, include_identity=True),
-            plus.dim,
-        )
-        if hstate is None:
-            hstate = m
-        else:
-            hstate = plus.subspace_product(plus.subspace_product(hstate, full_plus), m)
-    hypothesis = hstate is not None and not hstate.is_zero()
-
-    cstate = None
-    for i in sequence:
-        if cstate is None:
-            cstate = wd.blocks[i]
-        else:
-            cstate = alg.subspace_product(
-                alg.subspace_product(cstate, wd.radical), wd.blocks[i]
-            )
-    conclusion = cstate is not None and not cstate.is_zero()
-    return hypothesis, conclusion
+    return (
+        _chain_nonzero(_differential_step(alg, act, wd), sequence),
+        _chain_nonzero(_ordinary_step(alg, wd), sequence),
+    )
 
 
 def is_solvable(act: LieAction) -> bool:

@@ -110,7 +110,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         while idx < len(lines) and not lines[idx].strip():
             idx += 1
         if idx >= len(lines):
-            raise ParseError(f"expected {expect}, found end of file", f"line {len(lines)}")
+            raise ParseError(f"expected {expect}", "end of file")
         return lines[idx].strip(), f"line {idx + 1}"
 
     line, where = current("algebra header")
@@ -202,37 +202,43 @@ def parse_algebra_file(text: str) -> AlgebraFile:
 #   atom   := x<i> | '[' expr (',' expr)+ ']'     (commutators, left-normed)
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<rat>-?\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym>[\[\],^+*-]))"
+    r"(?P<rat>-?\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<sym>[\[\],^+*-])"
 )
+_SPACE = re.compile(r"\s*")
 
 
 def _tokenize(text: str):
+    """(kind, text, offset) triples, offset being where the token starts."""
     out = []
-    pos = 0
+    pos = _SPACE.match(text).end()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(
-                    f"unexpected character {text[pos]!r}", f"offset {pos}"
-                )
-            break
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", f"offset {pos}")
         kind = m.lastgroup
         out.append((kind, m.group(kind), pos))
-        pos = m.end()
+        pos = _SPACE.match(text, m.end()).end()
     return out
 
 
+def _shown(text) -> str:
+    return "end of input" if text is None else repr(text)
+
+
 class _PolyParser:
-    def __init__(self, tokens, act: LieAction):
+    """Recursive descent over tokens; past the last token peek() returns
+    (None, None, len(source)), so errors there read "found end of input"."""
+
+    def __init__(self, tokens, end: int, act: LieAction):
         self.tokens = tokens
+        self.end = end
         self.i = 0
         self.act = act
         self.letters = {d.name: i for i, d in enumerate(act.closure_basis)}
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, -1)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
 
     def take(self):
         tok = self.peek()
@@ -242,13 +248,13 @@ class _PolyParser:
     def expect(self, value):
         kind, text, pos = self.take()
         if text != value:
-            raise ParseError(f"expected {value!r}, found {text!r}", f"token {pos}")
+            raise ParseError(f"expected {value!r}, found {_shown(text)}", f"offset {pos}")
 
     def parse(self) -> LPolynomial:
         poly = self.expr()
         kind, text, pos = self.peek()
         if kind is not None:
-            raise ParseError(f"trailing input {text!r}", f"token {pos}")
+            raise ParseError(f"trailing input {text!r}", f"offset {pos}")
         return normalize_poly(self.act, poly)
 
     def expr(self) -> LPolynomial:
@@ -285,7 +291,9 @@ class _PolyParser:
             else:
                 break
         if not factors:
-            raise ParseError("a term needs at least one factor", f"token {pos}")
+            raise ParseError(
+                f"a term needs at least one factor, found {_shown(text)}", f"offset {pos}"
+            )
         poly = factors[0]
         for f in factors[1:]:
             poly = poly * f
@@ -304,36 +312,35 @@ class _PolyParser:
                 elif t == "]":
                     break
                 else:
-                    raise ParseError(f"expected ',' or ']', found {t!r}", f"token {p}")
+                    raise ParseError(f"expected ',' or ']', found {_shown(t)}", f"offset {p}")
             if len(args) < 2:
-                raise ParseError("commutators need at least two arguments", f"token {pos}")
+                raise ParseError("commutators need at least two arguments", f"offset {pos}")
             base = left_normed_commutator(args)
         else:
-            raise ParseError(f"expected a variable or '[', found {text!r}", f"token {pos}")
+            raise ParseError(
+                f"expected a variable or '[', found {_shown(text)}", f"offset {pos}"
+            )
         kind, text, _ = self.peek()
         if text == "^":
             self.take()
             self.expect("[")
-            names = []
             while True:
                 kind, t, p = self.take()
                 if kind != "name":
-                    raise ParseError(f"expected derivation name, found {t!r}", f"token {p}")
-                names.append(t)
+                    raise ParseError(f"expected derivation name, found {_shown(t)}", f"offset {p}")
+                if t not in self.letters:
+                    raise ParseError(f"unknown derivation {t!r}", f"offset {p}")
+                base = derive_polynomial(base, self.letters[t], self.act)
                 kind, t, p = self.take()
                 if t == "]":
                     break
                 if t != ",":
-                    raise ParseError(f"expected ',' or ']', found {t!r}", f"token {p}")
-            for nm in names:
-                if nm not in self.letters:
-                    raise ParseError(f"unknown derivation {nm!r}", f"token {p}")
-                base = derive_polynomial(base, self.letters[nm], self.act)
+                    raise ParseError(f"expected ',' or ']', found {_shown(t)}", f"offset {p}")
         return base
 
 
 def parse_polynomial(text: str, act: LieAction) -> LPolynomial:
-    return _PolyParser(_tokenize(text), act).parse()
+    return _PolyParser(_tokenize(text), len(text), act).parse()
 
 
 def check_multilinear(poly: LPolynomial) -> int:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import sympy
 
-from .algebra import LieAction, StructureAlgebra, adjoin_unit, subspace_under_action
+from .algebra import LieAction, StructureAlgebra, subspace_under_action
 from .errors import InternalVerificationFailed, NonSplitCenter
 from .linalg import (
     Matrix,
@@ -23,26 +23,19 @@ from .linalg import (
 
 
 def radical(alg: StructureAlgebra) -> Subspace:
-    """Jacobson radical via the trace form of the unitalization.
+    """Jacobson radical via the trace form.
 
     rad(A) = { x in A : trace(L_{xy} on A+) = 0 for all y in A }, valid in
-    characteristic zero.  The candidate is post-verified to be a nilpotent
-    two-sided ideal.
+    characteristic zero.  For x in A, L_x on A+ = A + Q*1 sends 1 to x, which
+    has no 1-component, so its trace on A+ is its trace on A:
+    t_m = sum_k c_mkk for L_{e_m}, and T[i][j] = sum_m c_ijm t_m.  The
+    candidate is post-verified to be a nilpotent two-sided ideal.
     """
+    c = alg.constants
     n = alg.dim
-    plus = adjoin_unit(alg)
-    embed = lambda v: list(v) + [ZERO]
-    # T[i][j] = trace of left multiplication by e_i e_j on A+
-    t = []
-    for i in range(n):
-        row = []
-        ei = alg.basis_vector(i)
-        for j in range(n):
-            prod = embed(alg.multiply(ei, alg.basis_vector(j)))
-            lm = plus.left_mult_matrix(prod)
-            row.append(sum(lm.entries[k][k] for k in range(plus.dim)))
-        t.append(row)
-    rad = left_kernel(Matrix.from_rows(t))
+    t = [sum(c[m][k][k] for k in range(n)) for m in range(n)]
+    form = [[sum(x * tm for x, tm in zip(c[i][j], t)) for j in range(n)] for i in range(n)]
+    rad = left_kernel(Matrix.from_rows(form))
     _verify_radical(alg, rad)
     return rad
 
@@ -150,17 +143,16 @@ def _rational_eigenvalues(m: Matrix) -> list[Fraction]:
 
 
 def center(alg: StructureAlgebra) -> Subspace:
+    """Elements v with v e_i = e_i v for every basis element e_i.
+
+    v e_i - e_i v = sum_r v_r (c_rik - c_irk) e_k, so the center is the left
+    kernel of the matrix whose row r holds c_irk - c_rik over columns (i, k)
+    (the sign does not change the kernel).
+    """
+    c = alg.constants
     n = alg.dim
-    cols = []
-    for i in range(n):
-        e = alg.basis_vector(i)
-        diff = alg.left_mult_matrix(e) - alg.right_mult_matrix(e)
-        # v commutes with e_i  iff  v * (L_i - R_i) = 0 in the row convention
-        cols.append(diff)
-    stacked = Matrix.from_rows(
-        [sum((m.entries[r] for m in cols), []) for r in range(n)]
-    )
-    return left_kernel(stacked)
+    stacked = [[c[i][r][k] - c[r][i][k] for i in range(n) for k in range(n)] for r in range(n)]
+    return left_kernel(Matrix.from_rows(stacked))
 
 
 def semisimple_blocks(alg: StructureAlgebra) -> list[Subspace]:
@@ -216,14 +208,12 @@ def subalgebra_unit(alg: StructureAlgebra, space: Subspace) -> list:
     eq_rows = [[] for _ in range(k)]
     t_vec = []
     for b in basis:
-        for coord in range(alg.dim):
-            for ci, bk in enumerate(basis):
-                eq_rows[ci].append(alg.multiply(bk, b)[coord])
-            t_vec.append(frac(b[coord]))
-        for coord in range(alg.dim):
-            for ci, bk in enumerate(basis):
-                eq_rows[ci].append(alg.multiply(b, bk)[coord])
-            t_vec.append(frac(b[coord]))
+        left = [alg.multiply(bk, b) for bk in basis]
+        right = [alg.multiply(b, bk) for bk in basis]
+        for products in (left, right):
+            for row, prod in zip(eq_rows, products):
+                row.extend(prod)
+            t_vec.extend(frac(x) for x in b)
     coords = span_coordinates(eq_rows)(t_vec)
     if coords is None:
         raise InternalVerificationFailed("subalgebra has no unit")

@@ -7,7 +7,6 @@ from diffident.algebra import (
     Derivation,
     StructureAlgebra,
     ad_unit,
-    adjoin_unit,
     check_derivation,
     direct_sum,
     envelope,
@@ -168,16 +167,6 @@ def test_subspace_under_action_variants():
     without = subspace_under_action(span_e11, act.envelope, include_identity=False)
     assert with_id.contains(without)
     assert with_id.dim >= span_e11.dim
-
-
-def test_adjoin_unit():
-    u2 = ut(2)
-    plus = adjoin_unit(u2)
-    assert plus.dim == 4
-    assert plus.unit_vector == [0, 0, 0, 1]
-    x = [Fraction(1), Fraction(2), Fraction(3), Fraction(0)]
-    assert plus.multiply(plus.unit_vector, x) == x
-    assert plus.multiply(x, plus.unit_vector) == x
 
 
 def test_builtin_dimensions():

@@ -252,6 +252,33 @@ class TestCommands:
         assert err.startswith("error input: ") and message.format(bad=bad) in err
         assert "Traceback" not in err
 
+    def test_empty_algebra_file_names_end_of_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.alg"
+        empty.write_text("")
+        assert main(["radical", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert "expected algebra header (at end of file)" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "a term needs at least one factor, found end of input (at offset 0)"),
+            ("x1 x2 +", "a term needs at least one factor, found end of input (at offset 7)"),
+            ("x1^[zz] x2", "unknown derivation 'zz' (at offset 4)"),
+            ("x1 $ x2", "unexpected character '$' (at offset 3)"),
+        ],
+    )
+    def test_bad_polynomial_names_its_offset(self, tmp_path, capsys, text, message):
+        path = self._gen(tmp_path, "ut2-eps")
+        poly = tmp_path / "p.poly"
+        poly.write_text(text)
+        capsys.readouterr()
+        assert main(["check-identity", path, "--poly", str(poly)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error input: ") and message in err
+        assert "Traceback" not in err
+
     def test_unknown_battery_suite(self, capsys):
         assert main(["battery", "--suite", "nosuch"]) == 2
 

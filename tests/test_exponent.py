@@ -4,6 +4,7 @@ from itertools import permutations
 
 import pytest
 
+from diffident.acceptance import battery_fixtures
 from diffident.algebra import (
     ad_unit,
     direct_sum,
@@ -24,7 +25,7 @@ from diffident.exponent import (
     lemma_bridge_check,
     verify_gk,
 )
-from diffident.structure import wedderburn_malcev
+from diffident.structure import radical, wedderburn_malcev
 
 
 def _field():
@@ -136,6 +137,33 @@ class TestVerifyGk:
             vec = [Fraction(rng.randint(-2, 2)) for _ in range(ds.dim)]
             act = lie_closure(ds, [inner_derivation(ds, vec)])
             assert verify_gk(ds, act)
+
+
+class TestNonUnital:
+    def test_pruned_matches_exhaustive_bridge(self, nonunital_actions):
+        # the differential twin of test_pruned_matches_exhaustive: over every
+        # distinct-block sequence, exp^L is the best weight whose bridge
+        # hypothesis holds and exp the best whose conclusion holds
+        cases = [(alg, act) for _label, alg, act in battery_fixtures()]
+        cases += [(alg, act) for _label, alg, act in nonunital_actions]
+        for alg, act in cases:
+            wd = wedderburn_malcev(alg)
+            k = len(wd.blocks)
+            best_hyp = best_con = 0
+            for r in range(1, k + 1):
+                for seq in permutations(range(k), r):
+                    hyp, con = lemma_bridge_check(alg, act, seq, wd)
+                    weight = sum(wd.blocks[i].dim for i in seq)
+                    best_hyp = max(best_hyp, weight if hyp else 0)
+                    best_con = max(best_con, weight if con else 0)
+            assert exp_differential(alg, act, wd).value == best_hyp
+            assert exp_ordinary(alg, wd).value == best_con
+
+    def test_ut3_without_e33(self, nonunital_actions):
+        for label, alg, act in nonunital_actions:
+            assert alg.unit_vector is None
+            assert verify_gk(alg, act), label
+        assert radical(nonunital_actions[0][1]).dim == 3
 
 
 class TestBridgeLemma:

@@ -92,6 +92,33 @@ class TestBlocks:
         z = center(full_matrix(2))
         assert z.dim == 1
 
+    @pytest.mark.parametrize(
+        "name,dim",
+        [
+            ("ut3", 1),
+            ("mat2", 1),
+            ("grassmann2", 2),
+            ("grassmann3", 5),
+            ("ut2+mat2", 2),
+            ("ut3-e33", 0),
+        ],
+    )
+    def test_center_dimensions(self, ut3_without_e33, name, dim):
+        alg = {
+            "ut3": ut(3),
+            "mat2": full_matrix(2),
+            "grassmann2": truncated_grassmann(2),
+            "grassmann3": truncated_grassmann(3),
+            "ut2+mat2": direct_sum(ut(2), full_matrix(2)),
+            "ut3-e33": ut3_without_e33,
+        }[name]
+        z = center(alg)
+        assert z.dim == dim
+        for v in z.basis:
+            for i in range(alg.dim):
+                e = alg.basis_vector(i)
+                assert alg.multiply(list(v), e) == alg.multiply(e, list(v))
+
 
 class TestWedderburn:
     def test_idempotent_lifting_fixture(self):

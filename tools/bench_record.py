@@ -6,14 +6,16 @@ Runs ``bench/run.py`` of the checkout (default: this repository) on every
 workload in its BENCHMARK.json with seed 0 and the benchmark's own run
 length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 (per-layer metrics), one run at a time, then runs the checkout's
-``diffident battery`` once, and writes BENCH_<pr>.json at the root of this
-repository.  The file holds the checkout's commit (and whether its tree had
-uncommitted changes), the Python version, nproc, the load average before and
-after, for each workload and trace level the run's correct/attempted/failed
-counts and every metric with its unit, and under ``battery`` the battery's
-exit code and the seconds of each criterion, read from its
-``criterion K T s`` stderr lines.  Two files made on the same machine can be
-compared workload by workload and layer by layer.
+``diffident battery`` once and its tier-1 test command once, and writes
+BENCH_<pr>.json at the root of this repository.  The file holds the
+checkout's commit (and whether its tree had uncommitted changes), the Python
+version, nproc, the load average before and after, for each workload and
+trace level the run's correct/attempted/failed counts and every metric with
+its unit, under ``battery`` the battery's exit code and the seconds of each
+criterion, read from its ``criterion K T s`` stderr lines, and under
+``tier1`` the test run's exit code, its passed and failed counts (from
+pytest's summary line) and its wall-clock seconds.  Two files made on the
+same machine can be compared workload by workload and layer by layer.
 """
 
 from __future__ import annotations
@@ -67,6 +69,23 @@ def run_battery(checkout: Path) -> dict:
     return {"returncode": proc.returncode, "criterion_s": {k: float(t) for k, t in times}}
 
 
+def run_tier1(checkout: Path) -> dict:
+    """One run of the checkout's tier-1 tests (the ROADMAP's tier-1 command)."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    t0 = time.monotonic()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    seconds = time.monotonic() - t0
+    summary = proc.stdout.strip().splitlines()[-1:] or [""]
+    counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed)", summary[0])}
+    return {
+        "returncode": proc.returncode,
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0),
+        "seconds": seconds,
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
@@ -99,6 +118,14 @@ def main(argv=None) -> int:
     print("battery ...", file=sys.stderr, flush=True)
     record["battery"] = run_battery(checkout)
     print(f"  exit code {record['battery']['returncode']}", file=sys.stderr, flush=True)
+    print("tier-1 tests ...", file=sys.stderr, flush=True)
+    record["tier1"] = run_tier1(checkout)
+    tier1 = record["tier1"]
+    print(
+        f"  {tier1['passed']} passed, {tier1['failed']} failed in {tier1['seconds']:.0f}s",
+        file=sys.stderr,
+        flush=True,
+    )
     record["loadavg_end"] = os.getloadavg()
     out = REPO / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
@@ -109,7 +136,7 @@ def main(argv=None) -> int:
         for level, result in runs.items()
         if "error" in result or not result["correct"]
     ]
-    return 1 if failed or record["battery"]["returncode"] else 0
+    return 1 if failed or record["battery"]["returncode"] or tier1["returncode"] else 0
 
 
 if __name__ == "__main__":
