@@ -119,6 +119,25 @@ class TestDifferentialExponent:
             act = trivial_action(alg)
             assert exp_differential(alg, act).value == 4
 
+    def test_pruned_matches_exhaustive(self, nonunital_actions):
+        # the differential twin of the ordinary test: over every distinct-block
+        # sequence, exp^L is the best weight whose bridge hypothesis holds and
+        # exp the best whose conclusion holds
+        cases = [(alg, act) for _label, alg, act in battery_fixtures()]
+        cases += [(alg, act) for _label, alg, act in nonunital_actions]
+        for alg, act in cases:
+            wd = wedderburn_malcev(alg)
+            k = len(wd.blocks)
+            best_hyp = best_con = 0
+            for r in range(1, k + 1):
+                for seq in permutations(range(k), r):
+                    hyp, con = lemma_bridge_check(alg, act, seq, wd)
+                    weight = sum(wd.blocks[i].dim for i in seq)
+                    best_hyp = max(best_hyp, weight if hyp else 0)
+                    best_con = max(best_con, weight if con else 0)
+            assert exp_differential(alg, act, wd).value == best_hyp
+            assert exp_ordinary(alg, wd).value == best_con
+
 
 class TestVerifyGk:
     def test_ut2_variants(self):
@@ -138,28 +157,7 @@ class TestVerifyGk:
             act = lie_closure(ds, [inner_derivation(ds, vec)])
             assert verify_gk(ds, act)
 
-
-class TestNonUnital:
-    def test_pruned_matches_exhaustive_bridge(self, nonunital_actions):
-        # the differential twin of test_pruned_matches_exhaustive: over every
-        # distinct-block sequence, exp^L is the best weight whose bridge
-        # hypothesis holds and exp the best whose conclusion holds
-        cases = [(alg, act) for _label, alg, act in battery_fixtures()]
-        cases += [(alg, act) for _label, alg, act in nonunital_actions]
-        for alg, act in cases:
-            wd = wedderburn_malcev(alg)
-            k = len(wd.blocks)
-            best_hyp = best_con = 0
-            for r in range(1, k + 1):
-                for seq in permutations(range(k), r):
-                    hyp, con = lemma_bridge_check(alg, act, seq, wd)
-                    weight = sum(wd.blocks[i].dim for i in seq)
-                    best_hyp = max(best_hyp, weight if hyp else 0)
-                    best_con = max(best_con, weight if con else 0)
-            assert exp_differential(alg, act, wd).value == best_hyp
-            assert exp_ordinary(alg, wd).value == best_con
-
-    def test_ut3_without_e33(self, nonunital_actions):
+    def test_non_unital_ut3_without_e33(self, nonunital_actions):
         for label, alg, act in nonunital_actions:
             assert alg.unit_vector is None
             assert verify_gk(alg, act), label
