@@ -108,8 +108,11 @@ def cmd_gen(args, cfg) -> int:
     f = shipped_algebra_file(args.name, args.params)
     text = f.serialize()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write output: {exc.strerror}", args.output)
     else:
         sys.stdout.write(text)
     return 0

@@ -7,12 +7,6 @@ from itertools import combinations
 from .piengine import LPolynomial, left_normed_commutator
 
 
-def _ordered_product(indices) -> LPolynomial:
-    return LPolynomial.from_terms(
-        {(tuple(indices), tuple(() for _ in indices)): 1}
-    )
-
-
 def _commutator_from(entries) -> LPolynomial:
     """Left-normed commutator of (index, word) pairs."""
     return left_normed_commutator(
@@ -23,7 +17,7 @@ def _commutator_from(entries) -> LPolynomial:
 def ut2_spanning_set(n: int) -> list[LPolynomial]:
     """x_{i1}..x_{im} [x_k, x_{j1}, .., x_{j_{n-m-1}}] with i's increasing,
     j's increasing, k > j1, and m != n-1; plus the full ordered monomial."""
-    out = [_ordered_product(range(1, n + 1))]
+    out = [LPolynomial.monomial(range(1, n + 1))]
     for m in range(0, n - 1):
         for heads in combinations(range(1, n + 1), m):
             rest = [v for v in range(1, n + 1) if v not in heads]
@@ -31,10 +25,7 @@ def ut2_spanning_set(n: int) -> list[LPolynomial]:
             for k in rest[1:]:
                 tail = [k] + [v for v in rest if v != k]
                 comm = _commutator_from([(v, ()) for v in tail])
-                if heads:
-                    out.append(_ordered_product(heads) * comm)
-                else:
-                    out.append(comm)
+                out.append(LPolynomial.monomial(heads) * comm)
     return out
 
 
@@ -46,15 +37,12 @@ def ut2_eps_spanning_set(n: int, letter: int = 0) -> list[LPolynomial]:
     word = (letter,)
     for r in range(1, n + 1):
         rest = [v for v in range(1, n + 1) if v != r]
-        out.append(_ordered_product(rest) * LPolynomial.variable(r, word))
+        out.append(LPolynomial.monomial(rest) * LPolynomial.variable(r, word))
     for m in range(0, n - 1):
         for heads in combinations(range(1, n + 1), m):
             rest = [v for v in range(1, n + 1) if v not in heads]
             comm = _commutator_from(
                 [(rest[0], word)] + [(v, ()) for v in rest[1:]]
             )
-            if heads:
-                out.append(_ordered_product(heads) * comm)
-            else:
-                out.append(comm)
+            out.append(LPolynomial.monomial(heads) * comm)
     return out

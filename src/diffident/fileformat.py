@@ -200,6 +200,11 @@ def parse_algebra_file(text: str) -> AlgebraFile:
 #   term   := [rational] factor+
 #   factor := atom [^ '[' name (',' name)* ']']
 #   atom   := x<i> | '[' expr (',' expr)+ ']'     (commutators, left-normed)
+#
+# Commutators nest at most MAX_NESTING deep, which keeps the recursive
+# descent well inside Python's recursion limit.
+
+MAX_NESTING = 32
 
 _TOKEN = re.compile(
     r"(?P<rat>-?\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -234,6 +239,7 @@ class _PolyParser:
         self.tokens = tokens
         self.end = end
         self.i = 0
+        self.depth = 0
         self.act = act
         self.letters = {d.name: i for i, d in enumerate(act.closure_basis)}
 
@@ -277,7 +283,7 @@ class _PolyParser:
         kind, text, pos = self.peek()
         if kind == "rat":
             self.take()
-            coeff = Fraction(text)
+            coeff = _rational(text, f"offset {pos}")
             kind, text, _ = self.peek()
             if text == "*":
                 self.take()
@@ -304,6 +310,9 @@ class _PolyParser:
         if kind == "var":
             base = LPolynomial.variable(int(text[1:]))
         elif text == "[":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"commutators nest deeper than {MAX_NESTING}", f"offset {pos}")
+            self.depth += 1
             args = [self.expr()]
             while True:
                 kind, t, p = self.take()
@@ -313,6 +322,7 @@ class _PolyParser:
                     break
                 else:
                     raise ParseError(f"expected ',' or ']', found {_shown(t)}", f"offset {p}")
+            self.depth -= 1
             if len(args) < 2:
                 raise ParseError("commutators need at least two arguments", f"offset {pos}")
             base = left_normed_commutator(args)

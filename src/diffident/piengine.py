@@ -42,10 +42,6 @@ DEFAULT_MAX_ENTRIES = 10**7
 # PBW normal form
 
 
-def _bracket_coeffs(act: LieAction, a: int, b: int) -> list:
-    return act.bracket_constants[a][b]
-
-
 def pbw_normalize_word(act: LieAction, word: Word) -> dict:
     """Rewrite a word into the span of non-decreasing words."""
     cache = act._pbw_cache
@@ -57,7 +53,7 @@ def pbw_normalize_word(act: LieAction, word: Word) -> dict:
             prefix, suffix = word[:i], word[i + 2 :]
             out: dict = {}
             _accumulate(out, pbw_normalize_word(act, prefix + (b, a) + suffix), ONE)
-            for k, c in enumerate(_bracket_coeffs(act, a, b)):
+            for k, c in enumerate(act.bracket_constants[a][b]):
                 if c:
                     _accumulate(out, pbw_normalize_word(act, prefix + (k,) + suffix), c)
             out = {w: v for w, v in out.items() if v}
@@ -67,13 +63,18 @@ def pbw_normalize_word(act: LieAction, word: Word) -> dict:
     return cache[word]
 
 
+def _add(target: dict, key, c) -> None:
+    """target[key] += c, dropping the key when the sum is zero."""
+    nv = target.get(key, ZERO) + c
+    if nv:
+        target[key] = nv
+    else:
+        target.pop(key, None)
+
+
 def _accumulate(target: dict, source: dict, factor):
     for k, v in source.items():
-        nv = target.get(k, ZERO) + factor * v
-        if nv:
-            target[k] = nv
-        else:
-            target.pop(k, None)
+        _add(target, k, factor * v)
 
 
 def word_matrix(act: LieAction, word: Word) -> Matrix:
@@ -151,6 +152,13 @@ class LPolynomial:
     def variable(cls, i: int, word: Word = ()) -> "LPolynomial":
         return cls(terms={((i,), (tuple(word),)): ONE}, degree=1)
 
+    @classmethod
+    def monomial(cls, vars_) -> "LPolynomial":
+        """The undecorated product of the variables in the given order;
+        monomial(()) is the unit of *."""
+        vars_ = tuple(vars_)
+        return cls.from_terms({(vars_, ((),) * len(vars_)): ONE})
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -174,13 +182,8 @@ class LPolynomial:
             for (v2, w2), c2 in other.terms.items():
                 if set(v1) & set(v2):
                     raise NotMultilinear("products need disjoint variables")
-                key = (v1 + v2, w1 + w2)
-                _accumulate(out, {key: c1 * c2}, ONE)
-        terms = {k: v for k, v in out.items() if v}
-        degree = self.degree + other.degree if terms else 0
-        poly = LPolynomial(terms=terms, degree=degree)
-        # renumbering is the caller's concern; degree tracked structurally
-        return poly
+                _add(out, (v1 + v2, w1 + w2), c1 * c2)
+        return LPolynomial(terms=out, degree=self.degree + other.degree if out else 0)
 
 
 def commutator_poly(f: LPolynomial, g: LPolynomial) -> LPolynomial:
@@ -194,21 +197,31 @@ def left_normed_commutator(polys: list[LPolynomial]) -> LPolynomial:
     return out
 
 
-def normalize_poly(act: LieAction, f: LPolynomial) -> LPolynomial:
-    """Rewrite every exponent word into PBW normal form."""
+def _expand_words(f: LPolynomial, expand) -> dict:
+    """Terms of f with each exponent word w replaced by expand(w), a dict
+    {exponent: coefficient}, multiplied out over the positions of a term.
+
+    Each position's expansion is taken once per term.
+    """
     out: dict = {}
     for (vars_, words), c in f.terms.items():
-        expansions = [pbw_normalize_word(act, w) for w in words]
-        stack = [((), ONE)]
-        for exp in expansions:
+        stack = [((), c)]
+        for w in words:
+            exp = expand(w)
             stack = [
-                (done + (w,), coeff * wc)
+                (done + (e,), coeff * ec)
                 for done, coeff in stack
-                for w, wc in exp.items()
+                for e, ec in exp.items()
             ]
         for done, coeff in stack:
-            _accumulate(out, {(vars_, done): c * coeff}, ONE)
-    return LPolynomial.from_terms(out)
+            _add(out, (vars_, done), coeff)
+    return out
+
+
+def normalize_poly(act: LieAction, f: LPolynomial) -> LPolynomial:
+    """f with every exponent word rewritten into PBW normal form
+    (pbw_normalize_word); the value of f on A is unchanged."""
+    return LPolynomial.from_terms(_expand_words(f, lambda w: pbw_normalize_word(act, w)))
 
 
 def derive_polynomial(
@@ -223,8 +236,7 @@ def derive_polynomial(
             new_word = tuple(words[pos]) + (letter,)
             if len(new_word) > cap:
                 raise WordCapExceeded(f"word length {len(new_word)} > cap {cap}")
-            new_words = words[:pos] + (new_word,) + words[pos + 1 :]
-            _accumulate(out, {(vars_, new_words): c}, ONE)
+            _add(out, (vars_, words[:pos] + (new_word,) + words[pos + 1 :]), c)
     return normalize_poly(act, LPolynomial.from_terms(out))
 
 
@@ -233,62 +245,31 @@ def substitute(
     assignment: dict,
     act: LieAction,
     cap: int | None = None,
-    renumber: bool = True,
 ) -> LPolynomial:
-    """Endomorphism sending each variable to a product of fresh variables.
+    """Endomorphism sending each variable to a product of variables.
 
-    assignment maps every variable of f to a tuple of fresh variable indices;
-    the images must be pairwise disjoint.  A decorated occurrence x^w is sent
-    to the image monomial acted on by w via iterated Leibniz.
+    assignment maps every variable of f to a tuple of variable indices; the
+    images must be pairwise disjoint.  A decorated occurrence x^w is sent to
+    the image monomial acted on by w via iterated Leibniz.  The result keeps
+    the image variables: x1 x2 under {1: (2, 4), 2: (5,)} is x2 x4 x5.
     """
     if cap is None:
         cap = default_word_cap(act)
-    images = list(assignment.values())
     seen: set = set()
-    for img in images:
+    for img in assignment.values():
         if seen & set(img):
             raise NotMultilinear("assignment images are not disjoint")
         seen.update(img)
     out: dict = {}
     for (vars_, words), c in f.terms.items():
-        blocks = []
+        term_poly = LPolynomial.monomial(())
         for v, w in zip(vars_, words):
-            img = assignment[v]
-            block = LPolynomial.from_terms(
-                {(tuple(img), tuple(() for _ in img)): ONE}
-            )
+            block = LPolynomial.monomial(assignment[v])
             for letter in w:
                 block = derive_polynomial(block, letter, act, cap=cap)
-            blocks.append(block)
-        term_poly = None
-        for b in blocks:
-            term_poly = b if term_poly is None else _concat(term_poly, b)
-        if term_poly is None:
-            continue
-        for key, v in term_poly.terms.items():
-            _accumulate(out, {key: c * v}, ONE)
-    if not renumber:
-        return normalize_poly(act, LPolynomial.from_terms(out))
-    # renumber variables to 1..n in the order of their indices
-    all_vars = sorted(seen)
-    mapping = {v: i + 1 for i, v in enumerate(all_vars)}
-    renamed: dict = {}
-    for (vars_, words), c in out.items():
-        _accumulate(renamed, {(tuple(mapping[v] for v in vars_), words): c}, ONE)
-    return normalize_poly(act, LPolynomial.from_terms(renamed))
-
-
-def _concat(f: LPolynomial, g: LPolynomial) -> LPolynomial:
-    """Position-wise concatenation without the disjointness renumbering."""
-    out: dict = {}
-    for (v1, w1), c1 in f.terms.items():
-        for (v2, w2), c2 in g.terms.items():
-            _accumulate(out, {(v1 + v2, w1 + w2): c1 * c2}, ONE)
-    terms = {k: v for k, v in out.items() if v}
-    if not terms:
-        return LPolynomial(terms={}, degree=0)
-    degree = len(next(iter(terms))[0])
-    return LPolynomial(terms=terms, degree=degree)
+            term_poly = term_poly * block
+        _accumulate(out, term_poly.terms, c)
+    return normalize_poly(act, LPolynomial.from_terms(out))
 
 
 # ---------------------------------------------------------------------------
@@ -628,21 +609,9 @@ def _degree_n_instances(g: LPolynomial, n: int, act: LieAction, cap: int):
                     images[var] = tuple(perm[pos : pos + size])
                     pos += size
                 right = perm[pos:]
-                body = substitute(g, images, act, cap=cap, renumber=False)
-                if body.is_zero():
-                    continue
-                poly = body
-                if left:
-                    lmono = LPolynomial.from_terms(
-                        {(tuple(left), tuple(() for _ in left)): ONE}
-                    )
-                    poly = _concat(lmono, poly)
-                if right:
-                    rmono = LPolynomial.from_terms(
-                        {(tuple(right), tuple(() for _ in right)): ONE}
-                    )
-                    poly = _concat(poly, rmono)
-                yield poly
+                body = substitute(g, images, act, cap=cap)
+                if not body.is_zero():
+                    yield LPolynomial.monomial(left) * body * LPolynomial.monomial(right)
 
 
 def _compositions(total: int, parts: int):
@@ -656,21 +625,13 @@ def _compositions(total: int, parts: int):
 
 
 def collapsed_terms(f: LPolynomial, act: LieAction) -> dict:
-    """Terms of f keyed by (vars, envelope index tuple)."""
-    out: dict = {}
-    for (vars_, words), c in f.terms.items():
-        expansions = [collapse_word(act, w) for w in words]
-        stack = [((), c)]
-        for exp in expansions:
-            stack = [
-                (done + (u,), coeff * wc)
-                for done, coeff in stack
-                for u, wc in enumerate(exp)
-                if wc
-            ]
-        for done, coeff in stack:
-            _accumulate(out, {(vars_, done): coeff}, ONE)
-    return out
+    """Terms of f keyed by (vars, envelope index tuple): each word replaced
+    by the nonzero coordinates of its operator in the envelope basis
+    (collapse_word).  Words with the same operator collapse alike, so f and
+    normalize_poly(act, f) have the same collapsed terms."""
+    return _expand_words(
+        f, lambda w: {u: x for u, x in enumerate(collapse_word(act, w)) if x}
+    )
 
 
 def _collapsed_derive(terms: dict, letter_coords, mult_table) -> dict:
@@ -686,8 +647,7 @@ def _collapsed_derive(terms: dict, letter_coords, mult_table) -> dict:
                 for k, mc in enumerate(mult_table[u][j]):
                     if not mc:
                         continue
-                    key = (vars_, exps[:pos] + (k,) + exps[pos + 1 :])
-                    _accumulate(out, {key: c * lc * mc}, ONE)
+                    _add(out, (vars_, exps[:pos] + (k,) + exps[pos + 1 :]), c * lc * mc)
     return out
 
 
@@ -700,8 +660,7 @@ def _collapsed_decorate(terms: dict, var: int, u: int, mult_table) -> dict:
         for k, mc in enumerate(mult_table[u][e]):
             if not mc:
                 continue
-            key = (vars_, exps[:pos] + (k,) + exps[pos + 1 :])
-            _accumulate(out, {key: c * mc}, ONE)
+            _add(out, (vars_, exps[:pos] + (k,) + exps[pos + 1 :]), c * mc)
     return out
 
 

@@ -1,21 +1,36 @@
-"""The benchmark's tracer wraps engine callables by name; each must exist.
+"""The benchmark's contract with the engine.
 
-`bench/tracer.py` raises when a target is missing, so a rename or deletion in
-`diffident` would otherwise first show up as a failed `bench/run.py --trace 1`.
+`bench/tracer.py` wraps engine callables by name and raises when a target is
+missing, so a rename or deletion in `diffident` would otherwise first show up
+as a failed `bench/run.py --trace 1`.  Each workload also names the layers
+that must record work in a traced run (`workloads.ACTIVE_LAYERS`); a
+simplification that stops calling one of them (say, `substitute`) would
+otherwise first show up in the minute-long `bench/selftest.py`.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
+import time
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer_targets():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return _bench_module("tracer").TARGETS
 
 
 def test_every_tracer_target_resolves():
@@ -29,3 +44,18 @@ def test_every_tracer_target_resolves():
         if not callable(obj):
             missing.append(f"{name}: diffident.{module}.{attr}")
     assert not missing, missing
+
+
+@pytest.mark.parametrize("workload", ["codim-rowgen", "codim-elim", "actions", "identities"])
+def test_small_traced_workload_exercises_its_layers(tmp_path, workload):
+    # a fresh interpreter in tmp_path: the tracer patches engine modules and
+    # the worker writes its inputs under its working directory
+    out = tmp_path / "result.json"
+    cmd = [sys.executable, str(BENCH / "worker.py"), "--workload", workload, "--seed", "0"]
+    cmd += ["--small", "--t0", str(time.monotonic()), "--trace", "spans.jsonl", "--out", str(out)]
+    proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert [(j["label"], j["problems"]) for j in result["jobs"] if j["problems"]] == []
+    active = _bench_module("workloads").ACTIVE_LAYERS[workload]
+    assert [m for m in active if not result["layers"][m]] == []

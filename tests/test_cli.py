@@ -241,6 +241,10 @@ class TestCommands:
             (["gen", "ut2-eta", "1/0", "2"], "ut2-eta alpha must be a rational number, not '1/0'"),
             (["codim", "{bad}", "--max-n", "0"], "--max-n must be at least 1, not 0"),
             (["codim", "{bad}", "--max-n", "-2"], "--max-n must be at least 1, not -2"),
+            (
+                ["gen", "ut2", "-o", "{bad}.d/x.alg"],
+                "cannot write output: No such file or directory (at {bad}.d/x.alg)",
+            ),
         ],
     )
     def test_bad_input_exits_2_with_a_message(self, tmp_path, capsys, argv, message):
@@ -267,6 +271,8 @@ class TestCommands:
             ("x1 x2 +", "a term needs at least one factor, found end of input (at offset 7)"),
             ("x1^[zz] x2", "unknown derivation 'zz' (at offset 4)"),
             ("x1 $ x2", "unexpected character '$' (at offset 3)"),
+            ("2/0 x1 x2", "bad rational '2/0' (at offset 0)"),
+            ("[" * 400 + "x1, x2" + "]" * 400, "commutators nest deeper than 32 (at offset 32)"),
         ],
     )
     def test_bad_polynomial_names_its_offset(self, tmp_path, capsys, text, message):

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from diffident.algebra import (
     Derivation,
     ad_unit,
+    inner_derivation,
     lie_closure,
     trivial_action,
     ut,
@@ -35,6 +38,17 @@ def act_full(u2):
     return lie_closure(
         u2, [ad_unit(u2, 2, 2, name="eps"), ad_unit(u2, 1, 2, name="delta")]
     )
+
+
+@pytest.fixture(scope="module")
+def act_ut3():
+    u3 = ut(3)
+    rng = random.Random(3)
+    gens = [
+        inner_derivation(u3, [Fraction(rng.randint(-2, 2)) for _ in range(u3.dim)])
+        for _ in range(2)
+    ]
+    return lie_closure(u3, gens)
 
 
 x = pe.LPolynomial.variable
@@ -80,6 +94,44 @@ class TestPolynomials:
         f = pe.LPolynomial.from_terms({((1, 2), ((), ())): 1})
         g = pe.substitute(f, {1: (1, 2), 2: (3,)}, triv)
         assert g.terms == {((1, 2, 3), ((), (), ())): 1}
+
+    def test_substitute_keeps_the_image_variables(self, triv):
+        f = pe.LPolynomial.monomial((1, 2))
+        g = pe.substitute(f, {1: (2, 4), 2: (5,)}, triv)
+        assert g.terms == {((2, 4, 5), ((), (), ())): 1}
+
+    def test_empty_monomial_is_the_unit(self):
+        one = pe.LPolynomial.monomial(())
+        for f in (x(1), x(2, (0,)), pe.commutator_poly(x(1), x(3)), pe.LPolynomial.from_terms({})):
+            assert one * f == f and f * one == f
+
+    @pytest.mark.parametrize("a,b", [((), (2,)), ((1,), (3, 2)), ((4, 1), (2, 3))])
+    def test_monomials_multiply_by_concatenation(self, a, b):
+        m = pe.LPolynomial.monomial
+        assert m(a) * m(b) == m(a + b)
+
+
+def _random_poly(data, letters: int) -> pe.LPolynomial:
+    """A multilinear polynomial of degree 1..3 whose words have length at
+    most 2, in any order of letters."""
+    n = data.draw(st.integers(1, 3))
+    word = st.lists(st.integers(0, letters - 1), max_size=2).map(tuple)
+    key = st.tuples(
+        st.permutations(range(1, n + 1)).map(tuple),
+        st.lists(word, min_size=n, max_size=n).map(tuple),
+    )
+    terms = data.draw(st.dictionaries(key, st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    return pe.LPolynomial.from_terms(terms)
+
+
+@pytest.mark.parametrize("action", ["act_full", "act_ut3"])
+@seed(11)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_normalizing_words_keeps_collapsed_terms(request, action, data):
+    act = request.getfixturevalue(action)
+    f = _random_poly(data, act.closure_dim)
+    assert pe.collapsed_terms(pe.normalize_poly(act, f), act) == pe.collapsed_terms(f, act)
 
 
 class TestCodim:

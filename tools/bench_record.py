@@ -6,14 +6,19 @@ Runs ``bench/run.py`` of the checkout (default: this repository) on every
 workload in its BENCHMARK.json with seed 0 and the benchmark's own run
 length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 (per-layer metrics), one run at a time, then runs the checkout's
-``diffident battery`` once and its tier-1 test command once, and writes
-BENCH_<pr>.json at the root of this repository.  The file holds the
+``diffident battery`` once, ``diffident codim`` on the shipped ``ut2-eps``
+file for n = 1..7 in exact and in modular mode, ``identity_space`` on it at
+n = 4 and 5 (each n in a fresh interpreter) and its tier-1 test command
+once, and writes BENCH_<pr>.json at the root of this repository.  The file holds the
 checkout's commit (and whether its tree had uncommitted changes), the Python
 version, nproc, the load average before and after, for each workload and
 trace level the run's correct/attempted/failed counts and every metric with
 its unit, under ``battery`` the battery's exit code and the seconds of each
-criterion, read from its ``criterion K T s`` stderr lines, and under
-``tier1`` the test run's exit code, its passed and failed counts (from
+criterion, read from its ``criterion K T s`` stderr lines, under ``codim``
+each mode's exit code and, per n, the rows, rank and seconds read from its
+``n N rows R rank C T s`` stderr lines, under ``identity_space`` per n the
+seconds, ``codim``, ``identity_dim`` and the interpreter's ``ru_maxrss`` in
+KiB, and under ``tier1`` the test run's exit code, its passed and failed counts (from
 pytest's summary line) and its wall-clock seconds.  Two files made on the
 same machine can be compared workload by workload and layer by layer.
 """
@@ -27,11 +32,31 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 0
+CODIM_MAX_N = 7
+IDENTITY_SPACE_N = (4, 5)
+
+# identity_space on the shipped ut2-eps file at degree argv[1], as one JSON line
+_IDENTITY_SPACE = """
+import json, resource, sys, time
+from diffident.algebra import lie_closure
+from diffident.piengine import identity_space
+from diffident.shipped import shipped_algebra_file
+
+n = int(sys.argv[1])
+alg, ders = shipped_algebra_file("ut2-eps", []).to_algebra()
+act = lie_closure(alg, ders)
+start = time.perf_counter()
+rep = identity_space(alg, act, n)
+seconds = time.perf_counter() - start
+print(json.dumps({"seconds": seconds, "codim": rep.codim, "identity_dim": rep.identity_dim,
+                  "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
 
 
 def _git(checkout: Path, *args: str) -> str | None:
@@ -60,21 +85,57 @@ def run_bench(checkout: Path, workload: str, seconds: float, trace: int) -> dict
     return result
 
 
+def _python(checkout: Path, *args: str) -> subprocess.CompletedProcess:
+    """This interpreter run on args in the checkout, importing its source."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    cmd = [sys.executable, *args]
+    return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+
+
+def _diffident(checkout: Path, *args: str) -> subprocess.CompletedProcess:
+    return _python(checkout, "-m", "diffident.cli", *args)
+
+
 def run_battery(checkout: Path) -> dict:
     """One ``diffident battery`` run of the checkout's source, timed per criterion."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    cmd = [sys.executable, "-m", "diffident.cli", "battery"]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = _diffident(checkout, "battery")
     times = re.findall(r"^criterion (\d+) (\d+\.\d+)s$", proc.stderr, re.M)
     return {"returncode": proc.returncode, "criterion_s": {k: float(t) for k, t in times}}
 
 
+def run_codim(checkout: Path) -> dict:
+    """``diffident codim`` on the shipped ut2-eps file for n = 1..CODIM_MAX_N,
+    exact then modular, timed per degree."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "ut2-eps.alg")
+        gen = _diffident(checkout, "gen", "ut2-eps", "-o", path)
+        if gen.returncode != 0:
+            return {"error": f"gen exit code {gen.returncode}"}
+        for mode in ("exact", "modular"):
+            proc = _diffident(checkout, "codim", path, "--max-n", str(CODIM_MAX_N), "--mode", mode)
+            lines = re.findall(r"^n (\d+) rows (\d+) rank (\d+) (\d+\.\d+)s$", proc.stderr, re.M)
+            out[mode] = {
+                "returncode": proc.returncode,
+                "n": {n: {"rows": int(r), "rank": int(c), "seconds": float(t)} for n, r, c, t in lines},
+            }
+    return out
+
+
+def run_identity_space(checkout: Path, n: int) -> dict:
+    """``identity_space`` on the shipped ut2-eps file at degree n, alone in a
+    fresh interpreter so that its ru_maxrss is its own."""
+    proc = _python(checkout, "-c", _IDENTITY_SPACE, str(n))
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": f"exit code {proc.returncode}", "stderr_tail": proc.stderr.strip().splitlines()[-5:]}
+    return json.loads(lines[-1])
+
+
 def run_tier1(checkout: Path) -> dict:
     """One run of the checkout's tier-1 tests (the ROADMAP's tier-1 command)."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     t0 = time.monotonic()
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = _python(checkout, "-m", "pytest", "-q", "--continue-on-collection-errors")
     seconds = time.monotonic() - t0
     summary = proc.stdout.strip().splitlines()[-1:] or [""]
     counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed)", summary[0])}
@@ -118,6 +179,18 @@ def main(argv=None) -> int:
     print("battery ...", file=sys.stderr, flush=True)
     record["battery"] = run_battery(checkout)
     print(f"  exit code {record['battery']['returncode']}", file=sys.stderr, flush=True)
+    print(f"codim ut2-eps n <= {CODIM_MAX_N} ...", file=sys.stderr, flush=True)
+    record["codim"] = codim = run_codim(checkout)
+    codim_failed = "error" in codim or any(
+        m["returncode"] or len(m["n"]) != CODIM_MAX_N for m in codim.values()
+    )
+    print(f"  {'FAILED' if codim_failed else 'ok'}", file=sys.stderr, flush=True)
+    record["identity_space"] = {}
+    for n in IDENTITY_SPACE_N:
+        print(f"identity_space ut2-eps n = {n} ...", file=sys.stderr, flush=True)
+        record["identity_space"][n] = result = run_identity_space(checkout, n)
+        summary = result.get("error") or f"{result['seconds']:.2f}s"
+        print(f"  {summary}", file=sys.stderr, flush=True)
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     record["tier1"] = run_tier1(checkout)
     tier1 = record["tier1"]
@@ -136,7 +209,8 @@ def main(argv=None) -> int:
         for level, result in runs.items()
         if "error" in result or not result["correct"]
     ]
-    return 1 if failed or record["battery"]["returncode"] or tier1["returncode"] else 0
+    failed += [("identity_space", n) for n, r in record["identity_space"].items() if "error" in r]
+    return 1 if failed or codim_failed or record["battery"]["returncode"] or tier1["returncode"] else 0
 
 
 if __name__ == "__main__":
