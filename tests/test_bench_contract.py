@@ -11,6 +11,7 @@ otherwise first show up in the minute-long `bench/selftest.py`.
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import time
@@ -49,11 +50,15 @@ def test_every_tracer_target_resolves():
 @pytest.mark.parametrize("workload", ["codim-rowgen", "codim-elim", "actions", "identities"])
 def test_small_traced_workload_exercises_its_layers(tmp_path, workload):
     # a fresh interpreter in tmp_path: the tracer patches engine modules and
-    # the worker writes its inputs under its working directory
+    # the worker writes its inputs under its working directory.  The worker
+    # puts its checkout's src on sys.path itself and refuses to run when
+    # diffident resolves to more than that one directory, which an absolute
+    # PYTHONPATH naming the same src would cause.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = tmp_path / "result.json"
     cmd = [sys.executable, str(BENCH / "worker.py"), "--workload", workload, "--seed", "0"]
     cmd += ["--small", "--t0", str(time.monotonic()), "--trace", "spans.jsonl", "--out", str(out)]
-    proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     assert [(j["label"], j["problems"]) for j in result["jobs"] if j["problems"]] == []
