@@ -30,6 +30,9 @@ def _bench_module(name: str):
     return module
 
 
+WORKLOADS = _bench_module("workloads")
+
+
 def _tracer_targets():
     return _bench_module("tracer").TARGETS
 
@@ -47,7 +50,7 @@ def test_every_tracer_target_resolves():
     assert not missing, missing
 
 
-@pytest.mark.parametrize("workload", ["codim-rowgen", "codim-elim", "actions", "identities"])
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
 def test_small_traced_workload_exercises_its_layers(tmp_path, workload):
     # a fresh interpreter in tmp_path: the tracer patches engine modules and
     # the worker writes its inputs under its working directory.  The worker
@@ -62,5 +65,4 @@ def test_small_traced_workload_exercises_its_layers(tmp_path, workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     assert [(j["label"], j["problems"]) for j in result["jobs"] if j["problems"]] == []
-    active = _bench_module("workloads").ACTIVE_LAYERS[workload]
-    assert [m for m in active if not result["layers"][m]] == []
+    assert [m for m in WORKLOADS.ACTIVE_LAYERS[workload] if not result["layers"][m]] == []
