@@ -22,6 +22,7 @@ from .errors import (
     NotAUnit,
 )
 from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, common_denominator, frac
+from .linalg import divided, integer_vector
 
 
 class StructureAlgebra:
@@ -56,23 +57,17 @@ class StructureAlgebra:
 
     # -- products ----------------------------------------------------------
 
-    def basis_product(self, i: int, j: int) -> list:
-        return list(self.constants[i][j])
-
     def multiply(self, u: Sequence, v: Sequence) -> list:
-        n = self.dim
-        out = [ZERO] * n
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in enumerate(self.constants[i][j]):
-                    if c:
-                        out[k] += ab * c
-        return out
+        """u * v, on integers: both factors are scaled once to integer
+        vectors, multiplied through integer_table and divided once per
+        output coordinate."""
+        d_c, table = self.integer_table
+        d_u, iu = integer_vector(u)
+        d_v, iv = integer_vector(v)
+        out = [0] * self.dim
+        for k, x in integer_product(table, iu, iv).items():
+            out[k] = x
+        return divided(out, d_u * d_v * d_c)
 
     @cached_property
     def integer_table(self) -> tuple[int, list]:
@@ -121,6 +116,19 @@ class StructureAlgebra:
         return f"StructureAlgebra({self.label or 'dim %d' % self.dim})"
 
 
+def integer_product(table: list, u: dict, v: dict) -> dict:
+    """D_c * u * v for sparse integer vectors u, v, with (D_c, table) an
+    algebra's integer_table; zeros dropped."""
+    out: dict = {}
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            ab = a * b
+            for k, c in row[j]:
+                out[k] = out.get(k, 0) + ab * c
+    return {k: x for k, x in out.items() if x}
+
+
 @dataclass(frozen=True)
 class Derivation:
     """A derivation presented by its coordinate matrix (right action)."""
@@ -157,7 +165,7 @@ def check_derivation(alg: StructureAlgebra, m: Matrix) -> bool:
         dei = m.apply(ei)
         for j in range(alg.dim):
             ej = alg.basis_vector(j)
-            lhs = m.apply(alg.basis_product(i, j))
+            lhs = m.apply(alg.constants[i][j])
             rhs = [
                 a + b
                 for a, b in zip(alg.multiply(dei, ej), alg.multiply(ei, m.apply(ej)))
@@ -217,12 +225,11 @@ class LieAction:
     closure_basis: list[Derivation]
     bracket_constants: list[list[list[Fraction]]]
     envelope: Envelope
-    # word -> result caches of piengine.pbw_normalize_word, collapse_word,
-    # word_matrix and word_operator
+    # word -> result caches of piengine.pbw_normalize_word, collapse_word and
+    # word_matrix
     _pbw_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _collapse_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _word_matrix_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _word_operator_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def closure_dim(self) -> int:

@@ -98,6 +98,19 @@ def _report_header(out, command: str, source: str, cfg: dict, extra=()):
     out.extend(extra)
 
 
+def _action_report(args, cfg, command: str, extra=()):
+    """(f, alg, act, names, out): the input file, its algebra and action,
+    the chosen derivation names, and the report lines so far (header,
+    algebra and action)."""
+    f = _load(args.infile)
+    alg, act, names = _action_for(f, args.action)
+    out = []
+    _report_header(out, command, args.infile, cfg, extra)
+    out.append(f"algebra {f.name} dim {alg.dim}")
+    out.append("action " + (" ".join(names) if names else "(trivial)"))
+    return f, alg, act, names, out
+
+
 def _emit(out) -> None:
     sys.stdout.write("\n".join(out) + "\nend\n")
 
@@ -154,12 +167,7 @@ def cmd_decompose(args, cfg) -> int:
 
 
 def cmd_envelope(args, cfg) -> int:
-    f = _load(args.infile)
-    alg, act, names = _action_for(f, args.action)
-    out = []
-    _report_header(out, "envelope", args.infile, cfg)
-    out.append(f"algebra {f.name} dim {alg.dim}")
-    out.append("action " + (" ".join(names) if names else "(trivial)"))
+    _f, _alg, act, _names, out = _action_report(args, cfg, "envelope")
     out.append(f"closure dim {act.closure_dim}")
     out.append(f"envelope dim {act.envelope.dim}")
     for w in act.envelope.word_reps:
@@ -175,18 +183,13 @@ def cmd_codim(args, cfg) -> int:
 
     if args.max_n < 1:
         raise BadParams(f"--max-n must be at least 1, not {args.max_n}")
-    f = _load(args.infile)
-    alg, act, names = _action_for(f, args.action)
-    out = []
     extra = [f"mode {args.mode}"]
     if args.mode == "modular":
         extra.append(
             "bound lower: each c is the rank modulo one 31-bit prime"
             f" drawn from seed {cfg['seed']}"
         )
-    _report_header(out, "codim", args.infile, cfg, extra)
-    out.append(f"algebra {f.name} dim {alg.dim}")
-    out.append("action " + (" ".join(names) if names else "(trivial)"))
+    f, alg, act, names, out = _action_report(args, cfg, "codim", extra)
     values = {}
     for n in range(1, args.max_n + 1):
         start = time.monotonic()
@@ -220,12 +223,7 @@ def cmd_codim(args, cfg) -> int:
 def cmd_exponent(args, cfg) -> int:
     from .exponent import exp_differential, exp_ordinary
 
-    f = _load(args.infile)
-    alg, act, names = _action_for(f, args.action)
-    out = []
-    _report_header(out, "exponent", args.infile, cfg)
-    out.append(f"algebra {f.name} dim {alg.dim}")
-    out.append("action " + (" ".join(names) if names else "(trivial)"))
+    _f, alg, act, _names, out = _action_report(args, cfg, "exponent")
     ordinary = exp_ordinary(alg)
     diff = exp_differential(alg, act)
     out.append(
@@ -243,13 +241,8 @@ def cmd_exponent(args, cfg) -> int:
 def cmd_classify(args, cfg) -> int:
     from .exponent import classify_growth
 
-    f = _load(args.infile)
-    alg, act, names = _action_for(f, args.action)
+    _f, alg, act, _names, out = _action_report(args, cfg, "classify")
     rep = classify_growth(alg, act)
-    out = []
-    _report_header(out, "classify", args.infile, cfg)
-    out.append(f"algebra {f.name} dim {alg.dim}")
-    out.append("action " + (" ".join(names) if names else "(trivial)"))
     out.append(f"classification {rep.classification}")
     out.append(f"exp-L {rep.exponent.value}")
     for label, entry in sorted(rep.evidence.items()):
@@ -263,15 +256,10 @@ def cmd_classify(args, cfg) -> int:
 def cmd_verify_gk(args, cfg) -> int:
     from .exponent import exp_differential, exp_ordinary
 
-    f = _load(args.infile)
-    alg, act, names = _action_for(f, args.action)
+    _f, alg, act, _names, out = _action_report(args, cfg, "verify-gk")
     ordinary = exp_ordinary(alg).value
     diff = exp_differential(alg, act).value
     ok = ordinary == diff
-    out = []
-    _report_header(out, "verify-gk", args.infile, cfg)
-    out.append(f"algebra {f.name} dim {alg.dim}")
-    out.append("action " + (" ".join(names) if names else "(trivial)"))
     out.append(f"exp {ordinary}")
     out.append(f"exp-L {diff}")
     out.append("verdict " + ("PASS" if ok else "FAIL"))
@@ -282,15 +270,12 @@ def cmd_verify_gk(args, cfg) -> int:
 def cmd_check_identity(args, cfg) -> int:
     from .piengine import is_identity
 
-    f = _load(args.infile)
-    alg, act, names = _action_for(f, args.action)
-    poly = parse_polynomial(_read_text(args.poly), act)
+    _f, _alg, act, _names, out = _action_report(
+        args, cfg, "check-identity", [f"poly {args.poly}"]
+    )
+    poly = parse_polynomial(_read_text(args.poly), act, cfg["max_entries"])
     check_multilinear(poly)
     holds, witness = is_identity(poly, act, witness=True, max_entries=cfg["max_entries"])
-    out = []
-    _report_header(out, "check-identity", args.infile, cfg, [f"poly {args.poly}"])
-    out.append(f"algebra {f.name} dim {alg.dim}")
-    out.append("action " + (" ".join(names) if names else "(trivial)"))
     out.append(f"result {'true' if holds else 'false'}")
     if witness is not None:
         out.append("witness basis tuple " + " ".join(str(b + 1) for b in witness))

@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Derivation, LieAction, StructureAlgebra, check_derivation
-from .errors import NotADerivation, NotMultilinear, ParseError
+from .errors import NotADerivation, NotMultilinear, ParseError, SizeCap
 from .linalg import Matrix, ZERO, frac
 from .piengine import (
+    DEFAULT_MAX_ENTRIES,
     LPolynomial,
+    commutator_poly,
     derive_polynomial,
-    left_normed_commutator,
     normalize_poly,
 )
 
@@ -233,15 +234,30 @@ def _shown(text) -> str:
 
 class _PolyParser:
     """Recursive descent over tokens; past the last token peek() returns
-    (None, None, len(source)), so errors there read "found end of input"."""
+    (None, None, len(source)), so errors there read "found end of input".
 
-    def __init__(self, tokens, end: int, act: LieAction):
+    Every polynomial built on the way (a sum, a product, a commutator step,
+    a derivative) is charged as is_identity charges it, dim^degree basis
+    tuples times its terms; more than max_entries raises SizeCap at the
+    offset of the term or factor being built."""
+
+    def __init__(self, tokens, end: int, act: LieAction, max_entries: int):
         self.tokens = tokens
         self.end = end
         self.i = 0
         self.depth = 0
         self.act = act
+        self.max_entries = max_entries
         self.letters = {d.name: i for i, d in enumerate(act.closure_basis)}
+
+    def charged(self, poly: LPolynomial, pos: int) -> LPolynomial:
+        dim = self.act.algebra.dim
+        if dim**poly.degree * len(poly.terms) > self.max_entries:
+            raise SizeCap(
+                f"{dim}^{poly.degree} basis tuples times {len(poly.terms)} terms"
+                f" exceed the budget {self.max_entries} (at offset {pos})"
+            )
+        return poly
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
@@ -271,12 +287,12 @@ class _PolyParser:
             sign = -1 if text == "-" else 1
         poly = self.term().scale(sign)
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if text not in ("+", "-"):
                 return poly
             self.take()
             nxt = self.term()
-            poly = poly + (nxt if text == "+" else nxt.scale(-1))
+            poly = self.charged(poly + (nxt if text == "+" else nxt.scale(-1)), pos)
 
     def term(self) -> LPolynomial:
         coeff = Fraction(1)
@@ -287,22 +303,20 @@ class _PolyParser:
             kind, text, _ = self.peek()
             if text == "*":
                 self.take()
-        factors = []
+        poly = None
         while True:
-            kind, text, _ = self.peek()
+            kind, text, at = self.peek()
             if kind == "var" or text == "[":
-                factors.append(self.factor())
+                f = self.factor()
+                poly = f if poly is None else self.charged(poly * f, at)
             elif text == "*":
                 self.take()
             else:
                 break
-        if not factors:
+        if poly is None:
             raise ParseError(
                 f"a term needs at least one factor, found {_shown(text)}", f"offset {pos}"
             )
-        poly = factors[0]
-        for f in factors[1:]:
-            poly = poly * f
         return poly.scale(coeff)
 
     def factor(self) -> LPolynomial:
@@ -325,7 +339,9 @@ class _PolyParser:
             self.depth -= 1
             if len(args) < 2:
                 raise ParseError("commutators need at least two arguments", f"offset {pos}")
-            base = left_normed_commutator(args)
+            base = args[0]
+            for arg in args[1:]:
+                base = self.charged(commutator_poly(base, arg), pos)
         else:
             raise ParseError(
                 f"expected a variable or '[', found {_shown(text)}", f"offset {pos}"
@@ -340,7 +356,7 @@ class _PolyParser:
                     raise ParseError(f"expected derivation name, found {_shown(t)}", f"offset {p}")
                 if t not in self.letters:
                     raise ParseError(f"unknown derivation {t!r}", f"offset {p}")
-                base = derive_polynomial(base, self.letters[t], self.act)
+                base = self.charged(derive_polynomial(base, self.letters[t], self.act), pos)
                 kind, t, p = self.take()
                 if t == "]":
                     break
@@ -349,8 +365,10 @@ class _PolyParser:
         return base
 
 
-def parse_polynomial(text: str, act: LieAction) -> LPolynomial:
-    return _PolyParser(_tokenize(text), len(text), act).parse()
+def parse_polynomial(
+    text: str, act: LieAction, max_entries: int = DEFAULT_MAX_ENTRIES
+) -> LPolynomial:
+    return _PolyParser(_tokenize(text), len(text), act, max_entries).parse()
 
 
 def check_multilinear(poly: LPolynomial) -> int:

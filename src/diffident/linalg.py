@@ -22,8 +22,6 @@ from typing import Iterable, Sequence
 
 from .errors import AmbientMismatch, DenominatorDivisibleByPrime
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -33,9 +31,13 @@ def frac(x) -> Fraction:
 
 
 class Matrix:
-    """Dense row-major matrix of exact rationals."""
+    """Dense row-major matrix of exact rationals.
 
-    __slots__ = ("rows", "cols", "entries")
+    A Matrix is not mutated after it is built: its integer form is computed
+    on first use and kept.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_integer_form")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
         self.rows = rows
@@ -43,6 +45,7 @@ class Matrix:
         self.entries = [[frac(x) for x in row] for row in entries]
         if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
             raise ValueError("entry shape does not match rows x cols")
+        self._integer_form = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -73,9 +76,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix(
             self.rows,
@@ -100,26 +100,32 @@ class Matrix:
         c = frac(c)
         return Matrix(self.rows, self.cols, [[c * x for x in row] for row in self.entries])
 
+    @property
+    def integer_form(self) -> tuple[int, list]:
+        """(d, rows): d is the lcm of the entries' denominators and rows[i] =
+        [(j, d * entry), ...] over the nonzero entries of row i, as ints."""
+        if self._integer_form is None:
+            d = common_denominator(x for row in self.entries for x in row)
+            self._integer_form = d, [
+                [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
+                for row in self.entries
+            ]
+        return self._integer_form
+
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """The product on integers: each operand is scaled once by its common
-        denominator, and each output entry is divided once."""
+        """The product on the integer forms, each output entry divided once."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        d_left, left = _integer_rows(self.entries)
-        d_right, right = _integer_rows(other.entries)
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+        d_left, left = self.integer_form
+        d_right, right = other.integer_form
         den = d_left * d_right
         out = []
         for row in left:
             acc = [0] * other.cols
-            for a, brow in zip(row, right):
-                if a:
-                    for j, b in brow:
-                        acc[j] += a * b
-            if den == 1:
-                out.append([Fraction(c) if c else ZERO for c in acc])
-            else:
-                out.append([Fraction(c, den) if c else ZERO for c in acc])
+            for i, a in row:
+                for j, b in right[i]:
+                    acc[j] += a * b
+            out.append(divided(acc, den))
         return Matrix(self.rows, other.cols, out)
 
     def sparse(self) -> dict:
@@ -133,26 +139,31 @@ class Matrix:
         }
 
     def apply(self, v: Sequence) -> list:
-        """Row vector times matrix."""
+        """Row vector times matrix, on the integer forms of both."""
         if len(v) != self.rows:
             raise ValueError("vector length does not match matrix rows")
-        out = [ZERO] * self.cols
-        for i, a in enumerate(v):
-            if a:
-                row = self.entries[i]
-                for j, b in enumerate(row):
-                    if b:
-                        out[j] += a * b
-        return out
+        d_v, vec = integer_vector(v)
+        d, rows = self.integer_form
+        acc = [0] * self.cols
+        for i, a in vec.items():
+            for j, b in rows[i]:
+                acc[j] += a * b
+        return divided(acc, d_v * d)
 
 
-def _integer_rows(entries: list[list[Fraction]]) -> tuple[int, list[list[int]]]:
-    """(d, rows): d is the common denominator of the entries and rows holds
-    d times each entry, as ints."""
-    d = common_denominator(x for row in entries for x in row)
-    if d == 1:
-        return 1, [[x.numerator for x in row] for row in entries]
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in entries]
+def integer_vector(vec: Sequence) -> tuple[int, dict]:
+    """(d, {b: d * vec[b]}): a vector of Fractions or ints scaled by the lcm
+    of its denominators, nonzero entries only."""
+    nonzero = [(b, x) for b, x in enumerate(vec) if x]
+    d = lcm(*[x.denominator for _b, x in nonzero])
+    return d, {b: x.numerator * (d // x.denominator) for b, x in nonzero}
+
+
+def divided(acc: Sequence[int], den: int) -> list:
+    """The Fractions acc[j] / den, ZERO where acc[j] is 0."""
+    if den == 1:
+        return [Fraction(c) if c else ZERO for c in acc]
+    return [Fraction(c, den) if c else ZERO for c in acc]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
@@ -232,8 +243,7 @@ def rank_modular(m: Matrix, seed: int = 0) -> int:
     less only when the prime divides every r x r minor of the matrix cleared
     of denominators, r being the rank over Q.
     """
-    den = common_denominator(x for row in m.entries for x in row)
-    rr = SparseRREF(prime=draw_prime(seed, den))
+    rr = SparseRREF(prime=draw_prime(seed, m.integer_form[0]))
     for row in m.entries:
         rr.add_row(dict(enumerate(row)))
     return rr.rank

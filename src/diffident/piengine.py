@@ -12,7 +12,7 @@ Evaluation runs on integers.  EvaluationRows gives the rows of codim,
 identity_space and containment_check, and is_identity sums its rows over a
 polynomial's collapsed terms.  evaluate_poly, at an arbitrary rational
 assignment, goes through the same integer product table of the algebra and
-each word's integer operator (word_operator).
+the integer form of each word's operator (word_matrix).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import factorial, lcm
 
-from .algebra import LieAction, StructureAlgebra
+from .algebra import LieAction, StructureAlgebra, integer_product
 from .errors import (
     AlphabetMismatch,
     DenominatorDivisibleByPrime,
@@ -30,8 +30,7 @@ from .errors import (
     SizeCap,
     WordCapExceeded,
 )
-from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, frac
-from .linalg import common_denominator, draw_prime
+from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, draw_prime, frac, integer_vector
 
 Word = tuple  # of closure-basis indices
 
@@ -86,18 +85,6 @@ def word_matrix(act: LieAction, word: Word) -> Matrix:
         for letter in word:
             m = m * act.closure_basis[letter].matrix
         cache[word] = m
-    return cache[word]
-
-
-def word_operator(act: LieAction, word: Word) -> tuple[int, list]:
-    """(D_w, rows): the word's operator as D_w times it, with rows[b] =
-    [(k, int), ...] the nonzero coordinates of e_b acted on.  Built once per
-    word from word_matrix."""
-    cache = act._word_operator_cache
-    if word not in cache:
-        entries = word_matrix(act, word).entries
-        d_w = common_denominator(x for r in entries for x in r)
-        cache[word] = d_w, [[(k, int(x * d_w)) for k, x in enumerate(r) if x] for r in entries]
     return cache[word]
 
 
@@ -297,19 +284,6 @@ def monomial_count(n: int, env_dim: int) -> int:
     return factorial(n) * env_dim**n
 
 
-def _product(table: list, u: dict, v: dict) -> dict:
-    """D_c * u * v for sparse integer vectors u, v, with (D_c, table) the
-    algebra's integer_table; zeros dropped."""
-    out: dict = {}
-    for i, a in u.items():
-        row = table[i]
-        for j, b in v.items():
-            ab = a * b
-            for k, c in row[j]:
-                out[k] = out.get(k, 0) + ab * c
-    return {k: x for k, x in out.items() if x}
-
-
 class EvaluationRows:
     """Integer evaluation rows of an algebra under a list of operators.
 
@@ -324,18 +298,15 @@ class EvaluationRows:
     """
 
     def __init__(self, alg: StructureAlgebra, ops: list[Matrix]):
-        d_a = common_denominator(x for op in ops for r in op.entries for x in r)
+        forms = [op.integer_form for op in ops]
+        d_a = lcm(*(d for d, _rows in forms))
         d_c, self.products = alg.integer_table
         self.denominator = d_a * d_c
         self.width = len(ops)
         # by_op[u] = [(b, {k: D_a * (e_b acted by ops[u])_k}), ...], nonzero only
         self.by_op = [
-            [
-                (b, {k: int(x * d_a) for k, x in enumerate(row) if x})
-                for b, row in enumerate(op.entries)
-                if any(row)
-            ]
-            for op in ops
+            [(b, {k: x * (d_a // d) for k, x in row}) for b, row in enumerate(rows) if row]
+            for d, rows in forms
         ]
 
     def _positional_table(
@@ -366,7 +337,7 @@ class EvaluationRows:
                     out = []
                     for bt, prod in partial:
                         for b, vec in column:
-                            p = vec if prod is None else _product(products, prod, vec)
+                            p = vec if prod is None else integer_product(products, prod, vec)
                             if p:
                                 out.append((bt + (b,), p))
                                 stored += len(p)
@@ -504,10 +475,10 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
     """Value of f at a tuple of coordinate vectors (index i for variable i+1).
 
     The arithmetic is on integers: each vector is scaled to integers once,
-    each (variable, word) image is taken once through word_operator, and
-    products go through the algebra's integer_table.  A term's value is its
-    integer product over the product of those scales, one division per
-    output coordinate.
+    each (variable, word) image is taken once through the integer form of
+    word_matrix, and products go through the algebra's integer_table.  A
+    term's value is its integer product over the product of those scales,
+    one division per output coordinate.
     """
     alg = act.algebra
     d_c, table = alg.integer_table
@@ -521,9 +492,12 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
             image = images.get((v, w))
             if image is None:
                 if v not in scaled:
-                    scaled[v] = _integer_vector(assignment[v - 1], alg.dim)
+                    vector = assignment[v - 1]
+                    if len(vector) != alg.dim:
+                        raise ValueError("assignment vector length does not match the algebra")
+                    scaled[v] = integer_vector(vector)
                 d_v, vec = scaled[v]
-                d_w, rows = word_operator(act, w)
+                d_w, rows = word_matrix(act, w).integer_form
                 acc: dict = {}
                 for b, a in vec.items():
                     for k, x in rows[b]:
@@ -533,7 +507,7 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
             if prod is None:
                 prod, den = vec, d
             else:
-                prod = _product(table, prod, vec)
+                prod = integer_product(table, prod, vec)
                 den *= d * d_c
             if not prod:
                 break
@@ -541,16 +515,6 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
             for k, x in prod.items():
                 out[k] += c * Fraction(x, den)
     return out
-
-
-def _integer_vector(vec, dim: int) -> tuple[int, dict]:
-    """(D, {b: D * vec[b]}): a vector of Fractions or ints scaled by its
-    common denominator, sparse."""
-    if len(vec) != dim:
-        raise ValueError("assignment vector length does not match the algebra")
-    nonzero = [(b, x) for b, x in enumerate(vec) if x]
-    d = lcm(*[x.denominator for _b, x in nonzero])
-    return d, {b: x.numerator * (d // x.denominator) for b, x in nonzero}
 
 
 def is_identity(

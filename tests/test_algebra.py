@@ -137,8 +137,9 @@ def test_battery_expand_rejects_matrix_outside_envelope():
         i = next(k for k, x in enumerate(u) if x)
         # e_j is parallel to u only when u is supported on j alone
         j = next(k for k in range(alg.dim) if any(x for m, x in enumerate(u) if m != k))
-        outside = Matrix.zero(alg.dim, alg.dim)
-        outside.entries[i][j] = Fraction(1)
+        outside = Matrix.from_rows(
+            [[int((r, c) == (i, j)) for c in range(alg.dim)] for r in range(alg.dim)]
+        )
         assert act.envelope.expand(outside) is None, label
 
 

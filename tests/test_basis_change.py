@@ -1,4 +1,5 @@
-"""Structure and exponents do not depend on the basis an algebra is given in.
+"""Structure, exponents and codimensions do not depend on the basis an
+algebra is given in.
 
 An invertible rational P gives the basis f_i = sum_j P[i][j] e_j.  Row
 coordinates change as x_f = x_e P^-1, so a derivation D (acting as
@@ -8,6 +9,7 @@ the e-coordinates of that product times P^-1.
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -17,6 +19,7 @@ from sympy.polys.matrices import DomainMatrix
 from diffident.algebra import (
     Derivation,
     StructureAlgebra,
+    ad_unit,
     direct_sum,
     full_matrix,
     inner_derivation,
@@ -26,6 +29,7 @@ from diffident.algebra import (
 )
 from diffident.exponent import exp_differential, exp_ordinary, verify_gk
 from diffident.linalg import Matrix
+from diffident.piengine import codim
 from diffident.structure import wedderburn_malcev
 
 ALGEBRAS = {
@@ -105,3 +109,60 @@ def test_invariant_under_change_of_basis(name, basis_rng, action_seed):
     moved = _in_basis(alg, p, p_inv)
     moved_gens = [Derivation(p * d.matrix * p_inv, name=d.name) for d in gens]
     assert _invariants(moved, lie_closure(moved, moved_gens)) == expected
+
+
+def _fraction_multiply(alg: StructureAlgebra, u, v) -> list:
+    """u * v by the Fraction triple loop over the structure constants, the
+    oracle for the integer product of StructureAlgebra.multiply."""
+    out = [Fraction(0)] * alg.dim
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            for k, c in enumerate(alg.constants[i][j]):
+                out[k] += a * b * c
+    return out
+
+
+@cache
+def _moved_ut2_mat2() -> StructureAlgebra:
+    """ut2+mat2 in a fixed random rational basis: dense rational constants."""
+    alg = ALGEBRAS["ut2+mat2"]()
+    return _in_basis(alg, *_invertible(alg.dim, random.Random(5)))
+
+
+@pytest.mark.parametrize("name", ["ut3", "ut2+mat2 moved"])
+@seed(21)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_multiply_matches_the_fraction_triple_loop(name, data):
+    alg = ut(3) if name == "ut3" else _moved_ut2_mat2()
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=7))
+    vector = st.lists(entry, min_size=alg.dim, max_size=alg.dim)
+    u, v = data.draw(vector), data.draw(vector)
+    product = alg.multiply(u, v)
+    assert product == _fraction_multiply(alg, u, v)
+    assert all(type(x) is Fraction for x in product)
+
+
+CODIM_CASES = {
+    # name: (algebra, derivations from a seed, largest n)
+    "ut2 eps": (lambda: ut(2), lambda alg, s: [ad_unit(alg, 2, 2)], 4),
+    "ut2 delta": (lambda: ut(2), lambda alg, s: [ad_unit(alg, 1, 2)], 4),
+    "ut3 inner pair": (lambda: ut(3), _inner_pair, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODIM_CASES))
+@seed(22)
+@settings(max_examples=3, deadline=None)
+@given(basis_rng=st.randoms(use_true_random=False), action_seed=st.integers(0, 9))
+def test_codim_invariant_under_change_of_basis(name, basis_rng, action_seed):
+    make, derivations, max_n = CODIM_CASES[name]
+    alg = make()
+    gens = derivations(alg, action_seed)
+    act = lie_closure(alg, gens)
+    expected = [codim(alg, act, n) for n in range(1, max_n + 1)]
+
+    p, p_inv = _invertible(alg.dim, basis_rng)
+    moved = _in_basis(alg, p, p_inv)
+    moved_act = lie_closure(moved, [Derivation(p * d.matrix * p_inv, name=d.name) for d in gens])
+    assert [codim(moved, moved_act, n) for n in range(1, max_n + 1)] == expected

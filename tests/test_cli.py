@@ -2,7 +2,7 @@ import pytest
 
 from diffident.algebra import ad_unit, lie_closure, ut
 from diffident.cli import main
-from diffident.errors import NotMultilinear, ParseError
+from diffident.errors import NotMultilinear, ParseError, SizeCap
 from diffident.fileformat import (
     check_multilinear,
     parse_algebra_file,
@@ -111,6 +111,14 @@ class TestPolynomialParser:
     def test_trailing_garbage(self, eps_action):
         with pytest.raises(ParseError):
             parse_polynomial("x1 x2 ]", eps_action)
+
+    def test_budget_stops_a_commutator_step(self, eps_action):
+        # [x1,x2] is 3^2 tuples times 2 terms; [x1,x2,x3] is 3^3 times 4
+        assert len(parse_polynomial("[x1,x2,x3]", eps_action, max_entries=108).terms) == 4
+        with pytest.raises(SizeCap, match=r"3\^3 basis tuples times 4 terms .*\(at offset 0\)"):
+            parse_polynomial("[x1,x2,x3]", eps_action, max_entries=107)
+        with pytest.raises(SizeCap, match=r"\(at offset 3\)"):
+            parse_polynomial("x4 [x1,x2,x3]", eps_action, max_entries=300)
 
     def test_multilinear_check(self, eps_action):
         p = parse_polynomial("x1 x3", eps_action)
@@ -224,6 +232,16 @@ class TestCommands:
         monkeypatch.setenv("DIFFIDENT_CONFIG", str(cfg))
         assert main(["check-identity", path, "--poly", str(poly)]) == 3
         assert "error budget" in capsys.readouterr().err
+
+    def test_long_commutator_stops_in_the_parser(self, tmp_path, capsys):
+        path = self._gen(tmp_path, "ut2-eps")
+        poly = tmp_path / "p.poly"
+        poly.write_text("[" + ",".join(f"x{i}" for i in range(1, 17)) + "]")
+        capsys.readouterr()
+        assert main(["check-identity", path, "--poly", str(poly)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error budget: ") and "(at offset 0)" in err
+        assert "Traceback" not in err
 
     def test_bad_generator_name_is_input_error(self, capsys):
         assert main(["gen", "nosuch"]) == 2

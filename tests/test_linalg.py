@@ -1,7 +1,7 @@
 import copy
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -234,6 +234,53 @@ class TestMatrixProduct:
     def test_mismatched_inner_dimensions_raise(self):
         with pytest.raises(ValueError, match="inner dimensions differ"):
             random_matrix(1, rows=2, cols=3) * random_matrix(2, rows=2, cols=3)
+
+
+@st.composite
+def matrix_and_vector(draw):
+    """A matrix up to 5 x 5 with entries of denominator at most 7, zeros
+    included, and a row vector of its height mixing ints and Fractions."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=7))
+    m = Matrix(rows, cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
+    return m, [draw(st.one_of(entry, st.integers(-3, 3))) for _ in range(rows)]
+
+
+class TestMatrixApply:
+    @seed(12)
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_and_vector())
+    def test_matches_the_fraction_loop(self, operands):
+        m, vec = operands
+        expected = [Fraction(0)] * m.cols
+        for i, a in enumerate(vec):
+            for j, b in enumerate(m.entries[i]):
+                expected[j] += a * b
+        out = m.apply(vec)
+        assert out == expected
+        assert all(type(x) is Fraction for x in out)
+
+    def test_mismatched_length_raises(self):
+        with pytest.raises(ValueError, match="vector length"):
+            Matrix.identity(3).apply([1, 2])
+
+
+class TestIntegerForm:
+    @seed(13)
+    @settings(max_examples=60, deadline=None)
+    @given(product_operands())
+    def test_clears_denominators_once(self, operands):
+        for m in operands:
+            d, rows = m.integer_form
+            entries = [x for row in m.entries for x in row]
+            assert d == lcm(*(x.denominator for x in entries))
+            assert len(rows) == m.rows
+            for row, listed in zip(m.entries, rows):
+                assert all(type(x) is int and x for _j, x in listed)
+                assert {j: Fraction(x, d) for j, x in listed} == {
+                    j: x for j, x in enumerate(row) if x
+                }
+            assert m.integer_form is m.integer_form
 
 
 class TestAgainstSympy:

@@ -19,7 +19,8 @@ each mode's exit code and, per n, the rows, rank and seconds read from its
 ``n N rows R rank C T s`` stderr lines, under ``identity_space`` per n the
 seconds, ``codim``, ``identity_dim`` and the interpreter's ``ru_maxrss`` in
 KiB, and under ``tier1`` the test run's exit code, its passed and failed counts (from
-pytest's summary line) and its wall-clock seconds.  Two files made on the
+pytest's summary line), its wall-clock seconds and its ten slowest test
+phases with their seconds (from pytest's ``--durations=10`` report).  Two files made on the
 same machine can be compared workload by workload and layer by layer.
 """
 
@@ -133,17 +134,22 @@ def run_identity_space(checkout: Path, n: int) -> dict:
 
 
 def run_tier1(checkout: Path) -> dict:
-    """One run of the checkout's tier-1 tests (the ROADMAP's tier-1 command)."""
+    """One run of the checkout's tier-1 tests (the ROADMAP's tier-1 command),
+    with pytest's report of the ten slowest test phases."""
     t0 = time.monotonic()
-    proc = _python(checkout, "-m", "pytest", "-q", "--continue-on-collection-errors")
+    proc = _python(
+        checkout, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"
+    )
     seconds = time.monotonic() - t0
     summary = proc.stdout.strip().splitlines()[-1:] or [""]
     counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed)", summary[0])}
+    slowest = re.findall(r"^(\d+\.\d+)s (call|setup|teardown) +(.+?) *$", proc.stdout, re.M)
     return {
         "returncode": proc.returncode,
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0),
         "seconds": seconds,
+        "slowest": [{"test": t, "phase": ph, "seconds": float(x)} for x, ph, t in slowest],
     }
 
 
