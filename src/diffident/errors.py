@@ -35,7 +35,8 @@ class NotADerivation(DiffidentError):
 
 
 class NonSplitCenter(DiffidentError):
-    """The semisimple part does not split into matrix blocks over the rationals."""
+    """A central element's minimal polynomial has a nonlinear factor over Q,
+    so the semisimple part does not split into blocks over the rationals."""
 
 
 class InternalVerificationFailed(DiffidentError):

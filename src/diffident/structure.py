@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,7 +11,6 @@ from .algebra import LieAction, StructureAlgebra, subspace_under_action
 from .errors import InternalVerificationFailed, NonSplitCenter
 from .linalg import (
     Matrix,
-    ONE,
     ZERO,
     SparseRREF,
     Subspace,
@@ -57,15 +55,11 @@ def _verify_radical(alg: StructureAlgebra, rad: Subspace):
 
 @dataclass
 class QuotientAlgebra:
-    """A/J with the projection and a linear section in coordinates."""
+    """A/J with a linear section in coordinates."""
 
     algebra: StructureAlgebra
     ideal: Subspace
     coords: list[int]  # ambient coordinates carrying the quotient basis
-
-    def project(self, vec) -> list:
-        residual = self.ideal.reduce(vec)
-        return [residual[c] for c in self.coords]
 
     def lift(self, qvec) -> list:
         out = [ZERO] * self.ideal.ambient_dim
@@ -199,6 +193,15 @@ def semisimple_blocks(alg: StructureAlgebra) -> list[Subspace]:
     return components
 
 
+def _combination(coeffs, vectors, n: int) -> list:
+    """sum_i coeffs[i] * vectors[i] in F^n."""
+    out = [ZERO] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, v)]
+    return out
+
+
 def subalgebra_unit(alg: StructureAlgebra, space: Subspace) -> list:
     """Two-sided unit of a unital subalgebra, found by a linear solve."""
     basis = [list(b) for b in space.basis]
@@ -217,14 +220,11 @@ def subalgebra_unit(alg: StructureAlgebra, space: Subspace) -> list:
     coords = span_coordinates(eq_rows)(t_vec)
     if coords is None:
         raise InternalVerificationFailed("subalgebra has no unit")
-    u = [ZERO] * alg.dim
-    for c, b in zip(coords, basis):
-        u = [x + c * y for x, y in zip(u, b)]
-    return u
+    return _combination(coords, basis, alg.dim)
 
 
 # ---------------------------------------------------------------------------
-# idempotent lifting and the full decomposition
+# the lift of A/J into A and the full decomposition
 
 
 @dataclass
@@ -233,126 +233,6 @@ class WedderburnData:
     blocks: list[Subspace]
     block_units: list[list]
     semisimple_part: Subspace
-    quotient_dims: list[int]
-    quotient: QuotientAlgebra | None
-
-
-def _lift_idempotent(alg: StructureAlgebra, e: list) -> list:
-    """Newton iteration e <- 3e^2 - 2e^3 until exactly idempotent."""
-    for _ in range(alg.dim + 2):
-        e2 = alg.multiply(e, e)
-        if e2 == e:
-            return e
-        e3 = alg.multiply(e2, e)
-        e = [3 * a - 2 * b for a, b in zip(e2, e3)]
-    raise InternalVerificationFailed("idempotent lifting did not converge")
-
-
-def _orthogonalize(alg: StructureAlgebra, e: list, f: list) -> list:
-    """(1-f) e (1-f) written without a unit: e - fe - ef + fef."""
-    fe = alg.multiply(f, e)
-    ef = alg.multiply(e, f)
-    fef = alg.multiply(fe, f)
-    return [a - b - c + d for a, b, c, d in zip(e, fe, ef, fef)]
-
-
-def _corner(alg: StructureAlgebra, e: list) -> Subspace:
-    vecs = [
-        alg.multiply(alg.multiply(e, alg.basis_vector(i)), e) for i in range(alg.dim)
-    ]
-    return Subspace.from_vectors(alg.dim, vecs)
-
-
-def _corner_inverse(alg: StructureAlgebra, w: list, unit: list, nil_bound: int) -> list:
-    """Inverse of w = unit + j (j nilpotent) inside the corner algebra."""
-    j = [a - b for a, b in zip(w, unit)]
-    inv = list(unit)
-    term = list(unit)
-    for _ in range(nil_bound + 1):
-        term = [-x for x in alg.multiply(term, j)]
-        if all(x == 0 for x in term):
-            break
-        inv = [a + b for a, b in zip(inv, term)]
-    if alg.multiply(w, inv) != unit or alg.multiply(inv, w) != unit:
-        raise InternalVerificationFailed("corner inverse failed")
-    return inv
-
-
-def _minimal_left_module(alg: StructureAlgebra, block: Subspace, seed: int = 7) -> Subspace:
-    """A minimal left ideal of a simple block, by generator descent."""
-
-    def generated(v):
-        vecs = [alg.multiply(b, v) for b in block.basis]
-        return Subspace.from_vectors(alg.dim, vecs)
-
-    candidates = [list(b) for b in block.basis]
-    rng = random.Random(seed)
-    for _ in range(32):
-        v = [
-            sum(rng.randint(-2, 2) * frac(b[i]) for b in block.basis)
-            for i in range(alg.dim)
-        ]
-        candidates.append(v)
-    best = None
-    for v in candidates:
-        w = generated(v)
-        if w.is_zero():
-            continue
-        changed = True
-        while changed:
-            changed = False
-            for bv in w.basis:
-                sub = generated(list(bv))
-                if 0 < sub.dim < w.dim:
-                    w = sub
-                    changed = True
-                    break
-        if best is None or w.dim < best.dim:
-            best = w
-        if best.dim * best.dim == block.dim:
-            break
-    if best is None or best.dim * best.dim != block.dim:
-        raise NonSplitCenter(
-            "could not split a simple block into matrix units over Q"
-        )
-    return best
-
-
-def _block_matrix_units(alg: StructureAlgebra, block: Subspace) -> list[list[list]]:
-    """Matrix units e_st of a split simple block, as coordinate vectors.
-
-    Uses the (anti-)isomorphism onto End(W) for a minimal left ideal W.
-    """
-    w = _minimal_left_module(alg, block)
-    r = w.dim
-    wbasis = [list(b) for b in w.basis]
-    # rho(b): matrix of x -> b*x on W in row convention (anti-homomorphism)
-    block_vecs = [list(b) for b in block.basis]
-    in_w = span_coordinates(wbasis)
-    rho_vecs = []
-    for b in block_vecs:
-        rows = []
-        for wb in wbasis:
-            coords = in_w(alg.multiply(b, wb))
-            if coords is None:
-                raise InternalVerificationFailed("left ideal not invariant")
-            rows.append(coords)
-        rho_vecs.append([x for row in rows for x in row])
-    in_rho = span_coordinates(rho_vecs)
-    units = [[None] * r for _ in range(r)]
-    for s in range(r):
-        for t in range(r):
-            # anti-iso: preimage of E_{ts} realizes the matrix unit e_st
-            target = [ZERO] * (r * r)
-            target[t * r + s] = ONE
-            coords = in_rho(target)
-            if coords is None:
-                raise NonSplitCenter("block does not act as a full matrix algebra")
-            vec = [ZERO] * alg.dim
-            for c, b in zip(coords, block_vecs):
-                vec = [x + c * y for x, y in zip(vec, b)]
-            units[s][t] = vec
-    return units
 
 
 def wedderburn_malcev(alg: StructureAlgebra) -> WedderburnData:
@@ -370,102 +250,68 @@ def wedderburn_malcev(alg: StructureAlgebra) -> WedderburnData:
 
 
 def _decompose(alg: StructureAlgebra) -> WedderburnData:
+    """Blocks of A/J carried into A by a multiplicative section of A -> A/J."""
     j = radical(alg)
-    if j.is_zero():
-        blocks = semisimple_blocks(alg)
-        units = [subalgebra_unit(alg, b) for b in blocks]
-        return WedderburnData(
-            radical=j,
-            blocks=blocks,
-            block_units=units,
-            semisimple_part=Subspace.full(alg.dim),
-            quotient_dims=[b.dim for b in blocks],
-            quotient=None,
-        )
-
     quo = quotient_by_ideal(alg, j)
+    sigma = _multiplicative_section(alg, quo)
+    image = lambda qvec: _combination(qvec, sigma, alg.dim)
     qblocks = semisimple_blocks(quo.algebra)
-    qunits = [subalgebra_unit(quo.algebra, b) for b in qblocks]
-
-    blocks: list[Subspace] = []
-    units: list[list] = []
-    accepted_sum = [ZERO] * alg.dim  # sum of accepted central idempotents
-    for qb, qu in zip(qblocks, qunits):
-        e = quo.lift(qu)
-        e = _orthogonalize(alg, e, accepted_sum)
-        e = _lift_idempotent(alg, e)
-        if quo.project(e) != list(qu):
-            raise InternalVerificationFailed("lifted idempotent has wrong image")
-        accepted_sum = [a + b for a, b in zip(accepted_sum, e)]
-
-        corner = _corner(alg, e)
-        nil_part = corner.intersect(j)
-        if nil_part.is_zero():
-            block = corner
-            unit = e
-        elif qb.dim == 1:
-            block = Subspace.from_vectors(alg.dim, [e])
-            unit = e
-        else:
-            block, unit = _lift_matrix_block(alg, quo, qb, e, j)
-        blocks.append(block)
-        units.append(unit)
-
-    semisimple = blocks[0]
-    for b in blocks[1:]:
-        semisimple = semisimple.sum(b)
     return WedderburnData(
         radical=j,
-        blocks=blocks,
-        block_units=units,
-        semisimple_part=semisimple,
-        quotient_dims=[b.dim for b in qblocks],
-        quotient=quo,
+        blocks=[Subspace.from_vectors(alg.dim, [image(b) for b in qb.basis]) for qb in qblocks],
+        block_units=[image(subalgebra_unit(quo.algebra, qb)) for qb in qblocks],
+        semisimple_part=Subspace.from_vectors(alg.dim, sigma),
     )
 
 
-def _lift_matrix_block(alg, quo: QuotientAlgebra, qblock: Subspace, e: list, j: Subspace):
-    """Lift a matrix block entangled with the radical via matrix units."""
-    qunits = _block_matrix_units(quo.algebra, qblock)
-    r = len(qunits)
-    nil_bound = alg.dim
-    # orthogonal lifts of the diagonal idempotents, inside the corner of e
-    diag = []
-    partial = [ZERO] * alg.dim
-    for s in range(r):
-        g = alg.multiply(alg.multiply(e, quo.lift(qunits[s][s])), e)
-        g = _orthogonalize(alg, g, partial)
-        g = _lift_idempotent(alg, g)
-        diag.append(g)
-        partial = [a + b for a, b in zip(partial, g)]
-    units = [[None] * r for _ in range(r)]
-    units[0][0] = diag[0]
-    us = {0: diag[0]}
-    vs = {0: diag[0]}
-    for s in range(1, r):
-        u = alg.multiply(alg.multiply(diag[0], quo.lift(qunits[0][s])), diag[s])
-        v = alg.multiply(alg.multiply(diag[s], quo.lift(qunits[s][0])), diag[0])
-        w = alg.multiply(u, v)  # = e_11 + nilpotent in the corner of diag[0]
-        winv = _corner_inverse(alg, w, diag[0], nil_bound)
-        v = alg.multiply(v, winv)
-        us[s] = u
-        vs[s] = v
-    for s in range(r):
-        for t in range(r):
-            if s == 0 and t == 0:
-                continue
-            if s == 0:
-                units[0][t] = us[t]
-            elif t == 0:
-                units[s][0] = vs[s]
-            else:
-                units[s][t] = alg.multiply(vs[s], us[t])
-    flat = [units[s][t] for s in range(r) for t in range(r)]
-    block = Subspace.from_vectors(alg.dim, flat)
-    unit = [ZERO] * alg.dim
-    for s in range(r):
-        unit = [a + b for a, b in zip(unit, units[s][s])]
-    return block, unit
+def _multiplicative_section(alg: StructureAlgebra, quo: QuotientAlgebra) -> list[list]:
+    """sigma(e_a) for the quotient basis, with sigma(a)sigma(b) = sigma(ab).
+
+    Starts from the linear section quo.lift, which is multiplicative modulo
+    J.  If it is so modulo J^k, the defect f(a, b) = sigma(a)sigma(b) -
+    sigma(ab) lies in J^k, and sigma + t with t: A/J -> J^k is multiplicative
+    modulo J^(k+1) exactly when sigma(a)t(b) + t(a)sigma(b) - t(ab) = -f(a, b)
+    there: a 2-cocycle equation, solvable since H^2(A/J, -) = 0 for a
+    separable A/J (the principal theorem; Pierce, Associative Algebras, ch.
+    11).  One linear solve per power of J, and none when the section is
+    already multiplicative.
+    """
+    q = quo.algebra
+    sigma = [quo.lift(q.basis_vector(a)) for a in range(q.dim)]
+    image = lambda qvec: _combination(qvec, sigma, alg.dim)
+    pairs = [(a, b) for a in range(q.dim) for b in range(q.dim)]
+    power = quo.ideal
+    while not power.is_zero():
+        defect = [
+            [x - y for x, y in zip(alg.multiply(sigma[a], sigma[b]), image(q.constants[a][b]))]
+            for a, b in pairs
+        ]
+        if not any(any(v) for v in defect):
+            break
+        nxt = alg.subspace_product(power, quo.ideal)
+        target = [-x for v in defect for x in nxt.reduce(v)]
+        if any(target):
+            # unknown (c, w): the coefficient of w in t(e_c), w a basis vector of J^k
+            unknowns = [(c, list(w)) for c in range(q.dim) for w in power.basis]
+            rows = []
+            for c, w in unknowns:
+                row = []
+                for a, b in pairs:
+                    v = [-q.constants[a][b][c] * x for x in w]
+                    if b == c:
+                        v = [x + y for x, y in zip(v, alg.multiply(sigma[a], w))]
+                    if a == c:
+                        v = [x + y for x, y in zip(v, alg.multiply(w, sigma[b]))]
+                    row.extend(nxt.reduce(v))
+                rows.append(row)
+            coords = span_coordinates(rows)(target)
+            if coords is None:
+                raise InternalVerificationFailed("no correction of the section modulo J^(k+1)")
+            for x, (c, w) in zip(coords, unknowns):
+                if x:
+                    sigma[c] = [s + x * y for s, y in zip(sigma[c], w)]
+        power = nxt
+    return sigma
 
 
 def _verify_wedderburn(alg: StructureAlgebra, data: WedderburnData):

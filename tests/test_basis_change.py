@@ -30,12 +30,41 @@ from diffident.algebra import (
 from diffident.exponent import exp_differential, exp_ordinary, verify_gk
 from diffident.linalg import Matrix
 from diffident.piengine import codim
+from diffident import structure
 from diffident.structure import wedderburn_malcev
+
+
+def truncated_polynomials(m: int) -> StructureAlgebra:
+    """Q[t]/(t^m) in the basis 1, t, ..., t^(m-1)."""
+    constants = [
+        [[Fraction(int(k == i + j)) for k in range(m)] for j in range(m)] for i in range(m)
+    ]
+    return StructureAlgebra(constants, unit_vector=[1] + [0] * (m - 1), label=f"Q[t]/t^{m}")
+
+
+def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
+    """a (x) b in the basis e_i (x) f_p, listed as i * b.dim + p."""
+    m = b.dim
+    pairs = [(i, p) for i in range(a.dim) for p in range(m)]
+    constants = [
+        [[a.constants[i][j][k] * b.constants[p][q][r] for k, r in pairs] for j, q in pairs]
+        for i, p in pairs
+    ]
+    unit = [x * y for x in a.unit_vector for y in b.unit_vector]
+    return StructureAlgebra(constants, unit_vector=unit, label=f"{a.label}(x){b.label}")
+
+
+def mat2_over_dual_numbers() -> StructureAlgebra:
+    """M2(Q[t]/(t^2)): one 4-dimensional matrix block tangled with a
+    4-dimensional radical, so no idempotent lift alone splits it off."""
+    return tensor(full_matrix(2), truncated_polynomials(2))
+
 
 ALGEBRAS = {
     "ut3": lambda: ut(3),
     "ut2+mat2": lambda: direct_sum(ut(2), full_matrix(2)),
     "grassmann2+ut2": lambda: direct_sum(truncated_grassmann(2), ut(2)),
+    "mat2(Q[t]/t^2)": mat2_over_dual_numbers,
 }
 
 
@@ -109,6 +138,37 @@ def test_invariant_under_change_of_basis(name, basis_rng, action_seed):
     moved = _in_basis(alg, p, p_inv)
     moved_gens = [Derivation(p * d.matrix * p_inv, name=d.name) for d in gens]
     assert _invariants(moved, lie_closure(moved, moved_gens)) == expected
+
+
+def test_tangled_matrix_block_invariants():
+    alg = mat2_over_dual_numbers()
+    act = lie_closure(alg, _inner_pair(alg, 0))
+    got = _invariants(alg, act)
+    assert (got["radical"], got["blocks"], got["exp"], got["exp-L"]) == (4, [4], 4, 4)
+
+
+LIFT_CASES = {
+    "mat2(Q[t]/t^3)": lambda: tensor(full_matrix(2), truncated_polynomials(3)),
+    "ut2(Q[t]/t^2)": lambda: tensor(ut(2), truncated_polynomials(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CASES))
+@pytest.mark.parametrize("basis_seed", [0, 1])
+def test_section_is_multiplicative_and_lifts_the_quotient(name, basis_seed):
+    alg = LIFT_CASES[name]()
+    moved = _in_basis(alg, *_invertible(alg.dim, random.Random(basis_seed)))
+    j = structure.radical(moved)
+    quo = structure.quotient_by_ideal(moved, j)
+    sigma = structure._multiplicative_section(moved, quo)
+    q = quo.algebra
+    for a in range(q.dim):
+        assert j.member([x - y for x, y in zip(sigma[a], quo.lift(q.basis_vector(a)))])
+        for b in range(q.dim):
+            product = [Fraction(0)] * moved.dim
+            for c, coeff in enumerate(q.constants[a][b]):
+                product = [x + coeff * y for x, y in zip(product, sigma[c])]
+            assert moved.multiply(sigma[a], sigma[b]) == product
 
 
 def _fraction_multiply(alg: StructureAlgebra, u, v) -> list:

@@ -1,15 +1,19 @@
+import random
+
 import pytest
 
-from diffident.algebra import ad_unit, lie_closure, ut
+from diffident.algebra import Derivation, ad_unit, lie_closure, ut
 from diffident.cli import main
 from diffident.errors import NotMultilinear, ParseError, SizeCap
 from diffident.fileformat import (
+    AlgebraFile,
     check_multilinear,
     parse_algebra_file,
     parse_polynomial,
 )
 from diffident.shipped import identify_shipped, shipped_algebra_file
 from diffident import piengine as pe
+from test_basis_change import _in_basis, _inner_pair, _invertible, mat2_over_dual_numbers
 
 
 @pytest.fixture()
@@ -207,6 +211,18 @@ class TestCommands:
         path = self._gen(tmp_path, "ut2-eps")
         assert main(["verify-gk", path, "--action", "eps"]) == 0
         assert "verdict PASS" in capsys.readouterr().out
+
+    def test_verify_gk_on_a_matrix_block_tangled_with_the_radical(self, tmp_path, capsys):
+        # M2(Q[t]/(t^2)) in a dense rational basis, with a moved inner pair
+        alg = mat2_over_dual_numbers()
+        p, p_inv = _invertible(alg.dim, random.Random(0))
+        moved = _in_basis(alg, p, p_inv)
+        ders = [Derivation(p * d.matrix * p_inv, name=d.name) for d in _inner_pair(alg, 0)]
+        path = tmp_path / "mat2-dual.alg"
+        path.write_text(AlgebraFile.from_algebra("mat2-dual-moved", moved, ders).serialize())
+        assert main(["verify-gk", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "exp 4\nexp-L 4\nverdict PASS" in out
 
     def test_check_identity(self, tmp_path, capsys):
         path = self._gen(tmp_path, "ut2")

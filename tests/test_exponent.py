@@ -139,6 +139,41 @@ class TestDifferentialExponent:
             assert exp_ordinary(alg, wd).value == best_con
 
 
+def _block_triangular(sizes):
+    """UT(d_1, ..., d_k): block upper-triangular matrices with diagonal blocks
+    of sizes d_i, spanned by the matrix units e_ij with block(i) <= block(j)."""
+    block = [b for b, d in enumerate(sizes) for _ in range(d)]
+    pairs = [(i, j) for i in range(len(block)) for j in range(len(block)) if block[i] <= block[j]]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    dim = len(pairs)
+    constants = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            if j == k:
+                constants[a][b][index[(i, l)]] = Fraction(1)
+    unit = [int(i == j) for i, j in pairs]
+    return make_algebra(constants, unit_vector=unit, label=f"UT{tuple(sizes)}")
+
+
+class TestKnownFormula:
+    @pytest.mark.parametrize("sizes", [(2, 1), (1, 2)])
+    @pytest.mark.parametrize("action_seed", [0, 1])
+    def test_block_triangular_exponent_is_the_sum_of_squares(self, sizes, action_seed):
+        # exp(UT(d_1, ..., d_k)) = sum d_i^2 (Giambruno-Zaicev), and an inner
+        # action does not change it
+        alg = _block_triangular(sizes)
+        assert alg.dim == 7
+        rng = random.Random(action_seed)
+        gens = [
+            inner_derivation(alg, [Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)])
+            for _ in range(2)
+        ]
+        act = lie_closure(alg, gens)
+        expected = sum(d * d for d in sizes)
+        assert exp_ordinary(alg).value == expected
+        assert exp_differential(alg, act).value == expected
+
+
 class TestVerifyGk:
     def test_ut2_variants(self):
         u2 = ut(2)
