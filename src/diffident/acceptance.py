@@ -14,9 +14,6 @@ from functools import cache
 from itertools import permutations
 from typing import Iterator
 
-from sympy import QQ
-from sympy.polys.matrices import DomainMatrix
-
 from .algebra import (
     Derivation,
     ad_unit,
@@ -409,6 +406,9 @@ def criterion_11() -> CriterionResult:
 
 
 def criterion_12() -> CriterionResult:
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
     problems = []
     for seed in range(100):
         rng = random.Random(seed)

@@ -12,8 +12,10 @@ The algebra format is line oriented:
     <N rows of N rationals>
     end
 
-Serialization is canonical (table sorted, reduced rationals), so a
-generate/parse/serialize round trip is byte identical.
+A rational is an integer or p/q with an optional sign; decimal and
+exponent forms are refused.  Serialization is canonical (table sorted,
+reduced rationals), so a generate/parse/serialize round trip is byte
+identical.
 """
 
 from __future__ import annotations
@@ -95,11 +97,19 @@ class AlgebraFile:
         )
 
 
-def _rational(tok: str, where: str) -> Fraction:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {tok!r}", where)
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def parse_rational(tok: str, where: str) -> Fraction:
+    """An integer or p/q with an optional sign.  Decimal and exponent forms
+    are refused before Fraction sees them: Fraction("1e30000000") would
+    build a 30-million-digit integer."""
+    if _RATIONAL.fullmatch(tok):
+        try:
+            return Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"bad rational {tok!r}", where)
 
 
 def parse_algebra_file(text: str) -> AlgebraFile:
@@ -137,7 +147,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         parts = line.split()[1:]
         if len(parts) != dim:
             raise ParseError(f"unit needs {dim} coordinates", where)
-        unit = [_rational(p, where) for p in parts]
+        unit = [parse_rational(p, where) for p in parts]
         idx += 1
         line, where = current("table")
 
@@ -160,7 +170,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
         for x in (i, j, k):
             if not 1 <= x <= dim:
                 raise ParseError(f"index {x} out of range 1..{dim}", where)
-        v = _rational(parts[3], where)
+        v = parse_rational(parts[3], where)
         if v:
             table[(i, j, k)] = v
 
@@ -183,7 +193,7 @@ def parse_algebra_file(text: str) -> AlgebraFile:
                 raise ParseError(
                     f"derivation {dname} rows need {dim} entries", where
                 )
-            rows.append([_rational(p, where) for p in parts])
+            rows.append([parse_rational(p, where) for p in parts])
             idx += 1
         line, where = current("'end'")
         if line != "end":
@@ -299,7 +309,7 @@ class _PolyParser:
         kind, text, pos = self.peek()
         if kind == "rat":
             self.take()
-            coeff = _rational(text, f"offset {pos}")
+            coeff = parse_rational(text, f"offset {pos}")
             kind, text, _ = self.peek()
             if text == "*":
                 self.take()

@@ -13,8 +13,8 @@ from .algebra import (
     truncated_grassmann,
     ut,
 )
-from .errors import BadParams
-from .fileformat import AlgebraFile
+from .errors import BadParams, ParseError
+from .fileformat import AlgebraFile, parse_rational
 from .linalg import span_coordinates
 
 
@@ -34,8 +34,8 @@ def _int_param(name: str, text: str) -> int:
 
 def _rational_param(name: str, text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text, f"parameter {name}")
+    except ParseError:
         raise BadParams(f"parameter {name} must be a rational number, not {text!r}")
 
 

@@ -1,23 +1,18 @@
-"""Structure theory: Jacobson radical, simple blocks, Wedderburn-Malcev lifting."""
+"""Structure theory: Jacobson radical, simple blocks, Wedderburn-Malcev lifting.
+
+Everything is exact linear algebra over Q; the eigenvalues that split the
+semisimple part into blocks come from integer root isolation.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .algebra import LieAction, StructureAlgebra, subspace_under_action
 from .errors import InternalVerificationFailed, NonSplitCenter
-from .linalg import (
-    Matrix,
-    ZERO,
-    SparseRREF,
-    Subspace,
-    frac,
-    left_kernel,
-    span_coordinates,
-)
+from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, common_denominator, frac
+from .linalg import left_kernel, span_coordinates
 
 
 def radical(alg: StructureAlgebra) -> Subspace:
@@ -93,20 +88,8 @@ def quotient_by_ideal(alg: StructureAlgebra, ideal: Subspace) -> QuotientAlgebra
 # splitting a semisimple algebra into its minimal ideals
 
 
-def _restricted_matrix(alg: StructureAlgebra, space: Subspace, z) -> Matrix:
-    """Matrix of x -> z*x restricted to an invariant subspace, in its basis."""
-    solve = span_coordinates(space.basis)
-    rows = []
-    for b in space.basis:
-        coords = solve(alg.multiply(z, b))
-        if coords is None:
-            raise InternalVerificationFailed("subspace not invariant under center element")
-        rows.append(coords)
-    return Matrix.from_rows(rows)
-
-
-def _min_poly(m: Matrix) -> sympy.Poly:
-    x = sympy.Symbol("x")
+def _min_poly(m: Matrix) -> list[Fraction]:
+    """Monic minimal polynomial of m, coefficients constant term first."""
     power = Matrix.identity(m.rows)
     powers = SparseRREF(tagged=True)  # m^i under tag i
     powers.add_row(power.sparse(), tag=0)
@@ -114,26 +97,64 @@ def _min_poly(m: Matrix) -> sympy.Poly:
         power = power * m
         coords = powers.solve(power.sparse())
         if coords is not None:
-            poly = x**powers.rank - sum(
-                sympy.Rational(c.numerator, c.denominator) * x**i
-                for i, c in sorted(coords.items())
-            )
-            return sympy.Poly(poly, x, domain="QQ")
+            return [-coords.get(i, ZERO) for i in range(powers.rank)] + [ONE]
         powers.add_row(power.sparse(), tag=powers.rank)
 
 
+def _horner(p: list[int], x: int) -> int:
+    value = 0
+    for c in reversed(p):
+        value = value * x + c
+    return value
+
+
+def _root_brackets(p: list[int]) -> set[int]:
+    """Integers holding floor(r) and ceil(r) for every real root r of p.
+
+    p is a nonzero int polynomial, constant term first.  The cuts are the
+    Cauchy bound +-(1 + max |p_k|) and the brackets of p'.  Between two
+    cuts more than 1 apart p' has no root, so p is strictly monotone there
+    and a sign change is bisected down to width 1 (Rolle's theorem;
+    Collins-Loos, "Real zeros of polynomials", 1982).  All of it is exact
+    Horner evaluation on ints: no floats, no divisor enumeration.
+    """
+    if len(p) < 2:
+        return set()
+    bound = 1 + max(abs(c) for c in p)
+    cuts = sorted({-bound, bound} | _root_brackets([k * c for k, c in enumerate(p)][1:]))
+    out = set(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        at_lo = _horner(p, lo)
+        if hi - lo > 1 and at_lo * _horner(p, hi) < 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if at_lo * _horner(p, mid) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            out |= {lo, hi}
+    return out
+
+
 def _rational_eigenvalues(m: Matrix) -> list[Fraction]:
-    """All eigenvalues, raising NonSplitCenter on a non-linear factor."""
-    poly = _min_poly(m)
-    _, factors = poly.factor_list()
-    eigs = []
-    for fac, _mult in factors:
-        if fac.degree() > 1:
-            raise NonSplitCenter(f"irreducible factor {fac.as_expr()} of degree {fac.degree()}")
-        # linear factor a*x + b, eigenvalue -b/a
-        r = sympy.Rational(-fac.nth(0), fac.nth(1))
-        eigs.append(Fraction(int(r.p), int(r.q)))
-    return eigs
+    """The eigenvalues of m, whose minimal polynomial is squarefree.
+
+    With f = L * minpoly over Z of degree d, g(y) = L^(d-1) f(y/L) is monic
+    over Z, so its rational roots are the integers L * lambda.  For a
+    central element of a semisimple algebra the minimal polynomial is
+    squarefree, so NonSplitCenter is raised when fewer than d are found.
+    """
+    coeffs = _min_poly(m)
+    d = len(coeffs) - 1
+    lead = common_denominator(coeffs)
+    g = [int(c * lead) * lead ** (d - 1 - k) for k, c in enumerate(coeffs[:-1])] + [1]
+    roots = sorted(y for y in _root_brackets(g) if _horner(g, y) == 0)
+    if len(roots) < d:
+        raise NonSplitCenter(
+            f"minimal polynomial of a central element has degree {d}"
+            f" but {len(roots)} rational roots"
+        )
+    return [Fraction(y, lead) for y in roots]
 
 
 def center(alg: StructureAlgebra) -> Subspace:
@@ -152,45 +173,32 @@ def center(alg: StructureAlgebra) -> Subspace:
 def semisimple_blocks(alg: StructureAlgebra) -> list[Subspace]:
     """Minimal two-sided ideals of a semisimple algebra.
 
-    Splits A into common eigenspaces of left multiplication by a basis of the
-    center; NonSplitCenter is raised when a minimal polynomial does not factor
-    into linear factors over Q.
+    A central z acts on each block as a scalar, so the blocks are the
+    nonzero intersections, over a basis of the center, of the eigenspaces
+    of L_z on A.  NonSplitCenter is raised when a minimal polynomial of L_z
+    does not split into linear factors over Q.
     """
     if not radical(alg).is_zero():
         raise InternalVerificationFailed("semisimple_blocks called with nonzero radical")
-    z_basis = center(alg).basis
-    components = [Subspace.full(alg.dim)]
-    for z in z_basis:
-        refined = []
-        for comp in components:
-            m = _restricted_matrix(alg, comp, list(z))
-            eigs = _rational_eigenvalues(m)
-            if len(eigs) == 1:
-                refined.append(comp)
-                continue
-            for r in eigs:
-                shifted = Matrix.from_rows(
-                    [
-                        [x - (r if i == j else 0) for j, x in enumerate(row)]
-                        for i, row in enumerate(m.entries)
-                    ]
-                )
-                ker = left_kernel(shifted)  # in component coordinates
-                lifted = [
-                    [
-                        sum(c * b for c, b in zip(kv, col))
-                        for col in zip(*[list(bb) for bb in comp.basis])
-                    ]
-                    for kv in ker.basis
-                ]
-                refined.append(Subspace.from_vectors(alg.dim, lifted))
-        components = refined
-    components.sort(key=lambda s: (s.pivot_columns, s.basis))
-    for a in components:
-        for b in components:
+    n = alg.dim
+    blocks = [Subspace.full(n)]
+    for z in center(alg).basis:
+        lz = Matrix.from_rows([alg.multiply(z, alg.basis_vector(i)) for i in range(n)])
+        eigenspaces = [
+            left_kernel(lz - Matrix.identity(n).scale(r)) for r in _rational_eigenvalues(lz)
+        ]
+        blocks = [
+            part
+            for block in blocks
+            for space in eigenspaces
+            if not (part := block.intersect(space)).is_zero()
+        ]
+    blocks.sort(key=lambda s: (s.pivot_columns, s.basis))
+    for a in blocks:
+        for b in blocks:
             if a is not b and not alg.subspace_product(a, b).is_zero():
                 raise InternalVerificationFailed("block product nonzero")
-    return components
+    return blocks
 
 
 def _combination(coeffs, vectors, n: int) -> list:

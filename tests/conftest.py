@@ -1,7 +1,12 @@
-"""Shared fixtures: a non-unital algebra and seeded inner actions on it."""
+"""Shared fixtures: a non-unital algebra, seeded inner actions on it, and a
+fresh interpreter that imports diffident from this checkout."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +42,19 @@ def nonunital_actions():
         ]
         cases.append((label, alg, lie_closure(alg, gens)))
     return cases
+
+
+@pytest.fixture
+def fresh_python():
+    """run(script, timeout): the script's CompletedProcess in a new interpreter
+    whose PYTHONPATH starts with this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
+
+    def run(script: str, timeout: float = 120):
+        return subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=timeout
+        )
+
+    return run

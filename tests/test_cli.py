@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from diffident.algebra import Derivation, ad_unit, lie_closure, ut
 from diffident.cli import main
-from diffident.errors import NotMultilinear, ParseError, SizeCap
+from diffident.errors import DiffidentError, NotMultilinear, ParseError, SizeCap
 from diffident.fileformat import (
     AlgebraFile,
     check_multilinear,
@@ -79,6 +81,50 @@ class TestFileFormat:
         f = shipped_algebra_file("ut2", [])
         f.table[(2, 2, 2)] = 1
         assert identify_shipped(f) is None
+
+
+FUZZ_SEEDS = [
+    shipped_algebra_file("ut2-eps", []).serialize(),
+    shipped_algebra_file("ut2-eta", ["1", "1"]).serialize(),
+]
+# the format's own alphabet, plus decimal and exponent forms it refuses
+fuzz_pieces = st.sampled_from(
+    ["1e30000000", "E9", "1.5", "algebra", "dim", "unit", "table", "derivation", "end"]
+) | st.text(" \n0123456789-+/", min_size=1, max_size=3)
+
+
+@st.composite
+def mutated_files(draw):
+    """A shipped file after 1-3 insertions, deletions of 1-3 bytes, or
+    replacements of the rest of the token at the site."""
+    text = draw(st.sampled_from(FUZZ_SEEDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # uniform mutation sites
+    for _ in range(draw(st.integers(1, 3))):
+        at = rng.randint(0, len(text))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 3)) :]
+            continue
+        rest = re.match(r"\S*", text[at:]).end() if op == "replace" else 0
+        text = text[:at] + draw(fuzz_pieces) + text[at + rest :]
+    return text
+
+
+@seed(14)
+@settings(max_examples=300, deadline=2000)
+@given(text=mutated_files())
+def test_mutated_file_is_refused_with_a_location_or_round_trips(text):
+    try:
+        f = parse_algebra_file(text)
+    except ParseError as exc:
+        assert exc.location is not None
+        return
+    canonical = f.serialize()
+    assert parse_algebra_file(canonical).serialize() == canonical
+    try:
+        f.to_algebra()
+    except DiffidentError:
+        pass
 
 
 class TestPolynomialParser:
@@ -289,6 +335,38 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error input: ") and message.format(bad=bad) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name,old,new,message",
+        [
+            ("ut2", "1 1 1 1\n", "1 1 1 1e30000000\n", "bad rational '1e30000000' (at line 5)"),
+            ("ut2", "unit 1 0 1", "unit 1e30000000 0 1", "bad rational '1e30000000' (at line 3)"),
+            ("ut2-eps", "0 1 0\n", "0 1e30000000 0\n", "bad rational '1e30000000' (at line 12)"),
+            (None, None, None, "parameter ut2-eta alpha must be a rational number, not '1e300000000'"),
+        ],
+    )
+    def test_exponent_notation_is_refused_at_once(
+        self, tmp_path, fresh_python, name, old, new, message
+    ):
+        # Fraction("1e30000000") would build a 30-million-digit integer first
+        if name is None:
+            argv = ["gen", "ut2-eta", "1e300000000", "1"]
+        else:
+            path = tmp_path / f"{name}.alg"
+            path.write_text(shipped_algebra_file(name, []).serialize().replace(old, new, 1))
+            argv = ["radical", str(path)]
+        script = (
+            "import sys, time\n"
+            "from diffident.cli import main\n"
+            "start = time.perf_counter()\n"
+            f"code = main({argv!r})\n"
+            "print(code, time.perf_counter() - start)\n"
+        )
+        proc = fresh_python(script, timeout=30)
+        code, seconds = proc.stdout.split()
+        assert code == "2" and float(seconds) < 1
+        assert proc.stderr.startswith("error input: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_empty_algebra_file_names_end_of_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.alg"

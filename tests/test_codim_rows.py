@@ -14,14 +14,10 @@ It shares no integer table with the engine.
   polynomials and rational assignments.
 """
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import product as iproduct
 from math import factorial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -203,23 +199,6 @@ def test_draw_prime_matches_sympy_nextprime(seeds):
     # a denominator that one draw divides moves to the next attempt, as before
     p = _sympy_draw_prime(seeds[0], 1)
     assert draw_prime(seeds[0], 2 * p) == _sympy_draw_prime(seeds[0], 2 * p) != p
-
-
-def test_modular_codim_runs_without_sympy(tmp_path):
-    path = str(tmp_path / "ut2-eps.alg")
-    script = (
-        "import sys\n"
-        "from diffident.cli import main\n"
-        f"assert main(['gen', 'ut2-eps', '-o', {path!r}]) == 0\n"
-        f"assert main(['codim', {path!r}, '--max-n', '3', '--mode', 'modular']) == 0\n"
-        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert "n 3 c 13" in proc.stdout
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -174,6 +174,41 @@ class TestKnownFormula:
         assert exp_differential(alg, act).value == expected
 
 
+    # the exponent of each summand: n for UT_n, n^2 for M_n, 1 for a
+    # Grassmann algebra (Giambruno-Zaicev)
+    SUMMANDS = {
+        "ut2": (lambda: ut(2), 2),
+        "ut3": (lambda: ut(3), 3),
+        "mat2": (lambda: full_matrix(2), 4),
+        "grassmann2": (lambda: truncated_grassmann(2), 1),
+    }
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            ("ut2", "ut3"),
+            ("ut3", "mat2"),
+            ("mat2", "ut2"),
+            ("grassmann2", "ut2"),
+            ("grassmann2", "mat2"),
+            ("ut3", "grassmann2"),
+        ],
+    )
+    def test_direct_sum_exponent_is_the_larger(self, left, right):
+        # exp(A + B) = max(exp A, exp B), and an inner action does not change it
+        (make_a, exp_a), (make_b, exp_b) = self.SUMMANDS[left], self.SUMMANDS[right]
+        a, b = make_a(), make_b()
+        assert [exp_ordinary(a).value, exp_ordinary(b).value] == [exp_a, exp_b]
+        alg = direct_sum(a, b)
+        rng = random.Random(0)
+        gens = [
+            inner_derivation(alg, [Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)])
+            for _ in range(2)
+        ]
+        assert exp_ordinary(alg).value == max(exp_a, exp_b)
+        assert exp_differential(alg, lie_closure(alg, gens)).value == max(exp_a, exp_b)
+
+
 class TestVerifyGk:
     def test_ut2_variants(self):
         u2 = ut(2)

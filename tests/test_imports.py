@@ -1,4 +1,5 @@
-"""Modules of the package use only each other's public names."""
+"""Modules of the package use only each other's public names, and the engine
+loads no sympy: it is only the oracle of battery criterion 12 and the tests."""
 
 import ast
 from pathlib import Path
@@ -19,3 +20,24 @@ def test_no_module_imports_a_private_name_from_another():
                 if internal and alias.name.startswith("_")
             ]
     assert not offenders, offenders
+
+
+def test_engine_commands_load_no_sympy(tmp_path, fresh_python):
+    dsum = str(tmp_path / "dsum.alg")
+    eps = str(tmp_path / "ut2-eps.alg")
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import diffident\n"
+        "from diffident.cli import main\n"
+        "for module in pkgutil.iter_modules(diffident.__path__):\n"
+        "    importlib.import_module('diffident.' + module.name)\n"
+        f"assert main(['gen', 'dsum', 'utn:3', 'matn:2', '-o', {dsum!r}]) == 0\n"
+        "for cmd in ('decompose', 'exponent', 'verify-gk', 'classify'):\n"
+        f"    assert main([cmd, {dsum!r}]) == 0, cmd\n"
+        f"assert main(['gen', 'ut2-eps', '-o', {eps!r}]) == 0\n"
+        f"assert main(['codim', {eps!r}, '--max-n', '3', '--mode', 'modular']) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    proc = fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert "n 3 c 13" in proc.stdout

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from diffident.algebra import (
     StructureAlgebra,
@@ -11,7 +12,9 @@ from diffident.algebra import (
     truncated_grassmann,
     ut,
 )
+from diffident.cli import main
 from diffident.errors import NonSplitCenter
+from diffident.fileformat import AlgebraFile
 
 from diffident.structure import (
     center,
@@ -36,6 +39,42 @@ def _algebra_with_nilpotent_part():
     c[0][1] = [F0, F1]  # a*j = j
     c[1][0] = [F0, F1]  # j*a = j
     return StructureAlgebra(c, label="lift-fixture")
+
+
+def _polynomial_algebra(f):
+    """(Q[x]/(f), x) in the basis 1, x, ..., x^(d-1), for monic f given
+    constant term first."""
+    d = len(f) - 1
+    powers = [[F1] + [F0] * (d - 1)]  # x^k reduced modulo f
+    for _ in range(max(2 * d - 2, 1)):
+        top = powers[-1][-1]
+        shifted = [F0] + powers[-1][:-1]
+        powers.append([a - top * c for a, c in zip(shifted, f)])
+    c = [[powers[i + j] for j in range(d)] for i in range(d)]
+    return StructureAlgebra(c, unit_vector=powers[0], label="Q[x]/(f)"), powers[1]
+
+
+def _times(p, q):
+    out = [F0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _with_roots(roots):
+    f = [F1]
+    for r in roots:
+        f = _times(f, [-r, F1])
+    return f
+
+
+distinct_roots = st.lists(
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 50)),
+    min_size=1,
+    max_size=4,
+    unique=True,
+)
 
 
 class TestRadical:
@@ -78,15 +117,43 @@ class TestBlocks:
         assert [b.dim for b in blocks] == [4]
 
     def test_nonsplit_center_detected(self):
-        # F[s]/(s^2 - 2), a field extension: no rational block split exists
-        c = [[[F0, F0], [F0, F0]] for _ in range(2)]
-        c[0][0] = [F1, F0]
-        c[0][1] = [F0, F1]
-        c[1][0] = [F0, F1]
-        c[1][1] = [Fraction(2), F0]
-        ext = StructureAlgebra(c, unit_vector=[1, 0], label="Q(sqrt2)")
+        # Q[s]/(s^2 - 2), a field extension: no rational block split exists
+        with pytest.raises(NonSplitCenter, match="degree 2 but 0 rational roots"):
+            semisimple_blocks(_polynomial_algebra([-2, 0, 1])[0])
+
+    def test_nonsplit_center_exits_2_from_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "sqrt2.alg"
+        alg = _polynomial_algebra([-2, 0, 1])[0]
+        path.write_text(AlgebraFile.from_algebra("Q(sqrt2)", alg).serialize())
+        assert main(["decompose", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error input: ") and "rational roots" in err
+        assert "Traceback" not in err
+
+    @seed(14)
+    @settings(max_examples=25, deadline=None)
+    @given(roots=distinct_roots)
+    def test_split_polynomial_algebra_has_a_block_per_root(self, roots):
+        alg, x = _polynomial_algebra(_with_roots(roots))
+        assert [b.dim for b in semisimple_blocks(alg)] == [1] * len(roots)
+        units = wedderburn_malcev(alg).block_units
+        assert [sum(col) for col in zip(*units)] == alg.unit_vector
+        eigenvalues = []
+        for u in units:
+            assert alg.multiply(u, u) == u
+            xu = alg.multiply(x, u)
+            r = next(b / a for a, b in zip(u, xu) if a)
+            assert xu == [r * a for a in u]
+            eigenvalues.append(r)
+        assert sorted(eigenvalues) == sorted(roots)
+
+    @seed(14)
+    @settings(max_examples=15, deadline=None)
+    @given(roots=distinct_roots, factor=st.sampled_from([[-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1]]))
+    def test_irrational_factor_raises_nonsplit_center(self, roots, factor):
+        alg, _ = _polynomial_algebra(_times(_with_roots(roots), [Fraction(c) for c in factor]))
         with pytest.raises(NonSplitCenter):
-            semisimple_blocks(ext)
+            semisimple_blocks(alg)
 
     def test_center_of_mat2_is_scalars(self):
         z = center(full_matrix(2))
