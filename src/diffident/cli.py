@@ -118,7 +118,7 @@ def _emit(out) -> None:
 def cmd_gen(args, cfg) -> int:
     from .shipped import shipped_algebra_file
 
-    f = shipped_algebra_file(args.name, args.params)
+    f = shipped_algebra_file(args.name, args.params, cfg["max_entries"])
     text = f.serialize()
     if args.output:
         try:

@@ -10,9 +10,13 @@ Two exponent representations coexist:
 
 Evaluation runs on integers.  EvaluationRows gives the rows of codim,
 identity_space and containment_check, and is_identity sums its rows over a
-polynomial's collapsed terms.  evaluate_poly, at an arbitrary rational
-assignment, goes through the same integer product table of the algebra and
-the integer form of each word's operator (word_matrix).
+polynomial's collapsed terms.  A row's columns carry one int label each,
+ordered like (basis tuple, output coordinate), so the eliminator compares
+and hashes ints.  The rank-only pass of codim skips zero rows and rows that
+repeat an earlier one up to scale; the kernel passes feed every row.
+evaluate_poly, at an arbitrary rational assignment, goes through the same
+integer product table of the algebra and the integer form of each word's
+operator (word_matrix).
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .algebra import LieAction, StructureAlgebra, integer_product
 from .errors import (
@@ -287,14 +292,16 @@ def monomial_count(n: int, env_dim: int) -> int:
 class EvaluationRows:
     """Integer evaluation rows of an algebra under a list of operators.
 
-    Row (vars, exps) maps (basis tuple indexed by variable, output coordinate)
-    to the value of the monomial whose variable in position i carries
-    ops[exps[i]].  Denominators are cleared once: D_a for the applied-operator
-    table, D_c for the structure constants (the algebra's integer_table).
-    Every degree-n row is then the rational row times D_a^n * D_c^(n-1), one
-    scale for all rows of a degree, so ranks and left kernels are those of
-    the rational rows.  Modulo a prime dividing `denominator` that scale
-    vanishes, so such a prime is refused.
+    Row (vars, exps) maps a column to the value of the monomial whose
+    variable in position i carries ops[exps[i]].  Column (t, k), for the
+    basis tuple t indexed by variable and the output coordinate k, is the
+    int label (sum_i t_i * dim^(n-i)) * dim + k, which sorts like (t, k);
+    label_tuple reads t back.  Denominators are cleared once: D_a for the
+    applied-operator table, D_c for the structure constants (the algebra's
+    integer_table).  Every degree-n row is then the rational row times
+    D_a^n * D_c^(n-1), one scale for all rows of a degree, so ranks and left
+    kernels are those of the rational rows.  Modulo a prime dividing
+    `denominator` that scale vanishes, so such a prime is refused.
     """
 
     def __init__(self, alg: StructureAlgebra, ops: list[Matrix]):
@@ -302,12 +309,28 @@ class EvaluationRows:
         d_a = lcm(*(d for d, _rows in forms))
         d_c, self.products = alg.integer_table
         self.denominator = d_a * d_c
+        self.dim = alg.dim
         self.width = len(ops)
         # by_op[u] = [(b, {k: D_a * (e_b acted by ops[u])_k}), ...], nonzero only
         self.by_op = [
             [(b, {k: x * (d_a // d) for k, x in row}) for b, row in enumerate(rows) if row]
             for d, rows in forms
         ]
+
+    def _weights(self, vars_: tuple) -> list:
+        """The label weight of each position: dim^(n+1-v) for its variable v,
+        so that a positional basis tuple bt sits at sum(bt[i] * weight[i])."""
+        n, dim = len(vars_), self.dim
+        return [dim ** (n + 1 - v) for v in vars_]
+
+    def label_tuple(self, label: int, n: int) -> tuple:
+        """The basis tuple, indexed by variable, of a degree-n column label."""
+        t, _k = divmod(label, self.dim)
+        out = []
+        for _ in range(n):
+            t, b = divmod(t, self.dim)
+            out.append(b)
+        return tuple(reversed(out))
 
     def _positional_table(
         self, n: int, max_entries: int, wanted: set | None = None
@@ -348,7 +371,8 @@ class EvaluationRows:
         return level, stored
 
     def rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-        """Rows in monomial_basis order: a variable order relabels the keys.
+        """Rows in monomial_basis order: a variable order reweights the
+        positions of the labels.
 
         The positional table and the rows streamed so far count against
         max_entries.
@@ -359,12 +383,12 @@ class EvaluationRows:
         for vars_, exps in monomials:
             if vars_ != vars_at:
                 vars_at = vars_
-                pos = [vars_.index(v) for v in range(1, n + 1)]
+                weights = self._weights(vars_)
             row = {}
             for bt, prod in table[exps]:
-                key = tuple([bt[i] for i in pos])
+                base = sum(map(mul, bt, weights))
                 for k, c in prod.items():
-                    row[(key, k)] = c
+                    row[base + k] = c
             stored += len(row)
             if stored > max_entries:
                 raise SizeCap(f"stored entries exceed the budget {max_entries}")
@@ -374,10 +398,10 @@ class EvaluationRows:
         self, n: int, combos: list[dict], max_entries: int = DEFAULT_MAX_ENTRIES
     ) -> list[dict]:
         """For each combination {(vars, exps): c} of degree-n monomials, the
-        integer row sum c * row(vars, exps), keyed as in rows().
+        integer row sum c * row(vars, exps), labelled as in rows().
 
         Each row is the rational one times a positive integer, so it has the
-        same nonzero keys, and a set of them the same rank.  Only the
+        same nonzero labels, and a set of them the same rank.  Only the
         exponent tuples the combinations use are built.
         """
         wanted = {exps for combo in combos for _vars, exps in combo}
@@ -388,13 +412,34 @@ class EvaluationRows:
             row: dict = {}
             for (vars_, exps), c in combo.items():
                 c = c.numerator * (scale // c.denominator)
-                pos = [vars_.index(v) for v in range(1, n + 1)]
+                weights = self._weights(vars_)
                 for bt, prod in table[exps]:
-                    key = tuple([bt[i] for i in pos])
+                    base = sum(map(mul, bt, weights))
                     for k, x in prod.items():
-                        row[(key, k)] = row.get((key, k), 0) + c * x
-            out.append({key: x for key, x in row.items() if x})
+                        row[base + k] = row.get(base + k, 0) + c * x
+            out.append({label: x for label, x in row.items() if x})
         return out
+
+
+def _normal_form(row: dict, prime: int | None) -> tuple | None:
+    """row up to a nonzero scale, as (*columns, *values) in column order, or
+    None when it is zero.  Exact: the primitive integer row with a positive
+    lead.  Modulo prime: the nonzero residues scaled to lead 1, the form the
+    eliminator works in (a content divisible by prime must not be divided
+    out, since that would change the rank)."""
+    if not row:
+        return None
+    if prime is None:
+        cols = sorted(row)
+        g = gcd(*row.values())
+        if row[cols[0]] < 0:
+            g = -g
+        return (*cols, *[row[c] // g for c in cols])
+    cols = sorted(c for c, x in row.items() if x % prime)
+    if not cols:
+        return None
+    inv = pow(row[cols[0]], -1, prime)
+    return (*cols, *[row[c] * inv % prime for c in cols])
 
 
 def _row_pass(
@@ -405,11 +450,23 @@ def _row_pass(
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> SparseRREF:
     """Feed each row, tagged with its monomial_basis index, to one
-    eliminator: exact over Q, or modulo prime."""
+    eliminator: exact over Q, or modulo prime.
+
+    With track_kernel every row is fed, since each tag needs its kernel
+    vector.  A rank-only pass skips the rows that cannot raise the rank:
+    zero rows, and rows whose _normal_form was fed before (a nonzero
+    multiple of an earlier row).
+    """
     if prime is not None and rows.denominator % prime == 0:
         raise DenominatorDivisibleByPrime(f"{prime} divides {rows.denominator}")
     rr = SparseRREF(track_kernel=track_kernel, prime=prime)
+    seen = None if track_kernel else set()
     for tag, row in enumerate(rows.rows(n, max_entries)):
+        if seen is not None:
+            form = _normal_form(row, prime)
+            if form is None or form in seen:
+                continue
+            seen.add(form)
         rr.add_row(row, tag=tag)
     return rr
 
@@ -548,7 +605,7 @@ def is_identity(
     rows = EvaluationRows(alg, act.envelope.op_basis)
     (row,) = rows.combined_rows(n, [collapsed_terms(f, act)], max_entries)
     if row:
-        return (False, min(tup for tup, _k in row)) if witness else False
+        return (False, rows.label_tuple(min(row), n)) if witness else False
     return (True, None) if witness else True
 
 

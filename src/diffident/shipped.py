@@ -13,9 +13,10 @@ from .algebra import (
     truncated_grassmann,
     ut,
 )
-from .errors import BadParams, ParseError
+from .errors import BadParams, ParseError, SizeCap
 from .fileformat import AlgebraFile, parse_rational
 from .linalg import span_coordinates
+from .piengine import DEFAULT_MAX_ENTRIES
 
 
 def _eta_matrix(alpha, beta):
@@ -39,21 +40,52 @@ def _rational_param(name: str, text: str) -> Fraction:
         raise BadParams(f"parameter {name} must be a rational number, not {text!r}")
 
 
-def _sub_spec(spec: str) -> StructureAlgebra:
-    """Parse a dsum component like 'ut2', 'utn:3', 'matn:2', 'grassmann-k:2'."""
+# sized families: parameter name, constructor, dimension at a parameter >= 1
+_SIZED = {
+    "utn": ("n", ut, lambda n: n * (n + 1) // 2),
+    "matn": ("n", full_matrix, lambda n: n * n),
+    "grassmann-k": ("k", truncated_grassmann, lambda k: 2**k),
+}
+
+
+def _sized(family: str, text: str, max_entries: int) -> tuple[int, int]:
+    """(parameter, dimension) of a sized family; the dimension is 0 below 1,
+    where the constructor refuses the parameter.  A Grassmann exponent is
+    clipped at the budget's bit length, past which 2^k already exceeds it."""
+    param, _build, dimension = _SIZED[family]
+    n = _int_param(f"{family} {param}", text)
+    if n < 1:
+        return n, 0
+    if family == "grassmann-k":
+        return n, dimension(min(n, max(max_entries, 0).bit_length()))
+    return n, dimension(n)
+
+
+def _charge(what: str, dim: int, max_entries: int) -> None:
+    """Refuse a built-in whose dim^3 structure constants exceed max_entries,
+    before anything is built."""
+    if dim**3 > max_entries:
+        raise SizeCap(f"{what}: dim^3 structure constants exceed the budget {max_entries}")
+
+
+def _sub_spec(spec: str, max_entries: int) -> tuple:
+    """Parse a dsum component like 'ut2', 'utn:3', 'matn:2', 'grassmann-k:2'
+    into (constructor call, dimension)."""
     name, _, param = spec.partition(":")
     if name == "ut2":
-        return ut(2)
-    if name == "utn":
-        return ut(_int_param(f"{name} n", param or "0"))
-    if name == "matn":
-        return full_matrix(_int_param(f"{name} n", param or "0"))
-    if name == "grassmann-k":
-        return truncated_grassmann(_int_param(f"{name} k", param or "0"))
+        return (lambda: ut(2)), 3
+    if name in _SIZED:
+        n, dim = _sized(name, param or "0", max_entries)
+        return (lambda: _SIZED[name][1](n)), dim
     raise BadParams(f"unknown dsum component {spec!r}")
 
 
-def shipped_algebra_file(name: str, params: list[str]) -> AlgebraFile:
+def shipped_algebra_file(
+    name: str, params: list[str], max_entries: int = DEFAULT_MAX_ENTRIES
+) -> AlgebraFile:
+    """The named built-in.  The sized families (utn, matn, grassmann-k, dsum)
+    charge dim^3 structure constants to max_entries and raise SizeCap,
+    naming the parameter, before they build anything."""
     if name == "ut2":
         if params:
             raise BadParams("ut2 takes no parameters")
@@ -74,26 +106,21 @@ def shipped_algebra_file(name: str, params: list[str]) -> AlgebraFile:
         f = AlgebraFile.from_algebra("ut2-eta", ut(2))
         f.derivations = [("eta", _eta_matrix(alpha, beta))]
         return f
-    if name == "utn":
+    if name in _SIZED:
+        param, build, _ = _SIZED[name]
         if len(params) != 1:
-            raise BadParams("utn takes the size n")
-        n = _int_param("utn n", params[0])
-        return AlgebraFile.from_algebra(f"utn-{n}", ut(n))
-    if name == "matn":
-        if len(params) != 1:
-            raise BadParams("matn takes the size n")
-        n = _int_param("matn n", params[0])
-        return AlgebraFile.from_algebra(f"matn-{n}", full_matrix(n))
-    if name == "grassmann-k":
-        if len(params) != 1:
-            raise BadParams("grassmann-k takes the generator count k")
-        k = _int_param("grassmann-k k", params[0])
-        return AlgebraFile.from_algebra(f"grassmann-{k}", truncated_grassmann(k))
+            what = "the size n" if param == "n" else "the generator count k"
+            raise BadParams(f"{name} takes {what}")
+        n, dim = _sized(name, params[0], max_entries)
+        _charge(f"parameter {name} {param} = {n}", dim, max_entries)
+        label = "grassmann" if name == "grassmann-k" else name
+        return AlgebraFile.from_algebra(f"{label}-{n}", build(n))
     if name == "dsum":
         if len(params) != 2:
             raise BadParams("dsum takes two component specs")
-        a, b = _sub_spec(params[0]), _sub_spec(params[1])
-        alg = direct_sum(a, b)
+        (build_a, dim_a), (build_b, dim_b) = (_sub_spec(p, max_entries) for p in params)
+        _charge(f"dsum {params[0]} {params[1]}", dim_a + dim_b, max_entries)
+        alg = direct_sum(build_a(), build_b())
         label = f"dsum-{params[0]}-{params[1]}".replace(":", "")
         return AlgebraFile.from_algebra(label, alg)
     raise BadParams(f"unknown generator {name!r}")

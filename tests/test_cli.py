@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -307,6 +308,32 @@ class TestCommands:
 
     def test_bad_generator_name_is_input_error(self, capsys):
         assert main(["gen", "nosuch"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gen", "matn", "100"], "parameter matn n = 100"),
+            (["gen", "grassmann-k", "40"], "parameter grassmann-k k = 40"),
+            (["gen", "grassmann-k", "9" * 40], f"parameter grassmann-k k = {'9' * 40}"),
+            (["gen", "dsum", "ut2", "utn:1000"], "dsum ut2 utn:1000"),
+        ],
+    )
+    def test_large_generator_exits_3_before_building(self, capsys, argv, message):
+        # dim^3 structure constants are charged to max_entries up front
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error budget: ") and message in err
+        assert "exceed the budget 10000000" in err
+
+    def test_generator_budget_follows_the_config(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "config"
+        cfg.write_text("max_entries=63\n")
+        monkeypatch.setenv("DIFFIDENT_CONFIG", str(cfg))
+        assert main(["gen", "grassmann-k", "2"]) == 3  # 4^3 = 64 constants
+        assert main(["gen", "utn", "2"]) == 0  # 3^3 = 27
+        assert "algebra utn-2" in capsys.readouterr().out
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["radical", "/nonexistent/file.alg"]) == 2

@@ -298,3 +298,138 @@ def test_evaluation_rank_matches_sympy(family, n):
     polys += [polys[0] + polys[-1], polys[-1].scale(Fraction(2, 3))]
     expected = _qq_rank([_value_row(p, act) for p in polys], act.algebra.dim ** (n + 1))
     assert acceptance._evaluation_rank(polys, act) == expected == len(polys) - 2
+
+
+# ---------------------------------------------------------------------------
+# integer column labels and the rank-only row skip
+
+
+@pytest.mark.parametrize("name", ["ut2-eps", "rational-ut2-eps"])
+def test_labels_index_the_value_rows_in_lex_order(name):
+    """Label (t, k) is the position of coordinate k of the basis tuple t in
+    _value_row, so labels sort like (t, k): each rows() row is the Fraction
+    value row of its monomial times one positive scale per degree."""
+    act = ACTIONS[name]
+    rows = pe.EvaluationRows(act.algebra, act.envelope.op_basis)
+    dim = act.algebra.dim
+    for n in (1, 2, 3):
+        tuples = list(iproduct(range(dim), repeat=n))
+        scale = None
+        monomials = pe.monomial_basis(n, act.envelope.dim)
+        for (vars_, exps), row in zip(monomials, rows.rows(n)):
+            words = tuple(act.envelope.word_reps[u] for u in exps)
+            values = _value_row(pe.LPolynomial.from_terms({(vars_, words): 1}), act)
+            assert set(row) == {label for label, x in enumerate(values) if x}
+            for label, x in row.items():
+                scale = scale or x / values[label]
+                assert x == scale * values[label]
+                assert rows.label_tuple(label, n) == tuples[label // dim]
+            assert sorted(row) == sorted(row, key=lambda l: (rows.label_tuple(l, n), l % dim))
+        assert scale > 0
+
+
+@pytest.mark.parametrize("name", ["mat2-ad11", "rational-ut2-eps"])
+def test_one_monomial_combination_is_its_row(name):
+    act = ACTIONS[name]
+    rows = pe.EvaluationRows(act.algebra, act.envelope.op_basis)
+    n = 2
+    monomials = list(pe.monomial_basis(n, act.envelope.dim))
+    combos = [{mono: Fraction(1)} for mono in monomials]
+    assert rows.combined_rows(n, combos) == list(rows.rows(n))
+
+
+class _StreamedRows:
+    """The two attributes _row_pass reads, over a fixed list of rows."""
+
+    denominator = 1
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def rows(self, n, max_entries):
+        return iter(self.stream)
+
+
+def _fed_rank(rows, n, prime=None):
+    """(rank of a rank-only _row_pass, number of rows it fed)."""
+    fed = []
+    add_row = pe.SparseRREF.add_row
+
+    def counting(rr, row, tag=None):
+        fed.append(tag)
+        return add_row(rr, row, tag)
+
+    pe.SparseRREF.add_row = counting
+    try:
+        rank = pe._row_pass(rows, n, prime=prime).rank
+    finally:
+        pe.SparseRREF.add_row = add_row
+    return rank, len(fed)
+
+
+def _gf_rank(rows, width, p):
+    from sympy import GF
+
+    K = GF(p)
+    dense = [[K(row.get(c, 0)) for c in range(width)] for row in rows]
+    return DomainMatrix(dense, (len(rows), width), K).rank()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_modular_row_skip_keeps_the_gf_rank(p):
+    """Integer operators on mat2 with multiples of p mixed in: some rows
+    vanish mod p, some repeat others only mod p, and some have leads
+    divisible by p.  The skipping pass must keep the rank over GF(p) of
+    every row."""
+    m2 = full_matrix(2)
+    rng = random.Random(p)
+
+    def op():
+        return Matrix.from_rows([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)])
+
+    base = op()
+    other = op()
+    # p * base comes first: its rows vanish mod p, though over Z they are
+    # the rows of base up to scale
+    ops = [Matrix.identity(4), base.scale(p), base, other + op().scale(p), other, op().scale(p)]
+    rows = pe.EvaluationRows(m2, ops)
+    assert rows.denominator % p
+    n = 2
+    stream = list(rows.rows(n))
+    leads = [row[min(row)] for row in stream if row]
+    assert any(x % p == 0 for x in leads)
+    assert any(row and all(x % p == 0 for x in row.values()) for row in stream)
+    rank, fed = _fed_rank(rows, n, prime=p)
+    assert rank == _gf_rank(stream, 4 ** (n + 1), p)
+    assert fed < len([row for row in stream if row])
+    # without skipping, the eliminator gives the same rank
+    assert pe._row_pass(rows, n, prime=p, track_kernel=True).rank == rank
+
+
+sparse_rows = st.dictionaries(
+    st.integers(0, 11), st.integers(-6, 6).filter(bool), min_size=1, max_size=5
+)
+
+
+@seed(15)
+@settings(max_examples=60, deadline=None)
+@given(
+    distinct=st.lists(sparse_rows, min_size=1, max_size=8),
+    repeats=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(-5, 5)), max_size=20
+    ),
+    order=st.randoms(use_true_random=False),
+)
+def test_exact_row_skip_keeps_the_rank_of_the_distinct_rows(distinct, repeats, order):
+    """Negated and scaled repeats, and zero rows (scale 0), fed among the
+    rows they repeat: the rank is that of the distinct rows alone."""
+    stream = list(distinct)
+    for i, c in repeats:
+        row = distinct[i % len(distinct)]
+        stream.append({col: c * x for col, x in row.items() if c * x})
+    order.shuffle(stream)
+    expected = _qq_rank([[Fraction(row.get(c, 0)) for c in range(12)] for row in distinct], 12)
+    rank, fed = _fed_rank(_StreamedRows(stream), 1)
+    assert rank == expected
+    assert fed <= len(distinct)
+    assert _fed_rank(_StreamedRows(stream), 1, prime=1_000_003)[0] == expected
