@@ -136,9 +136,6 @@ class Derivation:
     matrix: Matrix
     name: str = ""
 
-    def apply(self, v: Sequence) -> list:
-        return self.matrix.apply(v)
-
 
 def make_algebra(constants, unit_vector=None, label: str = "") -> StructureAlgebra:
     return StructureAlgebra(constants, unit_vector=unit_vector, label=label)

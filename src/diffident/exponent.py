@@ -16,6 +16,9 @@ from .algebra import (
 from .linalg import Matrix, SparseRREF, Subspace
 from .structure import WedderburnData, wedderburn_malcev
 
+# highest degree at which classify_growth looks for exclusion certificates
+EVIDENCE_CAP = 4
+
 
 @dataclass
 class ExponentReport:
@@ -182,9 +185,7 @@ def _reference_action(template: str, alphabet_size: int) -> LieAction:
     return lie_closure(u2, gens)
 
 
-def classify_growth(
-    alg: StructureAlgebra, act: LieAction, evidence_cap: int = 4
-) -> GrowthReport:
+def classify_growth(alg: StructureAlgebra, act: LieAction) -> GrowthReport:
     """Polynomial iff the differential exponent is at most 1.
 
     When the acting Lie closure is solvable, degree-capped exclusion evidence
@@ -205,7 +206,7 @@ def classify_growth(
                 continue
             ref = _reference_action(template, m)
             found = None
-            for n in range(2, evidence_cap + 1):
+            for n in range(2, EVIDENCE_CAP + 1):
                 contained, cert = containment_check(act, ref, n)
                 if not contained:
                     found = (n, cert)

@@ -178,11 +178,7 @@ def left_kernel(m: Matrix) -> "Subspace":
     rr = SparseRREF(track_kernel=True)
     for i, row in enumerate(m.entries):
         rr.add_row(dict(enumerate(row)), tag=i)
-    # the kernel combinations are independent; one more pass makes them canonical
-    kernel = SparseRREF()
-    for combo in rr.kernel:
-        kernel.add_row(combo)
-    return Subspace.from_eliminator(m.rows, kernel)
+    return Subspace.from_kernel(m.rows, rr)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +271,15 @@ class Subspace:
         """Span of the rows fed to an exact eliminator with columns
         0..ambient_dim-1."""
         return cls._read_out(ambient_dim, rr.reduced_basis())
+
+    @classmethod
+    def from_kernel(cls, ambient_dim: int, rr: "SparseRREF") -> "Subspace":
+        """Left kernel of the rows fed to a track_kernel eliminator, tagged
+        0..ambient_dim-1: one more pass makes its kernel vectors canonical."""
+        kernel = SparseRREF()
+        for combo in rr.kernel:
+            kernel.add_row(combo)
+        return cls.from_eliminator(ambient_dim, kernel)
 
     @classmethod
     def _read_out(cls, ambient_dim: int, rows: list) -> "Subspace":

@@ -12,8 +12,10 @@ Evaluation runs on integers.  EvaluationRows gives the rows of codim,
 identity_space and containment_check, and is_identity sums its rows over a
 polynomial's collapsed terms.  A row's columns carry one int label each,
 ordered like (basis tuple, output coordinate), so the eliminator compares
-and hashes ints.  The rank-only pass of codim skips zero rows and rows that
-repeat an earlier one up to scale; the kernel passes feed every row.
+and hashes ints.  codim and containment_check skip zero rows and rows that
+repeat an earlier one up to scale; containment_check stops at the first
+joint row [A | B] that raises the joint rank but not A's.  Only
+identity_space feeds every row, each for its kernel vector.
 evaluate_poly, at an arbitrary rational assignment, goes through the same
 integer product table of the algebra and the integer form of each word's
 operator (word_matrix).
@@ -446,28 +448,21 @@ def _row_pass(
     rows: EvaluationRows,
     n: int,
     prime: int | None = None,
-    track_kernel: bool = False,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> SparseRREF:
-    """Feed each row, tagged with its monomial_basis index, to one
-    eliminator: exact over Q, or modulo prime.
-
-    With track_kernel every row is fed, since each tag needs its kernel
-    vector.  A rank-only pass skips the rows that cannot raise the rank:
-    zero rows, and rows whose _normal_form was fed before (a nonzero
-    multiple of an earlier row).
-    """
+    """Feed the rows to one rank-only eliminator, exact or modulo prime,
+    skipping those that cannot raise the rank: zero rows, and rows whose
+    _normal_form was fed before (a nonzero multiple of an earlier row)."""
     if prime is not None and rows.denominator % prime == 0:
         raise DenominatorDivisibleByPrime(f"{prime} divides {rows.denominator}")
-    rr = SparseRREF(track_kernel=track_kernel, prime=prime)
-    seen = None if track_kernel else set()
-    for tag, row in enumerate(rows.rows(n, max_entries)):
-        if seen is not None:
-            form = _normal_form(row, prime)
-            if form is None or form in seen:
-                continue
-            seen.add(form)
-        rr.add_row(row, tag=tag)
+    rr = SparseRREF(prime=prime)
+    seen: set = set()
+    for row in rows.rows(n, max_entries):
+        form = _normal_form(row, prime)
+        if form is None or form in seen:
+            continue
+        seen.add(form)
+        rr.add_row(row)
     return rr
 
 
@@ -509,12 +504,10 @@ def identity_space(
 ) -> IdentityReport:
     order = list(monomial_basis(n, act.envelope.dim, max_entries))
     rows = EvaluationRows(alg, act.envelope.op_basis)
-    rr = _row_pass(rows, n, track_kernel=True, max_entries=max_entries)
-    # kernel combinations are sparse over the monomial tags and independent
-    kernel_rr = SparseRREF()
-    for combo in rr.kernel:
-        kernel_rr.add_row(combo)
-    kernel = Subspace.from_eliminator(len(order), kernel_rr)
+    rr = SparseRREF(track_kernel=True)
+    for tag, row in enumerate(rows.rows(n, max_entries)):
+        rr.add_row(row, tag=tag)
+    kernel = Subspace.from_kernel(len(order), rr)
     return IdentityReport(
         degree=n,
         codim=rr.rank,
@@ -577,7 +570,6 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
 def is_identity(
     f: LPolynomial,
     act: LieAction,
-    cap: int | None = None,
     witness: bool = False,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ):
@@ -590,8 +582,7 @@ def is_identity(
     any evaluation.  The positional table behind the rows counts against
     max_entries as it does in codim.
     """
-    if cap is None:
-        cap = default_word_cap(act)
+    cap = default_word_cap(act)
     for (_vars, words) in f.terms:
         for w in words:
             if len(w) > cap:
@@ -689,7 +680,6 @@ def consequences_space(
     generators: list[LPolynomial],
     n: int,
     act: LieAction,
-    cap: int | None = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> Subspace:
     """Span in the envelope-collapsed monomial coordinates of P_n^L of all
@@ -700,8 +690,7 @@ def consequences_space(
     coordinates where the envelope absorbs arbitrarily long words, so the
     result equals the collapse of the uncapped formal consequence space.
     """
-    if cap is None:
-        cap = default_word_cap(act)
+    cap = default_word_cap(act)
     for g in generators:
         for (_v, words) in g.terms:
             cap = max(cap, max((len(w) for w in words), default=0))
@@ -752,51 +741,56 @@ def _generator_words(m: int, cap: int) -> list:
     return sorted(words, key=lambda w: (len(w), w))
 
 
-def _formal_rows(act: LieAction, n: int, words: list, max_entries: int):
-    """Formal generator-word monomials in canonical order, and their rows."""
+def _formal_rows(act: LieAction, words: list) -> EvaluationRows:
+    """The evaluation rows of the action's generator words."""
     alg = act.algebra
     mats = {(): Matrix.identity(alg.dim)}
-    for w in words:
-        if w not in mats:
-            mats[w] = mats[w[:-1]] * act.generators[w[-1]].matrix
-    order = [
-        (vars_, tuple(words[i] for i in widx))
-        for vars_, widx in monomial_basis(n, len(words), max_entries)
-    ]
-    return order, EvaluationRows(alg, [mats[w] for w in words])
+    for w in words[1:]:  # words[0] is ()
+        mats[w] = mats[w[:-1]] * act.generators[w[-1]].matrix
+    return EvaluationRows(alg, [mats[w] for w in words])
 
 
 def containment_check(
     act_a: LieAction,
     act_b: LieAction,
     n: int,
-    cap: int | None = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ):
     """Does Id_n(A) lie inside Id_n(B) over the common generator alphabet?
 
     Returns (contained, certificate); the certificate is an LPolynomial in
     Id_n(A) \\ Id_n(B) witnessing B outside the variety of A.
+
+    One pass over the joint rows [A | B], B's labels shifted past A's: a row
+    that raises their rank but not A's has a kernel vector over A that is
+    nonzero on B, the certificate.  Until then the joint rank is A's, so
+    zero and repeated joint rows are skipped and only rows that raise it
+    reach the kernel-tracking eliminator of the A parts.
     """
     if len(act_a.generators) != len(act_b.generators):
         raise AlphabetMismatch(
             f"{len(act_a.generators)} vs {len(act_b.generators)} generators"
         )
-    m = len(act_a.generators)
-    if cap is None:
-        cap = max(default_word_cap(act_a), default_word_cap(act_b))
-    words = _generator_words(m, cap)
-    order, rows_a = _formal_rows(act_a, n, words, max_entries)
-    _, rows_b = _formal_rows(act_b, n, words, max_entries)
-    rra = _row_pass(rows_a, n, track_kernel=True, max_entries=max_entries)
-    rows_b = list(rows_b.rows(n, max_entries))
-    for combo in rra.kernel:
-        # apply the same combination to the B-side rows
-        val: dict = {}
-        for tag, c in combo.items():
-            _accumulate(val, rows_b[tag], c)
-        if val:
-            terms = {order[tag]: c for tag, c in combo.items()}
-            certificate = LPolynomial.from_terms(terms)
-            return False, certificate
+    cap = max(default_word_cap(act_a), default_word_cap(act_b))
+    words = _generator_words(len(act_a.generators), cap)
+    rows_a, rows_b = _formal_rows(act_a, words), _formal_rows(act_b, words)
+    offset = rows_a.dim ** (n + 1)
+    joint_rr = SparseRREF()
+    kernel_a = SparseRREF(track_kernel=True)
+    seen: set = set()
+    for mono, row_a, row_b in zip(
+        monomial_basis(n, len(words), max_entries),
+        rows_a.rows(n, max_entries),
+        rows_b.rows(n, max_entries),
+    ):
+        joint = dict(row_a)
+        joint.update((offset + label, x) for label, x in row_b.items())
+        form = _normal_form(joint, None)
+        if form is None or form in seen:
+            continue
+        seen.add(form)
+        if joint_rr.add_row(joint) and not kernel_a.add_row(row_a, tag=mono):
+            combo = kernel_a.kernel[-1]
+            terms = {(v, tuple(words[i] for i in w)): c for (v, w), c in combo.items()}
+            return False, LPolynomial.from_terms(terms)
     return True, None

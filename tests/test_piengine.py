@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import permutations, product as iproduct
 from math import factorial
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from diffident.algebra import (
     Derivation,
@@ -256,11 +260,92 @@ class TestContainment:
         assert _vanishes_on(cert, a_triv)
         assert not _vanishes_on(cert, act_eps)
 
+    def test_certificates_are_pinned(self, u2, act_eps):
+        a_triv = lie_closure(u2, [Derivation(Matrix.zero(3, 3), "g0")])
+        contained, cert = pe.containment_check(a_triv, act_eps, 2)
+        assert not contained
+        assert repr(cert) == (
+            "LPolynomial(terms={((1, 2), ((), (0,))): Fraction(1, 1)}, degree=2)"
+        )
+        contained, cert = pe.containment_check(act_eps, a_triv, 2)
+        assert not contained
+        assert repr(cert) == (
+            "LPolynomial(terms={((2, 1), ((0,), ())): Fraction(1, 1), "
+            "((2, 1), ((), (0,))): Fraction(1, 1), ((2, 1), ((), ())): Fraction(-1, 1), "
+            "((1, 2), ((), ())): Fraction(1, 1), ((1, 2), ((), (0,))): Fraction(-1, 1), "
+            "((1, 2), ((0,), ())): Fraction(-1, 1)}, degree=2)"
+        )
+
+
+@cache
+def _one_generator_actions():
+    u2 = ut(2)
+    eps = ad_unit(u2, 2, 2, name="eps")
+    delta = ad_unit(u2, 1, 2, name="delta")
+    return {
+        "zero": lie_closure(u2, [Derivation(Matrix.zero(3, 3), "g0")]),
+        "eps": lie_closure(u2, [eps]),
+        "delta": lie_closure(u2, [delta]),
+        "eta11": lie_closure(u2, [Derivation(eps.matrix + delta.matrix, "eta")]),
+    }
+
+
+@cache
+def _value_rows(name, n, cap):
+    """One dense row over QQ per formal monomial over the words of length
+    at most cap (variable order, then words, in product order): its value
+    on every basis tuple of the named action, coordinate by coordinate."""
+    act = _one_generator_actions()[name]
+    alg = act.algebra
+    words = [(0,) * k for k in range(cap + 1)]
+    images = {}
+    for b in range(alg.dim):
+        for w in words:
+            vec = alg.basis_vector(b)
+            for letter in w:
+                vec = act.generators[letter].matrix.apply(vec)
+            images[(b, w)] = vec
+    rows = []
+    for vars_ in permutations(range(1, n + 1)):
+        for ws in iproduct(words, repeat=n):
+            row = []
+            for tup in iproduct(range(alg.dim), repeat=n):
+                prod = None
+                for v, w in zip(vars_, ws):
+                    vec = images[(tup[v - 1], w)]
+                    prod = vec if prod is None else alg.multiply(prod, vec)
+                row.extend(QQ(x.numerator, x.denominator) for x in prod)
+            rows.append(row)
+    return tuple(rows)
+
+
+def _qq_rank(rows):
+    return DomainMatrix(list(rows), (len(rows), len(rows[0])), QQ).rank()
+
+
+ONE_GENERATOR = ("zero", "eps", "delta", "eta11")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("a, b", [(a, b) for a in ONE_GENERATOR for b in ONE_GENERATOR])
+def test_containment_matches_the_joint_rank(a, b, n):
+    """Id_n(A) lies in Id_n(B) iff B's values add no rank to A's: the rank
+    of the value rows of A equals that of the joint rows [A | B]."""
+    act_a, act_b = _one_generator_actions()[a], _one_generator_actions()[b]
+    cap = max(pe.default_word_cap(act_a), pe.default_word_cap(act_b))
+    rows_a = _value_rows(a, n, cap)
+    joint = [ra + rb for ra, rb in zip(rows_a, _value_rows(b, n, cap))]
+    contained, cert = pe.containment_check(act_a, act_b, n)
+    assert contained == (_qq_rank(rows_a) == _qq_rank(joint))
+    if contained:
+        assert cert is None
+    else:
+        assert _vanishes_on(cert, act_a)
+        assert not _vanishes_on(cert, act_b)
+
 
 def _vanishes_on(cert, act):
     """Evaluate a generator-word certificate on every basis tuple of act."""
-    from itertools import product as iproduct
-
     alg = act.algebra
     n = cert.degree
     for tup in iproduct(range(alg.dim), repeat=n):
