@@ -273,12 +273,18 @@ class Subspace:
         return cls._read_out(ambient_dim, rr.reduced_basis())
 
     @classmethod
-    def from_kernel(cls, ambient_dim: int, rr: "SparseRREF") -> "Subspace":
+    def from_kernel(
+        cls, ambient_dim: int, rr: "SparseRREF", zero_tags: Iterable[int] = ()
+    ) -> "Subspace":
         """Left kernel of the rows fed to a track_kernel eliminator, tagged
-        0..ambient_dim-1: one more pass makes its kernel vectors canonical."""
+        by distinct ints in 0..ambient_dim-1, together with zero rows at
+        zero_tags, the tags not fed: one more pass over the kernel vectors
+        and the unit vectors of zero_tags makes them canonical."""
         kernel = SparseRREF()
         for combo in rr.kernel:
             kernel.add_row(combo)
+        for tag in zero_tags:
+            kernel.add_row({tag: ONE})
         return cls.from_eliminator(ambient_dim, kernel)
 
     @classmethod

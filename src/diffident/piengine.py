@@ -12,10 +12,15 @@ Evaluation runs on integers.  EvaluationRows gives the rows of codim,
 identity_space and containment_check, and is_identity sums its rows over a
 polynomial's collapsed terms.  A row's columns carry one int label each,
 ordered like (basis tuple, output coordinate), so the eliminator compares
-and hashes ints.  codim and containment_check skip zero rows and rows that
-repeat an earlier one up to scale; containment_check stops at the first
-joint row [A | B] that raises the joint rank but not A's.  Only
-identity_space feeds every row, each for its kernel vector.
+and hashes ints.  EvaluationRows.rows streams only the nonzero rows, each
+with its monomial's position in monomial_basis order, visiting only the
+exponent tuples whose products are not all zero.  codim and
+containment_check skip rows that repeat an earlier one up to scale;
+containment_check merges the streams of A and B by position and stops at
+the first joint row [A | B] that raises the joint rank but not A's.
+identity_space feeds every nonzero row, tagged with its position, for its
+kernel vector, and hands each zero row's monomial, a unit kernel vector,
+to the canonicalizing pass.
 evaluate_poly, at an arbitrary rational assignment, goes through the same
 integer product table of the algebra and the integer form of each word's
 operator (word_matrix).
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iproduct
-from math import factorial, gcd, lcm
+from math import factorial, gcd, inf, lcm
 from operator import mul
 
 from .algebra import LieAction, StructureAlgebra, integer_product
@@ -291,6 +296,21 @@ def monomial_count(n: int, env_dim: int) -> int:
     return factorial(n) * env_dim**n
 
 
+def monomial_at(position: int, n: int, env_dim: int) -> tuple:
+    """The monomial (vars, exps) at a position of monomial_basis(n, env_dim)."""
+    index, rank = divmod(position, env_dim**n)
+    rest = list(range(1, n + 1))
+    vars_ = []
+    for left in range(n - 1, -1, -1):
+        i, index = divmod(index, factorial(left))
+        vars_.append(rest.pop(i))
+    exps = []
+    for _ in range(n):
+        rank, u = divmod(rank, env_dim)
+        exps.append(u)
+    return tuple(vars_), tuple(reversed(exps))
+
+
 class EvaluationRows:
     """Integer evaluation rows of an algebra under a list of operators.
 
@@ -304,9 +324,13 @@ class EvaluationRows:
     D_a^n * D_c^(n-1), one scale for all rows of a degree, so ranks and left
     kernels are those of the rational rows.  Modulo a prime dividing
     `denominator` that scale vanishes, so such a prime is refused.
+    ops[0] must be the identity, as it is in an envelope's op_basis and in
+    the generator words of containment_check.
     """
 
     def __init__(self, alg: StructureAlgebra, ops: list[Matrix]):
+        if not ops or ops[0] != Matrix.identity(alg.dim):
+            raise ValueError("the first operator must be the identity")
         forms = [op.integer_form for op in ops]
         d_a = lcm(*(d for d, _rows in forms))
         d_c, self.products = alg.integer_table
@@ -334,17 +358,31 @@ class EvaluationRows:
             out.append(b)
         return tuple(reversed(out))
 
+    def _nilpotent(self) -> bool:
+        """Whether A^(dim+1) = 0, that is, A is nilpotent: exactly when
+        tr L_x = 0 for every x, L_x being left multiplication by x.  A
+        nilpotent L_x has trace 0, and an algebra that is not nilpotent
+        holds an idempotent e, whose L_e is a projection of trace
+        dim(eA) > 0.  The trace of L_(e_i) is sum_j c_ijj."""
+        return not any(
+            x for row in self.products for j, cell in enumerate(row) for k, x in cell if k == j
+        )
+
     def _positional_table(
         self, n: int, max_entries: int, wanted: set | None = None
     ) -> tuple[dict, int]:
-        """{exps: [(positional basis tuple, product)]}, nonzero products only,
-        and its number of stored entries.
+        """{exps: [(positional basis tuple, product)]} over the live exponent
+        tuples only, in lex order, nonzero products only, and its number of
+        stored entries.
 
         A product depends only on the exponent tuple and on which basis
         element sits in each position, so it is computed once per tuple,
         level by level, each level extending the products of the one before.
-        With wanted, a set of exponent tuples, only those and their prefixes
-        are built.
+        A prefix whose products are all zero is dropped at the level where
+        it dies, since every extension of a zero product is zero.  The
+        entries of the level being built count against max_entries as they
+        are stored.  With wanted, a set of exponent tuples, only those and
+        their prefixes are built.
         """
         prefixes = None
         if wanted is not None:
@@ -366,35 +404,60 @@ class EvaluationRows:
                             if p:
                                 out.append((bt + (b,), p))
                                 stored += len(p)
-                    nxt[exps + (u,)] = out
-            if stored > max_entries:
-                raise SizeCap(f"positional table exceeds the budget {max_entries}")
+                                if stored > max_entries:
+                                    raise SizeCap(
+                                        f"positional table exceeds the budget {max_entries}"
+                                    )
+                    if out:
+                        nxt[exps + (u,)] = out
             level = nxt
         return level, stored
 
     def rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-        """Rows in monomial_basis order: a variable order reweights the
-        positions of the labels.
+        """The nonzero rows, as (position, row) pairs in increasing position,
+        the position of (vars, exps) being its index in
+        monomial_basis(n, width) order.
 
-        The positional table and the rows streamed so far count against
-        max_entries.
+        Only the variable orders and the live exponent tuples (the keys of
+        the positional table) are visited, so no zero row is built: a
+        variable order reweights the positions of the labels of a tuple's
+        table entries.  Every row of a tuple holds all its entries, so the
+        stream holds n! times the table's entries; the table and the stream,
+        (n! + 1) times the table's entries, count against max_entries before
+        the first row.  Two cases are decided before the table is built.
+        A nilpotent A has A^n = 0 for n > dim, and then no tuple is live and
+        the stream is empty.  Any other A has A^n != 0 for every n, so the
+        all-identity tuple is live (ops[0] is the identity) and the charge
+        is at least n! + 1.
         """
-        monomials = monomial_basis(n, self.width, max_entries)
+        if n < 1:
+            raise SizeCap("degree must be at least 1")
+        nilpotent = self._nilpotent()
+        if nilpotent and n > self.dim:
+            return
+        orders = factorial(n)
+        if not nilpotent and orders + 1 > max_entries:
+            raise SizeCap(f"{n}! variable orders exceed the budget {max_entries}")
         table, stored = self._positional_table(n, max_entries)
-        vars_at = None
-        for vars_, exps in monomials:
-            if vars_ != vars_at:
-                vars_at = vars_
-                weights = self._weights(vars_)
-            row = {}
-            for bt, prod in table[exps]:
-                base = sum(map(mul, bt, weights))
-                for k, c in prod.items():
-                    row[base + k] = c
-            stored += len(row)
-            if stored > max_entries:
-                raise SizeCap(f"stored entries exceed the budget {max_entries}")
-            yield row
+        charge = stored * (orders + 1)
+        if charge > max_entries:
+            raise SizeCap(f"{charge} stored entries exceed the budget {max_entries}")
+        width = self.width
+        live = [
+            (sum(u * width ** (n - 1 - i) for i, u in enumerate(exps)), entries)
+            for exps, entries in table.items()
+        ]
+        block = width**n
+        for index, vars_ in enumerate(permutations(range(1, n + 1))):
+            start = index * block
+            weights = self._weights(vars_)
+            for offset, entries in live:
+                row = {}
+                for bt, prod in entries:
+                    base = sum(map(mul, bt, weights))
+                    for k, c in prod.items():
+                        row[base + k] = c
+                yield start + offset, row
 
     def combined_rows(
         self, n: int, combos: list[dict], max_entries: int = DEFAULT_MAX_ENTRIES
@@ -415,7 +478,7 @@ class EvaluationRows:
             for (vars_, exps), c in combo.items():
                 c = c.numerator * (scale // c.denominator)
                 weights = self._weights(vars_)
-                for bt, prod in table[exps]:
+                for bt, prod in table.get(exps, ()):
                     base = sum(map(mul, bt, weights))
                     for k, x in prod.items():
                         row[base + k] = row.get(base + k, 0) + c * x
@@ -451,13 +514,14 @@ def _row_pass(
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> SparseRREF:
     """Feed the rows to one rank-only eliminator, exact or modulo prime,
-    skipping those that cannot raise the rank: zero rows, and rows whose
-    _normal_form was fed before (a nonzero multiple of an earlier row)."""
+    skipping those that cannot raise the rank: rows zero modulo the prime,
+    and rows whose _normal_form was fed before (a nonzero multiple of an
+    earlier row)."""
     if prime is not None and rows.denominator % prime == 0:
         raise DenominatorDivisibleByPrime(f"{prime} divides {rows.denominator}")
     rr = SparseRREF(prime=prime)
     seen: set = set()
-    for row in rows.rows(n, max_entries):
+    for _position, row in rows.rows(n, max_entries):
         form = _normal_form(row, prime)
         if form is None or form in seen:
             continue
@@ -502,12 +566,21 @@ def identity_space(
     n: int,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> IdentityReport:
+    """The rank and the left kernel of the evaluation matrix, over the
+    monomials in monomial_basis order, each of which counts against
+    max_entries.  The nonzero rows go to the kernel-tracking eliminator
+    tagged with their positions; a monomial with a zero row is its own
+    kernel vector, a unit vector, and goes straight to the canonicalizing
+    pass."""
     order = list(monomial_basis(n, act.envelope.dim, max_entries))
     rows = EvaluationRows(alg, act.envelope.op_basis)
     rr = SparseRREF(track_kernel=True)
-    for tag, row in enumerate(rows.rows(n, max_entries)):
-        rr.add_row(row, tag=tag)
-    kernel = Subspace.from_kernel(len(order), rr)
+    live = set()
+    for position, row in rows.rows(n, max_entries):
+        live.add(position)
+        rr.add_row(row, tag=position)
+    dead = [position for position in range(len(order)) if position not in live]
+    kernel = Subspace.from_kernel(len(order), rr, dead)
     return IdentityReport(
         degree=n,
         codim=rr.rank,
@@ -763,9 +836,13 @@ def containment_check(
 
     One pass over the joint rows [A | B], B's labels shifted past A's: a row
     that raises their rank but not A's has a kernel vector over A that is
-    nonzero on B, the certificate.  Until then the joint rank is A's, so
-    zero and repeated joint rows are skipped and only rows that raise it
-    reach the kernel-tracking eliminator of the A parts.
+    nonzero on B, the certificate.  The two streams of nonzero rows are
+    merged by position, so a monomial zero on both sides is never built and
+    one zero on a single side contributes an empty part.  Until the
+    certificate the joint rank is A's, so repeated joint rows are skipped
+    and only rows that raise it reach the kernel-tracking eliminator of the
+    A parts, tagged with their positions.  Each stream's entries count
+    against max_entries as in codim.
     """
     if len(act_a.generators) != len(act_b.generators):
         raise AlphabetMismatch(
@@ -778,19 +855,36 @@ def containment_check(
     joint_rr = SparseRREF()
     kernel_a = SparseRREF(track_kernel=True)
     seen: set = set()
-    for mono, row_a, row_b in zip(
-        monomial_basis(n, len(words), max_entries),
-        rows_a.rows(n, max_entries),
-        rows_b.rows(n, max_entries),
+    for position, row_a, row_b in _aligned(
+        rows_a.rows(n, max_entries), rows_b.rows(n, max_entries)
     ):
         joint = dict(row_a)
         joint.update((offset + label, x) for label, x in row_b.items())
         form = _normal_form(joint, None)
-        if form is None or form in seen:
+        if form in seen:
             continue
         seen.add(form)
-        if joint_rr.add_row(joint) and not kernel_a.add_row(row_a, tag=mono):
+        if joint_rr.add_row(joint) and not kernel_a.add_row(row_a, tag=position):
             combo = kernel_a.kernel[-1]
-            terms = {(v, tuple(words[i] for i in w)): c for (v, w), c in combo.items()}
+            terms = {}
+            for p, c in combo.items():
+                vars_, exps = monomial_at(p, n, len(words))
+                terms[(vars_, tuple(words[i] for i in exps))] = c
             return False, LPolynomial.from_terms(terms)
     return True, None
+
+
+def _aligned(stream_a, stream_b):
+    """Merge two (position, row) streams, each in increasing position, into
+    (position, row_a, row_b) over the positions of either; a stream without
+    the position gives the empty row."""
+    end = (inf, None)
+    pa, ra = next(stream_a, end)
+    pb, rb = next(stream_b, end)
+    while min(pa, pb) < inf:
+        position = min(pa, pb)
+        yield position, ra if pa == position else {}, rb if pb == position else {}
+        if pa == position:
+            pa, ra = next(stream_a, end)
+        if pb == position:
+            pb, rb = next(stream_b, end)

@@ -33,6 +33,7 @@ from diffident.algebra import (
     inner_derivation,
     lie_closure,
     make_algebra,
+    trivial_action,
     truncated_grassmann,
     ut,
 )
@@ -119,11 +120,39 @@ def _rational_ut2_eps():
     return lie_closure(rational, [Derivation(eps, name="eps")])
 
 
+def _matrix_units(pairs):
+    """The span of the matrix units e_(i+1)(j+1), (i, j) in pairs, which
+    must be closed under products; no unit."""
+    index = {p: k for k, p in enumerate(pairs)}
+    constants = [[[0] * len(pairs) for _ in pairs] for _ in pairs]
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            if j == k:
+                constants[a][b][index[(i, l)]] = 1
+    return make_algebra(constants)
+
+
+def _t_truncated():
+    """t Q[t] / (t^4), basis t, t^2, t^3: nilpotent with A^3 != 0 = A^4,
+    the longest chain of its dimension, under t d/dt."""
+    constants = [[[int(k == i + j + 1) for k in range(3)] for j in range(3)] for i in range(3)]
+    t_dt = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    return lie_closure(make_algebra(constants), [Derivation(t_dt, name="t_dt")])
+
+
+def _e11_e12_inner():
+    """span{e11, e12}: neither nilpotent nor unital, under ad(e12)."""
+    alg = _matrix_units([(0, 0), (0, 1)])
+    return lie_closure(alg, [inner_derivation(alg, [0, 1], name="d")])
+
+
 CASES = [
     ("ut2-eps", _ut2_eps, 4),
     ("mat2-ad11", _mat2_ad11, 3),
     ("grassmann2-inner", _grassmann2_inner, 3),
     ("rational-ut2-eps", _rational_ut2_eps, 4),
+    ("t-truncated", _t_truncated, 3),
+    ("e11-e12-inner", _e11_e12_inner, 4),
 ]
 
 
@@ -308,15 +337,17 @@ def test_evaluation_rank_matches_sympy(family, n):
 def test_labels_index_the_value_rows_in_lex_order(name):
     """Label (t, k) is the position of coordinate k of the basis tuple t in
     _value_row, so labels sort like (t, k): each rows() row is the Fraction
-    value row of its monomial times one positive scale per degree."""
+    value row of its monomial times one positive scale per degree, and each
+    monomial rows() skips has a zero value row."""
     act = ACTIONS[name]
     rows = pe.EvaluationRows(act.algebra, act.envelope.op_basis)
     dim = act.algebra.dim
     for n in (1, 2, 3):
         tuples = list(iproduct(range(dim), repeat=n))
         scale = None
-        monomials = pe.monomial_basis(n, act.envelope.dim)
-        for (vars_, exps), row in zip(monomials, rows.rows(n)):
+        streamed = dict(rows.rows(n))
+        for position, (vars_, exps) in enumerate(pe.monomial_basis(n, act.envelope.dim)):
+            row = streamed.get(position, {})
             words = tuple(act.envelope.word_reps[u] for u in exps)
             values = _value_row(pe.LPolynomial.from_terms({(vars_, words): 1}), act)
             assert set(row) == {label for label, x in enumerate(values) if x}
@@ -328,14 +359,25 @@ def test_labels_index_the_value_rows_in_lex_order(name):
         assert scale > 0
 
 
-@pytest.mark.parametrize("name", ["mat2-ad11", "rational-ut2-eps"])
+def _zero2():
+    alg = make_algebra([[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)], label="zero2")
+    return trivial_action(alg)
+
+
+@pytest.mark.parametrize("name", ["mat2-ad11", "rational-ut2-eps", "ut2-eps", "zero2"])
 def test_one_monomial_combination_is_its_row(name):
-    act = ACTIONS[name]
+    """rows() streams, in increasing position, exactly the monomials whose
+    combined_rows row is nonzero, each with that row."""
+    act = _zero2() if name == "zero2" else ACTIONS[name]
     rows = pe.EvaluationRows(act.algebra, act.envelope.op_basis)
-    n = 2
-    monomials = list(pe.monomial_basis(n, act.envelope.dim))
-    combos = [{mono: Fraction(1)} for mono in monomials]
-    assert rows.combined_rows(n, combos) == list(rows.rows(n))
+    for n in range(1, 5):
+        monomials = list(pe.monomial_basis(n, act.envelope.dim))
+        combined = rows.combined_rows(n, [{mono: Fraction(1)} for mono in monomials])
+        stream = list(rows.rows(n))
+        positions = [position for position, _row in stream]
+        assert positions == sorted(set(positions))
+        assert stream == [(position, row) for position, row in enumerate(combined) if row]
+        assert all(pe.monomial_at(p, n, act.envelope.dim) == m for p, m in enumerate(monomials))
 
 
 class _StreamedRows:
@@ -347,7 +389,7 @@ class _StreamedRows:
         self.stream = stream
 
     def rows(self, n, max_entries):
-        return iter(self.stream)
+        return enumerate(self.stream)
 
 
 def _fed_rank(rows, n, prime=None):
@@ -395,13 +437,13 @@ def test_modular_row_skip_keeps_the_gf_rank(p):
     rows = pe.EvaluationRows(m2, ops)
     assert rows.denominator % p
     n = 2
-    stream = list(rows.rows(n))
-    leads = [row[min(row)] for row in stream if row]
+    stream = [row for _position, row in rows.rows(n)]
+    leads = [row[min(row)] for row in stream]
     assert any(x % p == 0 for x in leads)
-    assert any(row and all(x % p == 0 for x in row.values()) for row in stream)
+    assert any(all(x % p == 0 for x in row.values()) for row in stream)
     rank, fed = _fed_rank(rows, n, prime=p)
     assert rank == _gf_rank(stream, 4 ** (n + 1), p)
-    assert fed < len([row for row in stream if row])
+    assert fed < len(stream)
     # without skipping, the eliminator gives the same rank
     every_row = pe.SparseRREF(prime=p)
     for row in stream:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product as iproduct
@@ -165,6 +166,35 @@ class TestCodim:
         with pytest.raises(SizeCap):
             pe.codim(u2, act_eps, 9, max_entries=1000)
 
+    def test_budget_is_the_built_entries(self, u2, act_eps):
+        # degree 5 has 6 live exponent tuples holding 12 table entries, and
+        # each of the 5! variable orders streams all 12 of them
+        rows = pe.EvaluationRows(u2, act_eps.envelope.op_basis)
+        assert sum(len(row) for _p, row in rows.rows(5)) == 12 * factorial(5)
+        charge = 12 * (factorial(5) + 1)
+        assert pe.codim(u2, act_eps, 5, max_entries=charge) == 81
+        with pytest.raises(SizeCap):
+            pe.codim(u2, act_eps, 5, max_entries=charge - 1)
+
+    def test_budget_is_decided_before_the_table(self, u2, act_eps):
+        """n! orders over the budget stop an algebra that is not nilpotent
+        at once, and a nilpotent one gives an empty stream past its
+        dimension."""
+        from diffident.algebra import full_matrix, make_algebra
+
+        m2 = full_matrix(2)
+        mat2_ad11 = lie_closure(m2, [ad_unit(m2, 1, 1, name="ad11")])
+        z = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
+        zero2 = make_algebra(z, label="zero2")
+        for alg, act, n in ((m2, mat2_ad11, 30), (u2, act_eps, 12)):
+            start = time.perf_counter()
+            with pytest.raises(SizeCap):
+                pe.codim(alg, act, n)
+            assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        assert pe.codim(zero2, trivial_action(zero2), 40) == 0
+        assert time.perf_counter() - start < 1
+
 
 class TestIdentitySpace:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -185,6 +215,31 @@ class TestIdentitySpace:
                     terms[(vars_, words)] = c
             poly = pe.LPolynomial.from_terms(terms)
             assert pe.is_identity(poly, act_eps)
+
+
+def _identity_space_of_every_row(alg, act, n):
+    """identity_space with every monomial's row fed, zero rows included,
+    each built alone by combined_rows."""
+    order = list(pe.monomial_basis(n, act.envelope.dim))
+    rows = pe.EvaluationRows(alg, act.envelope.op_basis)
+    rr = pe.SparseRREF(track_kernel=True)
+    for tag, row in enumerate(rows.combined_rows(n, [{mono: 1} for mono in order])):
+        rr.add_row(row, tag=tag)
+    kernel = pe.Subspace.from_kernel(len(order), rr)
+    return pe.IdentityReport(n, rr.rank, kernel.dim, kernel, order)
+
+
+@pytest.mark.parametrize("name", ["ut2", "eps", "eta11"])
+def test_identity_space_matches_every_row_fed(u2, name):
+    """Zero rows are left to the canonicalizing pass as unit vectors; the
+    report is the one the kernel-tracking eliminator gives on every row."""
+    act = trivial_action(u2) if name == "ut2" else _one_generator_actions()[name]
+    alg = act.algebra
+    for n in range(1, 5):
+        rep = pe.identity_space(alg, act, n)
+        expected = _identity_space_of_every_row(alg, act, n)
+        assert rep == expected
+        assert rep.kernel.pivot_columns == expected.kernel.pivot_columns
 
 
 class TestIsIdentity:

@@ -7,7 +7,7 @@ workload in its BENCHMARK.json with seed 0 and the benchmark's own run
 length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 (per-layer metrics), one run at a time, then runs the checkout's
 ``diffident battery`` once, ``diffident codim`` on the shipped ``ut2-eps``
-file for n = 1..7 in exact and in modular mode, ``identity_space`` on it at
+file for n = 1..8 in exact and in modular mode, ``identity_space`` on it at
 n = 4 and 5 (each n in a fresh interpreter) and its tier-1 test command
 once, and writes BENCH_<pr>.json at the root of this repository.  The file holds the
 checkout's commit (and whether its tree had uncommitted changes), the Python
@@ -39,7 +39,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 0
-CODIM_MAX_N = 7
+CODIM_MAX_N = 8
 IDENTITY_SPACE_N = (4, 5)
 
 # identity_space on the shipped ut2-eps file at degree argv[1], as one JSON line
