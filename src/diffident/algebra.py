@@ -73,12 +73,7 @@ class StructureAlgebra:
     def integer_table(self) -> tuple[int, list]:
         """(D_c, table): D_c is the common denominator of the structure
         constants and table[i][j] = [(k, D_c * c_ijk), ...], nonzero only."""
-        d_c = common_denominator(x for r in self.constants for cell in r for x in cell)
-        table = [
-            [[(k, int(c * d_c)) for k, c in enumerate(cell) if c] for cell in r]
-            for r in self.constants
-        ]
-        return d_c, table
+        return _integer_table(self.constants)
 
     def basis_vector(self, i: int) -> list:
         return [ONE if j == i else ZERO for j in range(self.dim)]
@@ -114,6 +109,14 @@ class StructureAlgebra:
 
     def __repr__(self):
         return f"StructureAlgebra({self.label or 'dim %d' % self.dim})"
+
+
+def _integer_table(constants: list) -> tuple[int, list]:
+    """(D, table) for a table of rational structure constants: D is their
+    common denominator and table[i][j] = [(k, D * c_ijk), ...], nonzero only."""
+    d = common_denominator(x for r in constants for cell in r for x in cell)
+    table = [[[(k, int(c * d)) for k, c in enumerate(cell) if c] for cell in r] for r in constants]
+    return d, table
 
 
 def integer_product(table: list, u: dict, v: dict) -> dict:
@@ -193,6 +196,12 @@ class Envelope:
     @property
     def dim(self) -> int:
         return len(self.op_basis)
+
+    @cached_property
+    def integer_table(self) -> tuple[int, list]:
+        """(D, table): D is the common denominator of mult_table and
+        table[a][b] = [(k, D * mult_table[a][b][k]), ...], nonzero only."""
+        return _integer_table(self.mult_table)
 
     def expand(self, m: Matrix) -> Optional[list]:
         """Coordinates of m in op_basis, or None if outside the span."""

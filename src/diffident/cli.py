@@ -201,9 +201,9 @@ def cmd_codim(args, cfg) -> int:
             seed=cfg["seed"],
             max_entries=cfg["max_entries"],
         )
-        rows = monomial_count(n, act.envelope.dim)
+        monomials = monomial_count(n, act.envelope.dim)
         elapsed = time.monotonic() - start
-        print(f"n {n} rows {rows} rank {values[n]} {elapsed:.2f}s", file=sys.stderr)
+        print(f"n {n} monomials {monomials} rank {values[n]} {elapsed:.2f}s", file=sys.stderr)
         out.append(f"n {n} c {values[n]}")
     ident = identify_shipped(f)
     if ident is not None:

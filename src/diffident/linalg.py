@@ -289,13 +289,14 @@ class Subspace:
 
     @classmethod
     def _read_out(cls, ambient_dim: int, rows: list) -> "Subspace":
-        """Dense Subspace of reduced row-echelon (lead, row) pairs."""
+        """Dense Subspace of reduced row-echelon (lead, row) pairs.  Each row
+        becomes a tuple at once, so only one list is alive at a time."""
         basis = []
         for _, row in rows:
             vec = [ZERO] * ambient_dim
             for c, x in row.items():
                 vec[c] = x
-            basis.append(vec)
+            basis.append(tuple(vec))
         return cls(ambient_dim, basis, [lead for lead, _ in rows])
 
     @classmethod

@@ -24,6 +24,14 @@ to the canonicalizing pass.
 evaluate_poly, at an arbitrary rational assignment, goes through the same
 integer product table of the algebra and the integer form of each word's
 operator (word_matrix).
+
+consequences_space runs on integers too.  It builds one formal instance of a
+generator per shape, substituted, multiplied out and collapsed on variables
+1..n in order, and renames its variables for every permutation, since
+renaming commutes with substitution, Leibniz, PBW normalization and
+collapse.  The closure under the derivations and the decorations x -> x^u
+reads the envelope's integer_table, and every row it feeds is a primitive
+int row, a positive multiple of the rational one, so the span is unchanged.
 """
 
 from __future__ import annotations
@@ -678,7 +686,15 @@ def is_identity(
 
 
 def _degree_n_instances(g: LPolynomial, n: int, act: LieAction, cap: int):
-    """Degree-n elements u0 * g(m_1..m_k) * u1 over variables 1..n."""
+    """Collapsed degree-n instances u0 * g(m_1..m_k) * u1 over variables 1..n,
+    as primitive integer terms (_primitive).
+
+    Each shape (the size of u0 and the sizes of the m_i) is built once, on
+    variables 1..n in order: substitute, the outer monomials, collapsed_terms.
+    Its instance for a permutation is that one with variable v renamed to
+    perm[v-1], since renaming commutes with substitution, Leibniz, PBW
+    normalization and collapse.
+    """
     k = g.degree
     if k > n:
         return
@@ -686,17 +702,22 @@ def _degree_n_instances(g: LPolynomial, n: int, act: LieAction, cap: int):
         for sizes in _compositions(n - extra_left, k):
             # sizes sum to at most n - extra_left; the remainder multiplies
             # on the right
+            pos = extra_left
+            images = {}
+            for var, size in zip(range(1, k + 1), sizes):
+                images[var] = tuple(range(pos + 1, pos + size + 1))
+                pos += size
+            body = substitute(g, images, act, cap=cap)
+            if body.is_zero():
+                continue
+            left = LPolynomial.monomial(range(1, extra_left + 1))
+            right = LPolynomial.monomial(range(pos + 1, n + 1))
+            terms = _primitive(collapsed_terms(left * body * right, act))
             for perm in permutations(range(1, n + 1)):
-                left = perm[:extra_left]
-                pos = extra_left
-                images = {}
-                for var, size in zip(range(1, k + 1), sizes):
-                    images[var] = tuple(perm[pos : pos + size])
-                    pos += size
-                right = perm[pos:]
-                body = substitute(g, images, act, cap=cap)
-                if not body.is_zero():
-                    yield LPolynomial.monomial(left) * body * LPolynomial.monomial(right)
+                yield {
+                    (tuple(perm[v - 1] for v in vars_), exps): c
+                    for (vars_, exps), c in terms.items()
+                }
 
 
 def _compositions(total: int, parts: int):
@@ -719,34 +740,31 @@ def collapsed_terms(f: LPolynomial, act: LieAction) -> dict:
     )
 
 
-def _collapsed_derive(terms: dict, letter_coords, mult_table) -> dict:
-    """Leibniz action of a closure-basis letter on collapsed terms.
+def _primitive(terms: dict) -> dict:
+    """The positive multiple of terms (rational or int coefficients) with
+    coprime int coefficients, zeros dropped."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    ints = {key: c.numerator * (d // c.denominator) for key, c in terms.items() if c}
+    content = gcd(*ints.values())
+    if content > 1:
+        return {key: c // content for key, c in ints.items()}
+    return ints
 
-    Exponent products happen inside the envelope, so no word cap applies.
-    """
+
+def _collapsed_act(terms: dict, images, var: int | None = None) -> dict:
+    """Collapsed int terms with the exponent u at one position replaced by
+    images[u] = [(k, x), ...], standing for sum x * op_k; the position is
+    var's, or each position in turn (Leibniz) when var is None.  Made
+    primitive."""
     out: dict = {}
     for (vars_, exps), c in terms.items():
-        for pos in range(len(exps)):
-            u = exps[pos]
-            for j, lc in letter_coords:
-                for k, mc in enumerate(mult_table[u][j]):
-                    if not mc:
-                        continue
-                    _add(out, (vars_, exps[:pos] + (k,) + exps[pos + 1 :]), c * lc * mc)
-    return out
-
-
-def _collapsed_decorate(terms: dict, var: int, u: int, mult_table) -> dict:
-    """Endomorphism x_var -> x_var^u on collapsed terms (u applied first)."""
-    out: dict = {}
-    for (vars_, exps), c in terms.items():
-        pos = vars_.index(var)
-        e = exps[pos]
-        for k, mc in enumerate(mult_table[u][e]):
-            if not mc:
-                continue
-            _add(out, (vars_, exps[:pos] + (k,) + exps[pos + 1 :]), c * mc)
-    return out
+        positions = range(len(exps)) if var is None else (vars_.index(var),)
+        for pos in positions:
+            head, tail = exps[:pos], exps[pos + 1 :]
+            for k, x in images[exps[pos]]:
+                key = (vars_, head + (k,) + tail)
+                out[key] = out.get(key, 0) + c * x
+    return _primitive(out)
 
 
 def consequences_space(
@@ -758,10 +776,16 @@ def consequences_space(
     """Span in the envelope-collapsed monomial coordinates of P_n^L of all
     degree-n consequences of the generators.
 
-    Instances (substitutions with monomial images plus outer multipliers) are
-    built formally, then collapsed; the derivation closure runs on collapsed
-    coordinates where the envelope absorbs arbitrarily long words, so the
+    Instances (substitutions with monomial images plus outer multipliers)
+    are built formally and collapsed once per shape, then renamed for every
+    order of the variables (_degree_n_instances).  The closure under the
+    derivations and under the endomorphisms x_j -> x_j^u runs on collapsed
+    coordinates, where the envelope absorbs arbitrarily long words, so the
     result equals the collapse of the uncapped formal consequence space.
+    It runs on ints: the envelope's integer_table and each letter's
+    coordinates are cleared of denominators once, and every instance,
+    derived and decorated row is kept primitive, a positive multiple of its
+    rational counterpart, so the span is the same.
     """
     cap = default_word_cap(act)
     for g in generators:
@@ -775,25 +799,27 @@ def consequences_space(
 
     queue: list[dict] = []
     for g in generators:
-        for inst in _degree_n_instances(g, n, act, cap):
-            terms = collapsed_terms(inst, act)
+        for terms in _degree_n_instances(g, n, act, cap):
             if push(terms):
                 queue.append(terms)
-    letters = [
-        [(j, c) for j, c in enumerate(collapse_word(act, (i,))) if c]
-        for i in range(act.closure_dim)
-    ]
-    table = act.envelope.mult_table
+    _d, table = act.envelope.integer_table
+    # each letter's right multiplication op_u -> op_u * letter, on ints
+    letters = []
+    for i in range(act.closure_dim):
+        _dl, coords = integer_vector(collapse_word(act, (i,)))
+        letters.append(
+            [list(integer_product(table, {u: 1}, coords).items()) for u in range(act.envelope.dim)]
+        )
     while queue:
         terms = queue.pop()
-        for coords in letters:
-            derived = _collapsed_derive(terms, coords, table)
+        for right in letters:
+            derived = _collapsed_act(terms, right)
             if push(derived):
                 queue.append(derived)
-        # substitutions x_j -> x_j^u are endomorphisms too
+        # substitutions x_j -> x_j^u (u applied first) are endomorphisms too
         for var in range(1, n + 1):
             for u in range(1, act.envelope.dim):
-                decorated = _collapsed_decorate(terms, var, u, table)
+                decorated = _collapsed_act(terms, table[u], var)
                 if push(decorated):
                     queue.append(decorated)
     return Subspace.from_eliminator(len(index), rr)

@@ -203,9 +203,9 @@ class TestCommands:
         path = self._gen(tmp_path, "ut2-eps")
         assert main(["codim", path, "--max-n", "2"]) == 0
         captured = capsys.readouterr()
-        assert "n 1 rows 2 rank 2 " in captured.err
-        assert "n 2 rows 8 rank 5 " in captured.err
-        assert "rows" not in captured.out
+        assert "n 1 monomials 2 rank 2 " in captured.err
+        assert "n 2 monomials 8 rank 5 " in captured.err
+        assert "monomials" not in captured.out
 
     def test_config_file_sets_seed_and_primes(self, tmp_path, capsys, monkeypatch):
         path = self._gen(tmp_path, "ut2-eps")

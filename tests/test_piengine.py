@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product as iproduct
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -295,6 +295,113 @@ class TestConsequences:
         g3 = pe.derive_polynomial(c, 0, act_eps) - c
         cons = pe.consequences_space([g1, g2, g3], 2, act_eps)
         assert cons == pe.identity_space(u2, act_eps, 2).kernel
+
+    def test_noncommutative_envelope_closure(self, u2, act_full):
+        # eps and delta do not commute in the envelope, so the closure's
+        # products must keep their order (a letter acts after the exponent,
+        # a decoration before it)
+        words = act_full.envelope.word_reps
+        gens = {}
+        for m in (1, 2):
+            rep = pe.identity_space(u2, act_full, m)
+            gens[m] = [
+                pe.LPolynomial.from_terms(
+                    {
+                        (vars_, tuple(words[e] for e in exps)): c
+                        for c, (vars_, exps) in zip(vec, rep.monomial_basis_order)
+                    }
+                )
+                for vec in rep.kernel.basis
+            ]
+        # the identities of degrees 1 and 2 generate those of degree 3
+        for n in (2, 3):
+            cons = pe.consequences_space(gens[1] + gens[2], n, act_full)
+            assert cons == pe.identity_space(u2, act_full, n).kernel
+        # each identity's closure holds its Leibniz derivatives
+        order = rep.monomial_basis_order
+        for g in gens[2]:
+            cons = pe.consequences_space([g], 2, act_full)
+            for letter in range(act_full.closure_dim):
+                derived = pe.collapsed_terms(pe.derive_polynomial(g, letter, act_full), act_full)
+                assert cons.member([derived.get(mono, 0) for mono in order])
+
+    def test_scaled_derivation_keeps_rows_primitive(self, u2, monkeypatch):
+        # eps' = (2/3) ad(e22) has eps'^2 = (2/3) eps', a denominator in the
+        # envelope table; every row fed must still be a primitive int row
+        eps = ad_unit(u2, 2, 2)
+        act = lie_closure(u2, [Derivation(eps.matrix.scale(Fraction(2, 3)), "eps'")])
+        assert act.envelope.mult_table[1][1] == [0, Fraction(2, 3)]
+        c = pe.commutator_poly(x(1), x(2))
+        gens = [
+            x(1, (0, 0)) - x(1, (0,)).scale(Fraction(2, 3)),
+            pe.LPolynomial.from_terms({((1, 2), ((0,), (0,))): 1}),
+            pe.derive_polynomial(c, 0, act) - c.scale(Fraction(2, 3)),
+        ]
+        fed = []
+
+        class Recording(pe.SparseRREF):
+            def add_row(self, row, tag=None):
+                fed.append(row)
+                return super().add_row(row, tag)
+
+        monkeypatch.setattr(pe, "SparseRREF", Recording)
+        for n in (2, 3, 4):
+            fed.clear()
+            cons = pe.consequences_space(gens, n, act)
+            assert fed and all(
+                all(type(v) is int for v in row.values()) and gcd(*row.values()) == 1
+                for row in fed
+            )
+            assert cons == pe.identity_space(u2, act, n).kernel
+
+    @pytest.mark.parametrize(
+        "case, n", [("ut2-eps", 3), ("ut2-eps", 4), ("ut2", 3), ("ut2", 4)]
+    )
+    def test_renamed_instances_are_the_substituted_ones(self, case, n, triv, act_eps):
+        # the parent path: one substitute per order of the variables, collapsed
+        if case == "ut2":
+            act = triv
+            gens = [pe.commutator_poly(x(1), x(2)) * pe.commutator_poly(x(3), x(4))]
+        else:
+            act = act_eps
+            c = pe.commutator_poly(x(1), x(2))
+            gens = [
+                x(1, (0, 0)) - x(1, (0,)),
+                pe.LPolynomial.from_terms({((1, 2), ((0,), (0,))): 1}),
+                pe.derive_polynomial(c, 0, act) - c,
+            ]
+        words = [w for g in gens for (_v, ws) in g.terms for w in ws]
+        cap = max([pe.default_word_cap(act)] + [len(w) for w in words])
+        index = {m: i for i, m in enumerate(pe.monomial_basis(n, act.envelope.dim))}
+        for g in gens:
+            reference = []
+            for extra_left in range(n - g.degree + 1):
+                for sizes in pe._compositions(n - extra_left, g.degree):
+                    for perm in permutations(range(1, n + 1)):
+                        pos = extra_left
+                        images = {}
+                        for var, size in enumerate(sizes, 1):
+                            images[var] = perm[pos : pos + size]
+                            pos += size
+                        body = pe.substitute(g, images, act, cap=cap)
+                        if not body.is_zero():
+                            inst = (
+                                pe.LPolynomial.monomial(perm[:extra_left])
+                                * body
+                                * pe.LPolynomial.monomial(perm[pos:])
+                            )
+                            reference.append(pe.collapsed_terms(inst, act))
+            renamed = list(pe._degree_n_instances(g, n, act, cap))
+            # the same instances in the same order, each up to a positive scale
+            assert renamed == [pe._primitive(t) for t in reference]
+            spans = [
+                pe.Subspace.from_vectors(
+                    len(index),
+                    [[t.get(m, 0) for m in index] for t in terms],
+                )
+                for terms in (renamed, reference)
+            ]
+            assert spans[0] == spans[1]
 
 
 class TestContainment:

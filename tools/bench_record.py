@@ -8,20 +8,24 @@ length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 (per-layer metrics), one run at a time, then runs the checkout's
 ``diffident battery`` once, ``diffident codim`` on the shipped ``ut2-eps``
 file for n = 1..8 in exact and in modular mode, ``identity_space`` on it at
-n = 4 and 5 (each n in a fresh interpreter) and its tier-1 test command
-once, and writes BENCH_<pr>.json at the root of this repository.  The file holds the
-checkout's commit (and whether its tree had uncommitted changes), the Python
-version, nproc, the load average before and after, for each workload and
-trace level the run's correct/attempted/failed counts and every metric with
-its unit, under ``battery`` the battery's exit code and the seconds of each
-criterion, read from its ``criterion K T s`` stderr lines, under ``codim``
-each mode's exit code and, per n, the rows, rank and seconds read from its
-``n N rows R rank C T s`` stderr lines, under ``identity_space`` per n the
-seconds, ``codim``, ``identity_dim`` and the interpreter's ``ru_maxrss`` in
-KiB, and under ``tier1`` the test run's exit code, its passed and failed counts (from
-pytest's summary line), its wall-clock seconds and its ten slowest test
-phases with their seconds (from pytest's ``--durations=10`` report).  Two files made on the
-same machine can be compared workload by workload and layer by layer.
+n = 4 and 5, ``consequences_space`` of battery criterion 9's three
+identities on it at n = 4 and 5 (each run in a fresh interpreter) and its
+tier-1 test command once, and writes BENCH_<pr>.json at the root of this
+repository. The file holds the checkout's commit (and whether its tree had
+uncommitted changes), the Python version, nproc, the load average before and
+after, for each workload and trace level the run's correct/attempted/failed
+counts and every metric with its unit, under ``battery`` the battery's exit
+code and the seconds of each criterion, read from its ``criterion K T s``
+stderr lines, under ``codim`` each mode's exit code and, per n, the
+monomials, rank and seconds read from its ``n N monomials M rank C T s``
+stderr lines, under ``identity_space`` per n the seconds, ``codim``,
+``identity_dim`` and the interpreter's ``ru_maxrss`` in KiB, under
+``consequences`` per n the seconds, the dimension, whether it equals the
+``identity_space`` kernel and ``ru_maxrss``, and under ``tier1`` the test
+run's exit code, its passed and failed counts (from pytest's summary line),
+its wall-clock seconds and its ten slowest test phases with their seconds
+(from pytest's ``--durations=10`` report). Two files made on the same
+machine can be compared workload by workload and layer by layer.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ REPO = Path(__file__).resolve().parent.parent
 SEED = 0
 CODIM_MAX_N = 8
 IDENTITY_SPACE_N = (4, 5)
+CONSEQUENCES_N = (4, 5)
 
 # identity_space on the shipped ut2-eps file at degree argv[1], as one JSON line
 _IDENTITY_SPACE = """
@@ -57,6 +62,29 @@ rep = identity_space(alg, act, n)
 seconds = time.perf_counter() - start
 print(json.dumps({"seconds": seconds, "codim": rep.codim, "identity_dim": rep.identity_dim,
                   "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+# consequences_space of battery criterion 9's identities on the shipped
+# ut2-eps file at degree argv[1], timed and its ru_maxrss read before it is
+# compared with the identity_space kernel; one JSON line
+_CONSEQUENCES = """
+import json, resource, sys, time
+from diffident.acceptance import _ut2_eps_identities
+from diffident.algebra import lie_closure
+from diffident.piengine import consequences_space, identity_space
+from diffident.shipped import shipped_algebra_file
+
+n = int(sys.argv[1])
+alg, ders = shipped_algebra_file("ut2-eps", []).to_algebra()
+act = lie_closure(alg, ders)
+gens = _ut2_eps_identities(act)
+start = time.perf_counter()
+space = consequences_space(gens, n, act)
+seconds = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"seconds": seconds, "dim": space.dim,
+                  "equals_kernel": space == identity_space(alg, act, n).kernel,
+                  "ru_maxrss_kb": rss}))
 """
 
 
@@ -115,18 +143,21 @@ def run_codim(checkout: Path) -> dict:
             return {"error": f"gen exit code {gen.returncode}"}
         for mode in ("exact", "modular"):
             proc = _diffident(checkout, "codim", path, "--max-n", str(CODIM_MAX_N), "--mode", mode)
-            lines = re.findall(r"^n (\d+) rows (\d+) rank (\d+) (\d+\.\d+)s$", proc.stderr, re.M)
+            lines = re.findall(r"^n (\d+) monomials (\d+) rank (\d+) (\d+\.\d+)s$", proc.stderr, re.M)
             out[mode] = {
                 "returncode": proc.returncode,
-                "n": {n: {"rows": int(r), "rank": int(c), "seconds": float(t)} for n, r, c, t in lines},
+                "n": {
+                    n: {"monomials": int(m), "rank": int(c), "seconds": float(t)}
+                    for n, m, c, t in lines
+                },
             }
     return out
 
 
-def run_identity_space(checkout: Path, n: int) -> dict:
-    """``identity_space`` on the shipped ut2-eps file at degree n, alone in a
-    fresh interpreter so that its ru_maxrss is its own."""
-    proc = _python(checkout, "-c", _IDENTITY_SPACE, str(n))
+def run_script(checkout: Path, script: str, n: int) -> dict:
+    """One of the scripts above at degree n, alone in a fresh interpreter so
+    that its ru_maxrss is its own; its JSON line, or the error it ended with."""
+    proc = _python(checkout, "-c", script, str(n))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit code {proc.returncode}", "stderr_tail": proc.stderr.strip().splitlines()[-5:]}
@@ -191,12 +222,16 @@ def main(argv=None) -> int:
         m["returncode"] or len(m["n"]) != CODIM_MAX_N for m in codim.values()
     )
     print(f"  {'FAILED' if codim_failed else 'ok'}", file=sys.stderr, flush=True)
-    record["identity_space"] = {}
-    for n in IDENTITY_SPACE_N:
-        print(f"identity_space ut2-eps n = {n} ...", file=sys.stderr, flush=True)
-        record["identity_space"][n] = result = run_identity_space(checkout, n)
-        summary = result.get("error") or f"{result['seconds']:.2f}s"
-        print(f"  {summary}", file=sys.stderr, flush=True)
+    for key, script, degrees in (
+        ("identity_space", _IDENTITY_SPACE, IDENTITY_SPACE_N),
+        ("consequences", _CONSEQUENCES, CONSEQUENCES_N),
+    ):
+        record[key] = {}
+        for n in degrees:
+            print(f"{key} ut2-eps n = {n} ...", file=sys.stderr, flush=True)
+            record[key][n] = result = run_script(checkout, script, n)
+            summary = result.get("error") or f"{result['seconds']:.2f}s"
+            print(f"  {summary}", file=sys.stderr, flush=True)
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     record["tier1"] = run_tier1(checkout)
     tier1 = record["tier1"]
@@ -216,6 +251,11 @@ def main(argv=None) -> int:
         if "error" in result or not result["correct"]
     ]
     failed += [("identity_space", n) for n, r in record["identity_space"].items() if "error" in r]
+    failed += [
+        ("consequences", n)
+        for n, r in record["consequences"].items()
+        if "error" in r or not r["equals_kernel"]
+    ]
     return 1 if failed or codim_failed or record["battery"]["returncode"] or tier1["returncode"] else 0
 
 
