@@ -18,6 +18,7 @@ from diffident.algebra import (
     trivial_action,
     ut,
 )
+from diffident.acceptance import _ut2_eps_identities
 from diffident.errors import AlphabetMismatch, NotMultilinear, SizeCap, WordCapExceeded
 from diffident.linalg import Matrix
 from diffident import piengine as pe
@@ -318,7 +319,7 @@ class TestConsequences:
             cons = pe.consequences_space(gens[1] + gens[2], n, act_full)
             assert cons == pe.identity_space(u2, act_full, n).kernel
         # each identity's closure holds its Leibniz derivatives
-        order = rep.monomial_basis_order
+        order = list(pe.monomial_basis(2, act_full.envelope.dim))
         for g in gens[2]:
             cons = pe.consequences_space([g], 2, act_full)
             for letter in range(act_full.closure_dim):
@@ -358,18 +359,14 @@ class TestConsequences:
         "case, n", [("ut2-eps", 3), ("ut2-eps", 4), ("ut2", 3), ("ut2", 4)]
     )
     def test_renamed_instances_are_the_substituted_ones(self, case, n, triv, act_eps):
-        # the parent path: one substitute per order of the variables, collapsed
+        # the reference instances: one substitute per order of the variables,
+        # then collapsed
         if case == "ut2":
             act = triv
             gens = [pe.commutator_poly(x(1), x(2)) * pe.commutator_poly(x(3), x(4))]
         else:
             act = act_eps
-            c = pe.commutator_poly(x(1), x(2))
-            gens = [
-                x(1, (0, 0)) - x(1, (0,)),
-                pe.LPolynomial.from_terms({((1, 2), ((0,), (0,))): 1}),
-                pe.derive_polynomial(c, 0, act) - c,
-            ]
+            gens = _ut2_eps_identities(act)
         words = [w for g in gens for (_v, ws) in g.terms for w in ws]
         cap = max([pe.default_word_cap(act)] + [len(w) for w in words])
         index = {m: i for i, m in enumerate(pe.monomial_basis(n, act.envelope.dim))}
