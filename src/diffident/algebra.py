@@ -101,11 +101,14 @@ class StructureAlgebra:
     # -- misc --------------------------------------------------------------
 
     def subspace_product(self, u: Subspace, v: Subspace) -> Subspace:
-        """Span of all pairwise products of basis vectors."""
+        """Span of all pairwise products of the rows of u and v, on integers."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise AmbientMismatch("subspace ambient differs from algebra dimension")
-        prods = [self.multiply(a, b) for a in u.basis for b in v.basis]
-        return Subspace.from_vectors(self.dim, prods)
+        rr = SparseRREF()
+        for _, a in u.rows:
+            for _, b in v.rows:
+                rr.add_row(integer_product(self.integer_table[1], a, b))
+        return Subspace.from_eliminator(self.dim, rr)
 
     def __repr__(self):
         return f"StructureAlgebra({self.label or 'dim %d' % self.dim})"

@@ -3,9 +3,9 @@
 Everything downstream (structure theory, codimension ranks, subspace
 lattices) is built on one incremental exact/modular eliminator, SparseRREF:
 add_row grows a span, solve gives coordinates in it (so a basis is factored
-only once), and reduced_basis reads out its reduced row-echelon basis.
-Exact elimination is fraction-free: pivot rows are primitive integer rows,
-and Fractions appear only when solve, kernel and reduced_basis read out.
+only once), and reduced_basis gives its reduced row-echelon basis.
+Exact elimination is fraction-free: pivot and reduced rows are primitive
+integer rows, and Fractions appear only when solve and kernel read out.
 Reduced row echelon form, left kernels, canonical subspaces and the
 one-prime modular rank (a proven lower bound on the rank over Q) are all
 views of it.
@@ -252,16 +252,16 @@ def rank_modular(m: Matrix, seed: int = 0) -> int:
 class Subspace:
     """Subspace of F^n held as its reduced row-echelon basis (canonical).
 
-    A frozen view of an exact SparseRREF: every constructor but zero and
-    full reads the basis out of an eliminator fed with spanning rows.
+    A frozen view of an exact SparseRREF: rows is what its reduced_basis
+    returns, which callers must not mutate, and basis and pivot_columns are
+    derived from it.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivot_columns")
+    __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, basis, pivot_columns):
+    def __init__(self, ambient_dim: int, rows: list):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(v) for v in basis))
-        object.__setattr__(self, "pivot_columns", tuple(pivot_columns))
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -270,7 +270,7 @@ class Subspace:
     def from_eliminator(cls, ambient_dim: int, rr: "SparseRREF") -> "Subspace":
         """Span of the rows fed to an exact eliminator with columns
         0..ambient_dim-1."""
-        return cls._read_out(ambient_dim, rr.reduced_basis())
+        return cls(ambient_dim, rr.reduced_basis())
 
     @classmethod
     def from_kernel(
@@ -288,18 +288,6 @@ class Subspace:
         return cls.from_eliminator(ambient_dim, kernel)
 
     @classmethod
-    def _read_out(cls, ambient_dim: int, rows: list) -> "Subspace":
-        """Dense Subspace of reduced row-echelon (lead, row) pairs.  Each row
-        becomes a tuple at once, so only one list is alive at a time."""
-        basis = []
-        for _, row in rows:
-            vec = [ZERO] * ambient_dim
-            for c, x in row.items():
-                vec[c] = x
-            basis.append(tuple(vec))
-        return cls(ambient_dim, basis, [lead for lead, _ in rows])
-
-    @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         rr = SparseRREF()
         for v in vectors:
@@ -311,32 +299,43 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [], [])
+        return cls(ambient_dim, [])
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(
-            ambient_dim,
-            [[ONE if j == i else ZERO for j in range(ambient_dim)] for i in range(ambient_dim)],
-            range(ambient_dim),
-        )
+        return cls(ambient_dim, [(i, {i: 1}) for i in range(ambient_dim)])
+
+    @property
+    def basis(self) -> tuple:
+        """Dense Fraction tuples: each row divided by its lead."""
+        basis = []
+        for lead, row in self.rows:
+            vec = [ZERO] * self.ambient_dim
+            for c, x in row.items():
+                vec[c] = Fraction(x, row[lead])
+            basis.append(tuple(vec))
+        return tuple(basis)
+
+    @property
+    def pivot_columns(self) -> tuple:
+        return tuple(lead for lead, _ in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.pivot_columns))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of F^{self.ambient_dim})"
@@ -348,14 +347,16 @@ class Subspace:
             )
 
     def reduce(self, vec: Sequence) -> list:
-        """Residual of vec after reduction against the basis."""
+        """Residual of vec after reduction against the rows."""
         v = [frac(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise AmbientMismatch(f"vector length {len(v)} != {self.ambient_dim}")
-        for row, pc in zip(self.basis, self.pivot_columns):
-            f = v[pc]
+        for lead, row in self.rows:
+            f = v[lead]
             if f:
-                v = [a - f * b for a, b in zip(v, row)]
+                f /= row[lead]
+                for c, x in row.items():
+                    v[c] -= f * x
         return v
 
     def member(self, vec: Sequence) -> bool:
@@ -376,16 +377,16 @@ class Subspace:
         self._check_ambient(other)
         n = self.ambient_dim
         rr = SparseRREF()
-        for v in self.basis:
-            rr.add_row(dict(enumerate(v + v)))
-        for v in other.basis:
-            rr.add_row(dict(enumerate(v)))
+        for _, row in self.rows:
+            rr.add_row({**row, **{c + n: x for c, x in row.items()}})
+        for _, row in other.rows:
+            rr.add_row(row)
         inter = [
             (lead - n, {c - n: x for c, x in row.items()})
             for lead, row in rr.reduced_basis()
             if lead >= n
         ]
-        return Subspace._read_out(n, inter)
+        return Subspace(n, inter)
 
     def image(self, m: Matrix) -> "Subspace":
         """Image of the subspace under v -> v*M."""
@@ -427,8 +428,8 @@ class SparseRREF:
     once, reduction cross-multiplies, and every pivot row is stored
     primitive (content 1, positive lead).  Its tag combination is an integer
     dict over one positive integer denominator.  Fractions appear only when
-    solve, kernel and reduced_basis read results out, and those values are
-    the unique ones, independent of how the rows were scaled.
+    solve and kernel read results out, and those values are the unique
+    ones, independent of how the rows were scaled.
     With a prime, arithmetic is done modulo it.
     """
 
@@ -569,13 +570,12 @@ class SparseRREF:
 
     def reduced_basis(self) -> list[tuple]:
         """The reduced row-echelon basis of the span as (lead, row) pairs in
-        ascending lead order: each lead entry is 1 and each lead column is
-        zero in every other row.  Needs an exact eliminator.
+        ascending lead order, each row a primitive int dict with a positive
+        lead and zero at every other lead column.  Needs an exact eliminator.
 
-        Back-substitutes on integers in descending lead order, then divides
-        each row by its lead.  A stored pivot row has entries only at
-        columns >= its lead, so the rows it is reduced by are final, and
-        each of them is zero at every other lead column.
+        Back-substitutes on integers in descending lead order: a stored pivot
+        row has entries only at columns >= its lead, so the rows it is reduced
+        by are final, and each of them is zero at every other lead column.
         """
         if self.prime is not None:
             raise ValueError("reduced_basis needs an exact SparseRREF")
@@ -590,10 +590,7 @@ class SparseRREF:
             if content != 1:
                 row = {k: v // content for k, v in row.items()}
             done[lead] = row
-        return [
-            (lead, {k: Fraction(v, row[lead]) for k, v in row.items()})
-            for lead, row in sorted(done.items())
-        ]
+        return sorted(done.items())
 
 
 def span_coordinates(vectors: Sequence[Sequence]):

@@ -315,6 +315,18 @@ class TestAgainstSympy:
         original = Subspace.from_vectors(m.cols, m.entries)
         assert moved == original
         assert (moved.basis, moved.pivot_columns) == (original.basis, original.pivot_columns)
+        # rows are the primitive integer forms of the reduced row-echelon rows
+        leads = set(moved.pivot_columns)
+        for lead, row in moved.rows:
+            assert all(type(x) is int and x for x in row.values())
+            assert row[lead] > 0 and gcd(*row.values()) == 1
+            assert leads & set(row) == {lead}
+        expected, pivots = qq(m.entries, m.cols).rref()
+        assert moved.pivot_columns == tuple(pivots)
+        assert [list(v) for v in moved.basis] == fractions(expected)[: len(pivots)]
+        # == compares rows, and agrees with equality of the dense bases
+        for other in (Subspace.from_vectors(m.cols, rows[1:]), Subspace.zero(m.cols)):
+            assert (other == moved) == (other.basis == moved.basis)
 
 
 class _IntegerOnly(SparseRREF):

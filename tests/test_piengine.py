@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product as iproduct
@@ -216,6 +217,20 @@ class TestIdentitySpace:
                     terms[(vars_, words)] = c
             poly = pe.LPolynomial.from_terms(terms)
             assert pe.is_identity(poly, act_eps)
+
+    def test_kernel_keeps_integer_rows(self, u2, act_eps):
+        """At n = 5 the kernel has 3,759 rows over 3,840 monomials; held as
+        dense Fraction tuples it peaked above 100 MB, as sparse integer rows
+        it stays under 20 MB.  The n = 3 call fills the action's caches."""
+        pe.identity_space(u2, act_eps, 3)
+        tracemalloc.start()
+        try:
+            rep = pe.identity_space(u2, act_eps, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.codim, rep.identity_dim) == (81, 3759)
+        assert peak < 20_000_000
 
 
 def _identity_space_of_every_row(alg, act, n):

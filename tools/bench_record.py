@@ -8,13 +8,16 @@ length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 (per-layer metrics), one run at a time, then runs the checkout's
 ``diffident battery`` once, ``diffident codim`` on the shipped ``ut2-eps``
 file for n = 1..8 in exact and in modular mode, ``identity_space`` on it at
-n = 4 and 5, ``consequences_space`` of battery criterion 9's three
-identities on it at n = 4 and 5 (each run in a fresh interpreter) and its
-tier-1 test command once, and writes BENCH_<pr>.json at the root of this
-repository. The file holds the checkout's commit (and whether its tree had
-uncommitted changes), the Python version, nproc, the load average before and
-after, for each workload and trace level the run's correct/attempted/failed
-counts and every metric with its unit, under ``battery`` the battery's exit
+n = 4, 5 and 6, ``consequences_space`` of battery criterion 9's three
+identities on it at n = 4 and 5 (each run in a fresh interpreter whose
+address space is capped at SCRIPT_ADDRESS_SPACE, so that a checkout that
+holds these spaces densely stops with MemoryError instead of filling the
+machine's memory) and its tier-1 test command once, and writes
+BENCH_<pr>.json at the root of this repository. The file holds the
+checkout's commit (and whether its tree had uncommitted changes), the
+Python version, nproc, the load average before and after, for each workload
+and trace level the run's correct/attempted/failed counts and every metric
+with its unit, under ``battery`` the battery's exit
 code and the seconds of each criterion, read from its ``criterion K T s``
 stderr lines, under ``codim`` each mode's exit code and, per n, the
 monomials, rank and seconds read from its ``n N monomials M rank C T s``
@@ -35,6 +38,7 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -44,8 +48,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SEED = 0
 CODIM_MAX_N = 8
-IDENTITY_SPACE_N = (4, 5)
+IDENTITY_SPACE_N = (4, 5, 6)
 CONSEQUENCES_N = (4, 5)
+SCRIPT_ADDRESS_SPACE = 2 * 2**30  # bytes: the RLIMIT_AS of each run_script interpreter
 
 # identity_space on the shipped ut2-eps file at degree argv[1], as one JSON line
 _IDENTITY_SPACE = """
@@ -114,11 +119,18 @@ def run_bench(checkout: Path, workload: str, seconds: float, trace: int) -> dict
     return result
 
 
-def _python(checkout: Path, *args: str) -> subprocess.CompletedProcess:
-    """This interpreter run on args in the checkout, importing its source."""
+def _python(checkout: Path, *args: str, preexec_fn=None) -> subprocess.CompletedProcess:
+    """This interpreter run on args in the checkout, importing its source;
+    preexec_fn runs in the child before it starts."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     cmd = [sys.executable, *args]
-    return subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    return subprocess.run(
+        cmd, cwd=checkout, env=env, capture_output=True, text=True, preexec_fn=preexec_fn
+    )
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (SCRIPT_ADDRESS_SPACE, SCRIPT_ADDRESS_SPACE))
 
 
 def _diffident(checkout: Path, *args: str) -> subprocess.CompletedProcess:
@@ -156,8 +168,9 @@ def run_codim(checkout: Path) -> dict:
 
 def run_script(checkout: Path, script: str, n: int) -> dict:
     """One of the scripts above at degree n, alone in a fresh interpreter so
-    that its ru_maxrss is its own; its JSON line, or the error it ended with."""
-    proc = _python(checkout, "-c", script, str(n))
+    that its ru_maxrss is its own, and with its address space capped at
+    SCRIPT_ADDRESS_SPACE; its JSON line, or the error it ended with."""
+    proc = _python(checkout, "-c", script, str(n), preexec_fn=_cap_address_space)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit code {proc.returncode}", "stderr_tail": proc.stderr.strip().splitlines()[-5:]}
