@@ -104,11 +104,9 @@ class StructureAlgebra:
         """Span of all pairwise products of the rows of u and v, on integers."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise AmbientMismatch("subspace ambient differs from algebra dimension")
-        rr = SparseRREF()
-        for _, a in u.rows:
-            for _, b in v.rows:
-                rr.add_row(integer_product(self.integer_table[1], a, b))
-        return Subspace.from_eliminator(self.dim, rr)
+        table = self.integer_table[1]
+        products = [integer_product(table, a, b) for _, a in u.rows for _, b in v.rows]
+        return Subspace.spanned(self.dim, products)
 
     def __repr__(self):
         return f"StructureAlgebra({self.label or 'dim %d' % self.dim})"
@@ -310,7 +308,8 @@ def lie_closure(alg: StructureAlgebra, generators: list[Derivation]) -> LieActio
 def subspace_under_action(
     s: Subspace, env: Envelope, include_identity: bool = True
 ) -> Subspace:
-    """Span of b^u for b in s and u over the envelope basis.
+    """Span of b^u for b in s and u over the envelope basis, on integers:
+    each integer row of s times each operator's integer form.
 
     With include_identity False only operators carrying a non-empty word are
     applied (the non-unital variant).
@@ -318,13 +317,9 @@ def subspace_under_action(
     ambient = env.op_basis[0].rows
     if s.ambient_dim != ambient:
         raise AmbientMismatch("subspace ambient differs from algebra dimension")
-    vecs = []
-    for op, w in zip(env.op_basis, env.word_reps):
-        if not include_identity and len(w) == 0:
-            continue
-        for b in s.basis:
-            vecs.append(op.apply(b))
-    return Subspace.from_vectors(ambient, vecs)
+    ops = [op for op, w in zip(env.op_basis, env.word_reps) if include_identity or w]
+    rows = [dict(enumerate(op.integer_apply(b.items()))) for op in ops for _, b in s.rows]
+    return Subspace.spanned(ambient, rows)
 
 
 def trivial_action(alg: StructureAlgebra) -> LieAction:

@@ -24,7 +24,6 @@ EVIDENCE_CAP = 4
 class ExponentReport:
     value: int
     witness_sequence: tuple
-    witness_dims: int
     pruned_count: int
 
 
@@ -53,9 +52,7 @@ def _best_sequence(blocks: list[Subspace], step) -> ExponentReport:
             rec(seq + [i], nstate, weight + blocks[i].dim)
 
     rec([], None, 0)
-    return ExponentReport(
-        value=best_value, witness_sequence=best_seq, witness_dims=best_value, pruned_count=pruned
-    )
+    return ExponentReport(value=best_value, witness_sequence=best_seq, pruned_count=pruned)
 
 
 def _ordinary_step(alg: StructureAlgebra, wd: WedderburnData):

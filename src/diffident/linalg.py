@@ -9,6 +9,11 @@ integer rows, and Fractions appear only when solve and kernel read out.
 Reduced row echelon form, left kernels, canonical subspaces and the
 one-prime modular rank (a proven lower bound on the rank over Q) are all
 views of it.
+A Subspace is the primitive integer rows of reduced_basis.  Subspace.spanned
+feeds sparse rows to one exact eliminator and is the one way to turn rows
+into a Subspace; kernels, sums, containment and images work on the integer
+rows, never on the dense Fraction basis.  A Matrix acts on an integer row
+through one loop, integer_apply, which apply and the matrix product share.
 Vectors are rows; a linear map given by a matrix M acts as v -> v*M, so
 composing "apply M1, then M2" is the ordinary product M1*M2.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -117,15 +123,8 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
         d_left, left = self.integer_form
-        d_right, right = other.integer_form
-        den = d_left * d_right
-        out = []
-        for row in left:
-            acc = [0] * other.cols
-            for i, a in row:
-                for j, b in right[i]:
-                    acc[j] += a * b
-            out.append(divided(acc, den))
+        den = d_left * other.integer_form[0]
+        out = [divided(other.integer_apply(row), den) for row in left]
         return Matrix(self.rows, other.cols, out)
 
     def sparse(self) -> dict:
@@ -138,17 +137,22 @@ class Matrix:
             if x
         }
 
+    def integer_apply(self, row: Iterable[tuple]) -> list:
+        """d * (row * M) as a dense int list, for an int row given as its
+        nonzero (i, x) pairs, d being the denominator of integer_form."""
+        rows = self.integer_form[1]
+        acc = [0] * self.cols
+        for i, a in row:
+            for j, b in rows[i]:
+                acc[j] += a * b
+        return acc
+
     def apply(self, v: Sequence) -> list:
         """Row vector times matrix, on the integer forms of both."""
         if len(v) != self.rows:
             raise ValueError("vector length does not match matrix rows")
         d_v, vec = integer_vector(v)
-        d, rows = self.integer_form
-        acc = [0] * self.cols
-        for i, a in vec.items():
-            for j, b in rows[i]:
-                acc[j] += a * b
-        return divided(acc, d_v * d)
+        return divided(self.integer_apply(vec.items()), d_v * self.integer_form[0])
 
 
 def integer_vector(vec: Sequence) -> tuple[int, dict]:
@@ -267,9 +271,12 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def from_eliminator(cls, ambient_dim: int, rr: "SparseRREF") -> "Subspace":
-        """Span of the rows fed to an exact eliminator with columns
-        0..ambient_dim-1."""
+    def spanned(cls, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":
+        """Span of sparse rows, int or rational dicts over the columns
+        0..ambient_dim-1, fed to one exact eliminator."""
+        rr = SparseRREF()
+        for row in rows:
+            rr.add_row(row)
         return cls(ambient_dim, rr.reduced_basis())
 
     @classmethod
@@ -278,24 +285,18 @@ class Subspace:
     ) -> "Subspace":
         """Left kernel of the rows fed to a track_kernel eliminator, tagged
         by distinct ints in 0..ambient_dim-1, together with zero rows at
-        zero_tags, the tags not fed: one more pass over the kernel vectors
-        and the unit vectors of zero_tags makes them canonical."""
-        kernel = SparseRREF()
-        for combo in rr.kernel:
-            kernel.add_row(combo)
-        for tag in zero_tags:
-            kernel.add_row({tag: ONE})
-        return cls.from_eliminator(ambient_dim, kernel)
+        zero_tags, the tags not fed: the span of the kernel vectors and the
+        unit vectors of zero_tags."""
+        return cls.spanned(ambient_dim, chain(rr.kernel, ({tag: 1} for tag in zero_tags)))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rr = SparseRREF()
-        for v in vectors:
-            row = dict(enumerate(v))
+        """Span of dense vectors of length ambient_dim."""
+        rows = [dict(enumerate(v)) for v in vectors]
+        for row in rows:
             if len(row) != ambient_dim:
                 raise AmbientMismatch(f"vector length {len(row)} != {ambient_dim}")
-            rr.add_row(row)
-        return cls.from_eliminator(ambient_dim, rr)
+        return cls.spanned(ambient_dim, rows)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -363,12 +364,16 @@ class Subspace:
         return all(x == 0 for x in self.reduce(vec))
 
     def contains(self, other: "Subspace") -> bool:
+        """Whether other's rows leave the rank of self's rows at self.dim."""
         self._check_ambient(other)
-        return all(self.member(v) for v in other.basis)
+        rr = SparseRREF()
+        for _, row in self.rows:
+            rr.add_row(row)
+        return not any(rr.add_row(row) for _, row in other.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace.spanned(self.ambient_dim, [row for _, row in self.rows + other.rows])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: eliminate [u|u] and [v|0] over columns j and n+j; the
@@ -389,8 +394,12 @@ class Subspace:
         return Subspace(n, inter)
 
     def image(self, m: Matrix) -> "Subspace":
-        """Image of the subspace under v -> v*M."""
-        return Subspace.from_vectors(m.cols, [m.apply(v) for v in self.basis])
+        """Image of the subspace under v -> v*M, spanned by d * (row * M)
+        for its integer rows."""
+        if m.rows != self.ambient_dim:
+            raise AmbientMismatch(f"matrix rows {m.rows} != {self.ambient_dim}")
+        rows = [dict(enumerate(m.integer_apply(row.items()))) for _, row in self.rows]
+        return Subspace.spanned(m.cols, rows)
 
 
 # ---------------------------------------------------------------------------

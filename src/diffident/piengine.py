@@ -377,11 +377,10 @@ class EvaluationRows:
         )
 
     def _positional_table(
-        self, n: int, max_entries: int, wanted: set | None = None
-    ) -> tuple[dict, int]:
+        self, n: int, max_entries: int, wanted: set | None = None, charge: int = 1
+    ) -> dict:
         """{exps: [(positional basis tuple, product)]} over the live exponent
-        tuples only, in lex order, nonzero products only, and its number of
-        stored entries.
+        tuples only, in lex order, nonzero products only.
 
         A product depends only on the exponent tuple and on which basis
         element sits in each position, so it is computed once per tuple,
@@ -389,16 +388,18 @@ class EvaluationRows:
         A prefix whose products are all zero is dropped at the level where
         it dies, since every extension of a zero product is zero.  The
         entries of the level being built count against max_entries as they
-        are stored.  With wanted, a set of exponent tuples, only those and
-        their prefixes are built.
+        are stored, each entry of the last level charge times, so that level
+        stops past max_entries // charge entries.  With wanted, a set of
+        exponent tuples, only those and their prefixes are built.
         """
         prefixes = None
         if wanted is not None:
             prefixes = {exps[:i] for exps in wanted for i in range(1, n + 1)}
         products = self.products
         level: dict = {(): [((), None)]}
-        stored = 0
-        for _ in range(n):
+        for depth in range(n):
+            weight = charge if depth == n - 1 else 1
+            cap = max_entries // weight
             stored = 0
             nxt = {}
             for exps, partial in level.items():
@@ -412,14 +413,15 @@ class EvaluationRows:
                             if p:
                                 out.append((bt + (b,), p))
                                 stored += len(p)
-                                if stored > max_entries:
+                                if stored > cap:
                                     raise SizeCap(
-                                        f"positional table exceeds the budget {max_entries}"
+                                        f"{stored * weight} stored entries exceed the budget"
+                                        f" {max_entries}"
                                     )
                     if out:
                         nxt[exps + (u,)] = out
             level = nxt
-        return level, stored
+        return level
 
     def rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         """The nonzero rows, as (position, row) pairs in increasing position,
@@ -431,8 +433,8 @@ class EvaluationRows:
         variable order reweights the positions of the labels of a tuple's
         table entries.  Every row of a tuple holds all its entries, so the
         stream holds n! times the table's entries; the table and the stream,
-        (n! + 1) times the table's entries, count against max_entries before
-        the first row.  Two cases are decided before the table is built.
+        (n! + 1) times the table's entries, count against max_entries while
+        the table is built.  Two cases are decided before the table is built.
         A nilpotent A has A^n = 0 for n > dim, and then no tuple is live and
         the stream is empty.  Any other A has A^n != 0 for every n, so the
         all-identity tuple is live (ops[0] is the identity) and the charge
@@ -446,10 +448,7 @@ class EvaluationRows:
         orders = factorial(n)
         if not nilpotent and orders + 1 > max_entries:
             raise SizeCap(f"{n}! variable orders exceed the budget {max_entries}")
-        table, stored = self._positional_table(n, max_entries)
-        charge = stored * (orders + 1)
-        if charge > max_entries:
-            raise SizeCap(f"{charge} stored entries exceed the budget {max_entries}")
+        table = self._positional_table(n, max_entries, charge=orders + 1)
         width = self.width
         live = [
             (sum(u * width ** (n - 1 - i) for i, u in enumerate(exps)), entries)
@@ -478,7 +477,7 @@ class EvaluationRows:
         exponent tuples the combinations use are built.
         """
         wanted = {exps for combo in combos for _vars, exps in combo}
-        table, _ = self._positional_table(n, max_entries, wanted)
+        table = self._positional_table(n, max_entries, wanted)
         out = []
         for combo in combos:
             scale = lcm(*(c.denominator for c in combo.values()))
@@ -822,7 +821,7 @@ def consequences_space(
                 decorated = _collapsed_act(terms, table[u], var)
                 if push(decorated):
                     queue.append(decorated)
-    return Subspace.from_eliminator(len(index), rr)
+    return Subspace(len(index), rr.reduced_basis())
 
 
 # ---------------------------------------------------------------------------

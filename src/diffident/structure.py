@@ -72,8 +72,7 @@ def quotient_by_ideal(alg: StructureAlgebra, ideal: Subspace) -> QuotientAlgebra
     for a in coords:
         row = []
         for b in coords:
-            prod = alg.multiply(alg.basis_vector(a), alg.basis_vector(b))
-            residual = ideal.reduce(prod)
+            residual = ideal.reduce(alg.constants[a][b])
             row.append([residual[c] for c in coords])
         constants.append(row)
     unit = None
@@ -201,15 +200,6 @@ def semisimple_blocks(alg: StructureAlgebra) -> list[Subspace]:
     return blocks
 
 
-def _combination(coeffs, vectors, n: int) -> list:
-    """sum_i coeffs[i] * vectors[i] in F^n."""
-    out = [ZERO] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = [x + c * y for x, y in zip(out, v)]
-    return out
-
-
 def subalgebra_unit(alg: StructureAlgebra, space: Subspace) -> list:
     """Two-sided unit of a unital subalgebra, found by a linear solve."""
     basis = [list(b) for b in space.basis]
@@ -228,7 +218,7 @@ def subalgebra_unit(alg: StructureAlgebra, space: Subspace) -> list:
     coords = span_coordinates(eq_rows)(t_vec)
     if coords is None:
         raise InternalVerificationFailed("subalgebra has no unit")
-    return _combination(coords, basis, alg.dim)
+    return Matrix(k, alg.dim, basis).apply(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +252,12 @@ def _decompose(alg: StructureAlgebra) -> WedderburnData:
     j = radical(alg)
     quo = quotient_by_ideal(alg, j)
     sigma = _multiplicative_section(alg, quo)
-    image = lambda qvec: _combination(qvec, sigma, alg.dim)
+    section = Matrix(quo.algebra.dim, alg.dim, sigma)
     qblocks = semisimple_blocks(quo.algebra)
     return WedderburnData(
         radical=j,
-        blocks=[Subspace.from_vectors(alg.dim, [image(b) for b in qb.basis]) for qb in qblocks],
-        block_units=[image(subalgebra_unit(quo.algebra, qb)) for qb in qblocks],
+        blocks=[qb.image(section) for qb in qblocks],
+        block_units=[section.apply(subalgebra_unit(quo.algebra, qb)) for qb in qblocks],
         semisimple_part=Subspace.from_vectors(alg.dim, sigma),
     )
 
@@ -286,10 +276,10 @@ def _multiplicative_section(alg: StructureAlgebra, quo: QuotientAlgebra) -> list
     """
     q = quo.algebra
     sigma = [quo.lift(q.basis_vector(a)) for a in range(q.dim)]
-    image = lambda qvec: _combination(qvec, sigma, alg.dim)
     pairs = [(a, b) for a in range(q.dim) for b in range(q.dim)]
     power = quo.ideal
     while not power.is_zero():
+        image = Matrix(q.dim, alg.dim, sigma).apply
         defect = [
             [x - y for x, y in zip(alg.multiply(sigma[a], sigma[b]), image(q.constants[a][b]))]
             for a, b in pairs

@@ -168,6 +168,15 @@ def test_subspace_under_action_variants():
     without = subspace_under_action(span_e11, act.envelope, include_identity=False)
     assert with_id.contains(without)
     assert with_id.dim >= span_e11.dim
+    # on integer rows, the span of op.apply(b) over the operators and the basis
+    for label, alg, act in battery_fixtures():
+        env, n = act.envelope, alg.dim
+        dense_vector = [Fraction(i + 1, 2 - i % 2) for i in range(n)]
+        for s in (Subspace.from_vectors(n, [alg.basis_vector(0), dense_vector]), Subspace.full(n)):
+            for include_identity in (True, False):
+                ops = [op for op, w in zip(env.op_basis, env.word_reps) if include_identity or w]
+                dense = Subspace.from_vectors(n, [op.apply(b) for op in ops for b in s.basis])
+                assert subspace_under_action(s, env, include_identity) == dense, label
 
 
 def test_builtin_dimensions():

@@ -19,6 +19,23 @@ from diffident import piengine as pe
 from test_basis_change import _in_basis, _inner_pair, _invertible, mat2_over_dual_numbers
 
 
+DECOMPOSE_MAT2_DUAL_MOVED = """\
+diffident-report
+command decompose
+input PATH
+config seed=0 max_entries=10000000
+algebra mat2-dual-moved dim 8
+radical dim 4
+blocks 4
+block 1 dim 4 unit 614/81 -74014/729 145/54 22571/729 -12386/729 5872/243 -151/18 365/18
+block 1 basis 1 0 0 0 579804461891516068571433/25126910084600987000131 -415461587366341534599047/50253820169201974000262 353892972508116311877201/50253820169201974000262 -1282900048638267055757701/50253820169201974000262
+block 1 basis 0 1 0 0 218527901213139122473780/25126910084600987000131 -83351209994792401630635/25126910084600987000131 76739310963783931397556/25126910084600987000131 -259579400369645970142290/25126910084600987000131
+block 1 basis 0 0 1 0 353598800342490470519118/25126910084600987000131 -132066761653255428240355/25126910084600987000131 99074451495296398292334/25126910084600987000131 -336058950519990737964752/25126910084600987000131
+block 1 basis 0 0 0 1 530181784767997354783741/25126910084600987000131 -382799145511921019575371/50253820169201974000262 385838041842112311646401/50253820169201974000262 -1297114258172251916100969/50253820169201974000262
+end
+"""
+
+
 @pytest.fixture()
 def eps_action():
     u2 = ut(2)
@@ -270,6 +287,17 @@ class TestCommands:
         assert main(["verify-gk", str(path)]) == 0
         out = capsys.readouterr().out
         assert "exp 4\nexp-L 4\nverdict PASS" in out
+
+    def test_decompose_golden_in_a_random_basis(self, tmp_path, capsys, monkeypatch):
+        # bases, units and block order, not only dimensions, pinned byte for byte
+        monkeypatch.delenv("DIFFIDENT_CONFIG", raising=False)
+        alg = mat2_over_dual_numbers()
+        p, p_inv = _invertible(alg.dim, random.Random(0))
+        moved = _in_basis(alg, p, p_inv)
+        path = tmp_path / "mat2-dual.alg"
+        path.write_text(AlgebraFile.from_algebra("mat2-dual-moved", moved, []).serialize())
+        assert main(["decompose", str(path)]) == 0
+        assert capsys.readouterr().out == DECOMPOSE_MAT2_DUAL_MOVED.replace("PATH", str(path))
 
     def test_check_identity(self, tmp_path, capsys):
         path = self._gen(tmp_path, "ut2")

@@ -327,6 +327,19 @@ class TestAgainstSympy:
         # == compares rows, and agrees with equality of the dense bases
         for other in (Subspace.from_vectors(m.cols, rows[1:]), Subspace.zero(m.cols)):
             assert (other == moved) == (other.basis == moved.basis)
+        # sum, contains and image read the integer rows; each agrees with its
+        # definition on the dense bases
+        half = Subspace.from_vectors(m.cols, rows[: len(rows) // 2])
+        dense_sum = Subspace.from_vectors(m.cols, list(half.basis) + list(moved.basis))
+        assert half.sum(moved) == moved.sum(half) == dense_sum
+        for big, small in ((moved, half), (half, moved), (half, Subspace.zero(m.cols))):
+            assert big.contains(small) == all(big.member(v) for v in small.basis)
+        cols = rng.randint(1, 4)
+        action = Matrix.from_rows(
+            [[rng.choice([0, 0, 1, -2, Fraction(3, 4)]) for _ in range(cols)] for _ in range(m.cols)]
+        )
+        dense_image = Subspace.from_vectors(action.cols, [action.apply(v) for v in moved.basis])
+        assert moved.image(action) == dense_image
 
 
 class _IntegerOnly(SparseRREF):

@@ -23,6 +23,7 @@ from diffident.acceptance import _ut2_eps_identities
 from diffident.errors import AlphabetMismatch, NotMultilinear, SizeCap, WordCapExceeded
 from diffident.linalg import Matrix
 from diffident import piengine as pe
+from test_basis_change import _in_basis, _invertible
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,25 @@ class TestCodim:
         assert pe.codim(u2, act_eps, 5, max_entries=charge) == 81
         with pytest.raises(SizeCap):
             pe.codim(u2, act_eps, 5, max_entries=charge - 1)
+
+    def test_last_table_level_stops_at_its_share_of_the_budget(self, u2, monkeypatch):
+        """Each entry of the table's last level is charged n! + 1 times, so
+        that level stops past max_entries // (n! + 1) entries instead of
+        being built in full first.  In a random basis every product is
+        dense and the last level holds most of the table's products."""
+        p, p_inv = _invertible(u2.dim, random.Random(0))
+        moved = _in_basis(u2, p, p_inv)
+        eps = Derivation(p * ad_unit(u2, 2, 2).matrix * p_inv, name="eps")
+        rows = pe.EvaluationRows(moved, lie_closure(moved, [eps]).envelope.op_basis)
+        calls = []
+        product = pe.integer_product
+        monkeypatch.setattr(pe, "integer_product", lambda *a: calls.append(a) or product(*a))
+        rows._positional_table(5, 10**9)
+        full = len(calls)
+        calls.clear()
+        with pytest.raises(SizeCap):
+            list(rows.rows(5, max_entries=5000))
+        assert len(calls) < full / 2
 
     def test_budget_is_decided_before_the_table(self, u2, act_eps):
         """n! orders over the budget stop an algebra that is not nilpotent

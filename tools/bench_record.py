@@ -27,8 +27,10 @@ stderr lines, under ``identity_space`` per n the seconds, ``codim``,
 ``identity_space`` kernel and ``ru_maxrss``, and under ``tier1`` the test
 run's exit code, its passed and failed counts (from pytest's summary line),
 its wall-clock seconds and its ten slowest test phases with their seconds
-(from pytest's ``--durations=10`` report). Two files made on the same
-machine can be compared workload by workload and layer by layer.
+(from pytest's ``--durations=10`` report), and under ``src_lines`` the line
+count of the checkout's ``src/diffident/*.py``. Two files made on the same
+machine can be compared workload by workload and layer by layer, and any
+two files by the size of the engine.
 """
 
 from __future__ import annotations
@@ -197,6 +199,13 @@ def run_tier1(checkout: Path) -> dict:
     }
 
 
+def count_src_lines(checkout: Path) -> int:
+    """Lines of the engine's modules, src/diffident/*.py."""
+    return sum(
+        len(path.read_text().splitlines()) for path in (checkout / "src" / "diffident").glob("*.py")
+    )
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
@@ -215,6 +224,7 @@ def main(argv=None) -> int:
         "loadavg_start": os.getloadavg(),
         "seed": SEED,
         "seconds": seconds,
+        "src_lines": count_src_lines(checkout),
         "workloads": {},
     }
     for w in spec["workloads"]:
