@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .errors import (
     AmbientMismatch,
     BadParams,
-    InternalVerificationFailed,
     NotADerivation,
     NotAssociative,
     NotAUnit,
@@ -73,7 +72,9 @@ class StructureAlgebra:
     def integer_table(self) -> tuple[int, list]:
         """(D_c, table): D_c is the common denominator of the structure
         constants and table[i][j] = [(k, D_c * c_ijk), ...], nonzero only."""
-        return _integer_table(self.constants)
+        rows = self.constants
+        d = common_denominator(x for r in rows for cell in r for x in cell)
+        return d, [[[(k, int(c * d)) for k, c in enumerate(cell) if c] for cell in r] for r in rows]
 
     def basis_vector(self, i: int) -> list:
         return [ONE if j == i else ZERO for j in range(self.dim)]
@@ -110,14 +111,6 @@ class StructureAlgebra:
 
     def __repr__(self):
         return f"StructureAlgebra({self.label or 'dim %d' % self.dim})"
-
-
-def _integer_table(constants: list) -> tuple[int, list]:
-    """(D, table) for a table of rational structure constants: D is their
-    common denominator and table[i][j] = [(k, D * c_ijk), ...], nonzero only."""
-    d = common_denominator(x for r in constants for cell in r for x in cell)
-    table = [[[(k, int(c * d)) for k, c in enumerate(cell) if c] for cell in r] for r in constants]
-    return d, table
 
 
 def integer_product(table: list, u: dict, v: dict) -> dict:
@@ -186,28 +179,25 @@ class Envelope:
 
     op_basis[0] is the identity; word_reps[i] is one word in closure-basis
     indices realizing op_basis[i] as a product (left-to-right application).
+    right[g][i] holds the coordinates of op_basis[i] * g (apply op_basis[i],
+    then closure matrix g) as a sparse {index: coefficient} dict: the
+    envelope's right action, which the walk of envelope() computes.
     solver holds op_basis[i] under tag i, so the basis is factored once.
     """
 
     op_basis: list[Matrix]
-    mult_table: list[list[list[Fraction]]]
     word_reps: list[tuple[int, ...]]
+    right: list[list[dict]]
     solver: SparseRREF = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.op_basis)
 
-    @cached_property
-    def integer_table(self) -> tuple[int, list]:
-        """(D, table): D is the common denominator of mult_table and
-        table[a][b] = [(k, D * mult_table[a][b][k]), ...], nonzero only."""
-        return _integer_table(self.mult_table)
-
-    def expand(self, m: Matrix) -> Optional[list]:
-        """Coordinates of m in op_basis, or None if outside the span."""
-        combo = self.solver.solve(m.sparse())
-        return None if combo is None else [combo.get(i, ZERO) for i in range(self.dim)]
+    def expand(self, m: Matrix) -> Optional[dict]:
+        """Coordinates of m in op_basis as a sparse {index: coefficient}
+        dict, or None if m is outside the span."""
+        return self.solver.solve(m.sparse())
 
 
 def _lie_closure_matrices(generators: list[Matrix]) -> tuple[list[Matrix], SparseRREF]:
@@ -244,34 +234,27 @@ class LieAction:
 
 
 def envelope(alg: StructureAlgebra, closure_matrices: list[Matrix]) -> Envelope:
-    """Multiplicative closure of {identity} u closure basis, breadth-first."""
+    """Multiplicative closure of {identity} u closure basis, breadth-first.
+
+    Each product op_basis[i] * g is expanded once, and joins the basis when
+    outside the span.  The coordinates kept in right prove the span closed
+    under products, since every operator is a word in the closure matrices.
+    """
     ident = Matrix.identity(alg.dim)
-    op_basis = [ident]
-    words: list[tuple[int, ...]] = [()]
     solver = SparseRREF(tagged=True)
     solver.add_row(ident.sparse(), tag=0)
-
-    def offer(m: Matrix, word: tuple[int, ...]):
-        if solver.add_row(m.sparse(), tag=len(op_basis)):
-            op_basis.append(m)
-            words.append(word)
-
-    for gi, g in enumerate(closure_matrices):
-        offer(g, (gi,))
+    op_basis, words, right = [ident], [()], [[] for _ in closure_matrices]
+    env = Envelope(op_basis, words, right, solver)
     for bi, op in enumerate(op_basis):  # op_basis grows while it is walked
         for gi, g in enumerate(closure_matrices):
-            offer(op * g, words[bi] + (gi,))  # apply word, then g
-    env = Envelope(op_basis=op_basis, mult_table=[], word_reps=words, solver=solver)
-    table = []
-    for a in op_basis:
-        row = []
-        for b in op_basis:
-            coords = env.expand(a * b)
+            m = op * g  # apply op, then g
+            coords = env.expand(m)
             if coords is None:
-                raise InternalVerificationFailed("envelope not multiplicatively closed")
-            row.append(coords)
-        table.append(row)
-    env.mult_table = table
+                coords = {len(op_basis): ONE}
+                solver.add_row(m.sparse(), tag=len(op_basis))
+                op_basis.append(m)
+                words.append(words[bi] + (gi,))
+            right[gi].append(coords)
     return env
 
 

@@ -157,7 +157,7 @@ def cmd_decompose(args, cfg) -> int:
     _report_header(out, "decompose", args.infile, cfg)
     out.append(f"algebra {f.name} dim {alg.dim}")
     out.append(f"radical dim {wd.radical.dim}")
-    out.append("blocks " + " ".join(str(b.dim) for b in wd.blocks))
+    out.append(" ".join(["blocks"] + [str(b.dim) for b in wd.blocks]))
     for i, (b, u) in enumerate(zip(wd.blocks, wd.block_units)):
         out.append(f"block {i + 1} dim {b.dim} unit " + " ".join(str(x) for x in u))
         for v in b.basis:

@@ -30,8 +30,9 @@ generator per shape, substituted, multiplied out and collapsed on variables
 1..n in order, and renames its variables for every permutation, since
 renaming commutes with substitution, Leibniz, PBW normalization and
 collapse.  The closure under the derivations and the decorations x -> x^u
-reads the envelope's integer_table, and every row it feeds is a primitive
-int row, a positive multiple of the rational one, so the span is unchanged.
+runs letter by letter, through each letter's right and left action on the
+envelope, and every row it feeds is a primitive int row, a positive
+multiple of the rational one, so the span is unchanged.
 """
 
 from __future__ import annotations
@@ -108,16 +109,20 @@ def word_matrix(act: LieAction, word: Word) -> Matrix:
     return cache[word]
 
 
-def collapse_word(act: LieAction, word: Word) -> tuple:
-    """Coordinates of the word's operator in the envelope basis."""
+def collapse_word(act: LieAction, word: Word) -> dict:
+    """Coordinates of the word's operator in the envelope basis, as a sparse
+    {index: coefficient} dict: the identity {0: 1} carried through the
+    envelope's right action of each letter in turn."""
     cache = act._collapse_cache
     if word not in cache:
-        coords = act.envelope.expand(word_matrix(act, word))
-        if coords is None:
-            from .errors import InternalVerificationFailed
-
-            raise InternalVerificationFailed("word operator escapes the envelope")
-        cache[word] = tuple(coords)
+        coords = {0: ONE}
+        for letter in word:
+            right = act.envelope.right[letter]
+            out: dict = {}
+            for i, c in coords.items():
+                _accumulate(out, right[i], c)
+            coords = out
+        cache[word] = coords
     return cache[word]
 
 
@@ -734,9 +739,7 @@ def collapsed_terms(f: LPolynomial, act: LieAction) -> dict:
     by the nonzero coordinates of its operator in the envelope basis
     (collapse_word).  Words with the same operator collapse alike, so f and
     normalize_poly(act, f) have the same collapsed terms."""
-    return _expand_words(
-        f, lambda w: {u: x for u, x in enumerate(collapse_word(act, w)) if x}
-    )
+    return _expand_words(f, lambda w: collapse_word(act, w))
 
 
 def _primitive(terms: dict) -> dict:
@@ -781,10 +784,15 @@ def consequences_space(
     derivations and under the endomorphisms x_j -> x_j^u runs on collapsed
     coordinates, where the envelope absorbs arbitrarily long words, so the
     result equals the collapse of the uncapped formal consequence space.
-    It runs on ints: the envelope's integer_table and each letter's
-    coordinates are cleared of denominators once, and every instance,
-    derived and decorated row is kept primitive, a positive multiple of its
-    rational counterpart, so the span is the same.
+    A letter g derives by its right action (op_e -> op_e * g, right[g]) and
+    decorates x_j by its left action (op_e -> g * op_e).  Letters suffice:
+    decorations compose as dec_j(Y) o dec_j(X) = dec_j(Y * X), and op_u is
+    the product of the letters of word_reps[u], so a space closed under the
+    letter decorations is closed under every x_j -> x_j^u.
+    It runs on ints: each side's images for one letter share one
+    denominator, cleared once, and every instance, derived and decorated
+    row is kept primitive, a positive multiple of its rational counterpart,
+    so the span is the same.
     """
     cap = default_word_cap(act)
     for g in generators:
@@ -801,26 +809,24 @@ def consequences_space(
         for terms in _degree_n_instances(g, n, act, cap):
             if push(terms):
                 queue.append(terms)
-    _d, table = act.envelope.integer_table
-    # each letter's right multiplication op_u -> op_u * letter, on ints
-    letters = []
-    for i in range(act.closure_dim):
-        _dl, coords = integer_vector(collapse_word(act, (i,)))
-        letters.append(
-            [list(integer_product(table, {u: 1}, coords).items()) for u in range(act.envelope.dim)]
-        )
+
+    def on_ints(images: list[dict]) -> list[list]:
+        d = lcm(*(x.denominator for image in images for x in image.values()))
+        return [[(k, int(x * d)) for k, x in image.items()] for image in images]
+
+    env = act.envelope
+    # each letter's right (op_e * g) and left (g * op_e) action, on ints
+    sides = [
+        (on_ints(env.right[g]), on_ints([collapse_word(act, (g,) + w) for w in env.word_reps]))
+        for g in range(act.closure_dim)
+    ]
     while queue:
         terms = queue.pop()
-        for right in letters:
-            derived = _collapsed_act(terms, right)
-            if push(derived):
-                queue.append(derived)
-        # substitutions x_j -> x_j^u (u applied first) are endomorphisms too
-        for var in range(1, n + 1):
-            for u in range(1, act.envelope.dim):
-                decorated = _collapsed_act(terms, table[u], var)
-                if push(decorated):
-                    queue.append(decorated)
+        for right, left in sides:
+            # the derivation g, then the substitutions x_j -> x_j^g
+            acted = [_collapsed_act(terms, right)]
+            acted += [_collapsed_act(terms, left, var) for var in range(1, n + 1)]
+            queue.extend(row for row in acted if push(row))
     return Subspace(len(index), rr.reduced_basis())
 
 

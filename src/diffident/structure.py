@@ -170,7 +170,7 @@ def center(alg: StructureAlgebra) -> Subspace:
 
 
 def semisimple_blocks(alg: StructureAlgebra) -> list[Subspace]:
-    """Minimal two-sided ideals of a semisimple algebra.
+    """Minimal two-sided ideals of a semisimple algebra; none for A = 0.
 
     A central z acts on each block as a scalar, so the blocks are the
     nonzero intersections, over a basis of the center, of the eigenspaces
@@ -180,7 +180,7 @@ def semisimple_blocks(alg: StructureAlgebra) -> list[Subspace]:
     if not radical(alg).is_zero():
         raise InternalVerificationFailed("semisimple_blocks called with nonzero radical")
     n = alg.dim
-    blocks = [Subspace.full(n)]
+    blocks = [Subspace.full(n)] if n else []
     for z in center(alg).basis:
         lz = Matrix.from_rows([alg.multiply(z, alg.basis_vector(i)) for i in range(n)])
         eigenspaces = [

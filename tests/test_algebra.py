@@ -112,12 +112,16 @@ def _combination(mats, coeffs, n):
     return total
 
 
-def test_battery_mult_tables_reconstruct_products():
+def test_battery_right_action_reconstructs_products():
+    # right[g][i] recombines op_basis into op_basis[i] * g
     for label, alg, act in battery_fixtures():
-        ops = act.envelope.op_basis
-        for a, row in zip(ops, act.envelope.mult_table):
-            for b, coeffs in zip(ops, row):
-                assert _combination(ops, coeffs, alg.dim) == a * b, label
+        env = act.envelope
+        assert len(env.right) == act.closure_dim, label
+        for d, images in zip(act.closure_basis, env.right):
+            assert len(images) == env.dim, label
+            for op, coords in zip(env.op_basis, images):
+                coeffs = [coords.get(k, 0) for k in range(env.dim)]
+                assert _combination(env.op_basis, coeffs, alg.dim) == op * d.matrix, label
 
 
 def test_battery_bracket_constants_reconstruct_commutators():

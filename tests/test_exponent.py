@@ -156,13 +156,13 @@ def _block_triangular(sizes):
 
 
 class TestKnownFormula:
-    @pytest.mark.parametrize("sizes", [(2, 1), (1, 2)])
+    @pytest.mark.parametrize("sizes", [(2, 1), (1, 2), (2, 2)])
     @pytest.mark.parametrize("action_seed", [0, 1])
     def test_block_triangular_exponent_is_the_sum_of_squares(self, sizes, action_seed):
         # exp(UT(d_1, ..., d_k)) = sum d_i^2 (Giambruno-Zaicev), and an inner
         # action does not change it
         alg = _block_triangular(sizes)
-        assert alg.dim == 7
+        assert alg.dim == sum(d * e for i, d in enumerate(sizes) for e in sizes[i:])
         rng = random.Random(action_seed)
         gens = [
             inner_derivation(alg, [Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)])

@@ -19,7 +19,7 @@ from diffident.algebra import (
     trivial_action,
     ut,
 )
-from diffident.acceptance import _ut2_eps_identities
+from diffident.acceptance import _ut2_eps_identities, battery_fixtures
 from diffident.errors import AlphabetMismatch, NotMultilinear, SizeCap, WordCapExceeded
 from diffident.linalg import Matrix
 from diffident import piengine as pe
@@ -117,6 +117,18 @@ class TestPolynomials:
     def test_monomials_multiply_by_concatenation(self, a, b):
         m = pe.LPolynomial.monomial
         assert m(a) * m(b) == m(a + b)
+
+
+def test_collapse_word_is_the_expanded_word_operator():
+    # every word of length at most 3 on every battery action
+    words = 0
+    for label, _alg, act in battery_fixtures():
+        for length in range(4):
+            for word in iproduct(range(act.closure_dim), repeat=length):
+                expanded = act.envelope.expand(pe.word_matrix(act, word))
+                assert pe.collapse_word(act, word) == expanded, (label, word)
+                words += 1
+    assert words == 1462
 
 
 def _random_poly(data, letters: int) -> pe.LPolynomial:
@@ -361,12 +373,49 @@ class TestConsequences:
                 derived = pe.collapsed_terms(pe.derive_polynomial(g, letter, act_full), act_full)
                 assert cons.member([derived.get(mono, 0) for mono in order])
 
+    def test_closed_under_every_decoration(self):
+        # the closure decorates by letters only; it must still be closed
+        # under x_j -> x_j^u for every basis operator u, here with envelope
+        # dimension 3 over a closure of dimension 1 (op_2 is the letter squared)
+        (alg, act), = [(a, t) for label, a, t in battery_fixtures() if label == "mat2 ad e11"]
+        env = act.envelope
+        assert (act.closure_dim, env.dim) == (1, 3)
+        rep = pe.identity_space(alg, act, 2)
+        gens = [
+            pe.LPolynomial.from_terms(
+                {
+                    (vars_, tuple(env.word_reps[e] for e in exps)): c
+                    for c, (vars_, exps) in zip(vec, rep.monomial_basis_order)
+                }
+            )
+            for vec in rep.kernel.basis
+        ]
+        n = 3
+        cons = pe.consequences_space(gens, n, act)
+        assert 0 < cons.dim < pe.identity_space(alg, act, n).identity_dim
+        order = list(pe.monomial_basis(n, env.dim))
+        index = {mono: i for i, mono in enumerate(order)}
+        # times[u][e]: coordinates of op_u * op_e (apply op_u, then op_e)
+        times = [[env.expand(a * b) for b in env.op_basis] for a in env.op_basis]
+        for vec in cons.basis:
+            for var in range(1, n + 1):
+                for u in range(env.dim):
+                    decorated = [0] * len(order)
+                    for c, (vars_, exps) in zip(vec, order):
+                        if c:
+                            pos = vars_.index(var)
+                            for k, x in times[u][exps[pos]].items():
+                                key = (vars_, exps[:pos] + (k,) + exps[pos + 1 :])
+                                decorated[index[key]] += c * x
+                    assert cons.member(decorated), (var, u)
+
     def test_scaled_derivation_keeps_rows_primitive(self, u2, monkeypatch):
         # eps' = (2/3) ad(e22) has eps'^2 = (2/3) eps', a denominator in the
-        # envelope table; every row fed must still be a primitive int row
+        # envelope's right action; every row fed must still be a primitive
+        # int row
         eps = ad_unit(u2, 2, 2)
         act = lie_closure(u2, [Derivation(eps.matrix.scale(Fraction(2, 3)), "eps'")])
-        assert act.envelope.mult_table[1][1] == [0, Fraction(2, 3)]
+        assert act.envelope.right[0][1] == {1: Fraction(2, 3)}
         c = pe.commutator_poly(x(1), x(2))
         gens = [
             x(1, (0, 0)) - x(1, (0,)).scale(Fraction(2, 3)),

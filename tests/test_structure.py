@@ -14,6 +14,7 @@ from diffident.algebra import (
 )
 from diffident.cli import main
 from diffident.errors import NonSplitCenter
+from diffident.exponent import exp_differential, exp_ordinary
 from diffident.fileformat import AlgebraFile
 
 from diffident.structure import (
@@ -115,6 +116,23 @@ class TestBlocks:
     def test_mat2_is_one_block(self):
         blocks = semisimple_blocks(full_matrix(2))
         assert [b.dim for b in blocks] == [4]
+
+    def test_nilpotent_algebra_has_no_blocks(self, tmp_path, capsys):
+        # e1 e3 = e2, all other products zero: A/J = 0 has no blocks, not one
+        # zero block
+        c = [[[F0] * 3 for _ in range(3)] for _ in range(3)]
+        c[0][2] = [F0, F1, F0]
+        alg = StructureAlgebra(c, label="nil3")
+        assert semisimple_blocks(quotient_by_ideal(alg, radical(alg)).algebra) == []
+        wd = wedderburn_malcev(alg)
+        assert (wd.radical.dim, wd.blocks, wd.block_units) == (3, [], [])
+        act = lie_closure(alg, [])
+        assert (exp_ordinary(alg).value, exp_differential(alg, act).value) == (0, 0)
+        path = tmp_path / "nil3.alg"
+        path.write_text(AlgebraFile.from_algebra("nil3", alg).serialize())
+        assert main(["decompose", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "\nblocks\n" in out and "block 1" not in out
 
     def test_nonsplit_center_detected(self):
         # Q[s]/(s^2 - 2), a field extension: no rational block split exists

@@ -9,10 +9,11 @@ length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 ``diffident battery`` once, ``diffident codim`` on the shipped ``ut2-eps``
 file for n = 1..8 in exact and in modular mode, ``identity_space`` on it at
 n = 4, 5 and 6, ``consequences_space`` of battery criterion 9's three
-identities on it at n = 4 and 5 (each run in a fresh interpreter whose
-address space is capped at SCRIPT_ADDRESS_SPACE, so that a checkout that
-holds these spaces densely stops with MemoryError instead of filling the
-machine's memory) and its tier-1 test command once, and writes
+identities on it at n = 4 and 5, ``lie_closure`` of the block-triangular
+UT(2,2) under the seeded inner pairs 0 and 1 (each run in a fresh
+interpreter whose address space is capped at SCRIPT_ADDRESS_SPACE, so that a
+checkout that holds these spaces densely stops with MemoryError instead of
+filling the machine's memory) and its tier-1 test command once, and writes
 BENCH_<pr>.json at the root of this repository. The file holds the
 checkout's commit (and whether its tree had uncommitted changes), the
 Python version, nproc, the load average before and after, for each workload
@@ -24,7 +25,8 @@ monomials, rank and seconds read from its ``n N monomials M rank C T s``
 stderr lines, under ``identity_space`` per n the seconds, ``codim``,
 ``identity_dim`` and the interpreter's ``ru_maxrss`` in KiB, under
 ``consequences`` per n the seconds, the dimension, whether it equals the
-``identity_space`` kernel and ``ru_maxrss``, and under ``tier1`` the test
+``identity_space`` kernel and ``ru_maxrss``, under ``ut22_lie_closure``
+per seed the seconds and the envelope dimension, and under ``tier1`` the test
 run's exit code, its passed and failed counts (from pytest's summary line),
 its wall-clock seconds and its ten slowest test phases with their seconds
 (from pytest's ``--durations=10`` report), and under ``src_lines`` the line
@@ -93,6 +95,27 @@ print(json.dumps({"seconds": seconds, "dim": space.dim,
                   "equals_kernel": space == identity_space(alg, act, n).kernel,
                   "ru_maxrss_kb": rss}))
 """
+
+# lie_closure of UT(2,2), the block upper-triangular 4 x 4 matrices with 2 x 2
+# diagonal blocks, under two inner derivations drawn from random.Random(argv[1])
+# (the inner pairs of the exponent tests); one JSON line
+_UT22_LIE_CLOSURE = """
+import json, random, sys, time
+from fractions import Fraction
+from diffident.algebra import _matrix_units_algebra, inner_derivation, lie_closure
+
+rng = random.Random(int(sys.argv[1]))
+block = (0, 0, 1, 1)
+alg = _matrix_units_algebra(
+    [(i, j) for i in range(4) for j in range(4) if block[i] <= block[j]], "UT(2,2)"
+)
+gens = [inner_derivation(alg, [Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)])
+        for _ in range(2)]
+start = time.perf_counter()
+act = lie_closure(alg, gens)
+print(json.dumps({"seconds": time.perf_counter() - start, "envelope_dim": act.envelope.dim}))
+"""
+UT22_SEEDS = (0, 1)
 
 
 def _git(checkout: Path, *args: str) -> str | None:
@@ -245,13 +268,14 @@ def main(argv=None) -> int:
         m["returncode"] or len(m["n"]) != CODIM_MAX_N for m in codim.values()
     )
     print(f"  {'FAILED' if codim_failed else 'ok'}", file=sys.stderr, flush=True)
-    for key, script, degrees in (
-        ("identity_space", _IDENTITY_SPACE, IDENTITY_SPACE_N),
-        ("consequences", _CONSEQUENCES, CONSEQUENCES_N),
+    for key, script, degrees, what in (
+        ("identity_space", _IDENTITY_SPACE, IDENTITY_SPACE_N, "ut2-eps n ="),
+        ("consequences", _CONSEQUENCES, CONSEQUENCES_N, "ut2-eps n ="),
+        ("ut22_lie_closure", _UT22_LIE_CLOSURE, UT22_SEEDS, "UT(2,2) seed"),
     ):
         record[key] = {}
         for n in degrees:
-            print(f"{key} ut2-eps n = {n} ...", file=sys.stderr, flush=True)
+            print(f"{key} {what} {n} ...", file=sys.stderr, flush=True)
             record[key][n] = result = run_script(checkout, script, n)
             summary = result.get("error") or f"{result['seconds']:.2f}s"
             print(f"  {summary}", file=sys.stderr, flush=True)
@@ -273,7 +297,10 @@ def main(argv=None) -> int:
         for level, result in runs.items()
         if "error" in result or not result["correct"]
     ]
-    failed += [("identity_space", n) for n, r in record["identity_space"].items() if "error" in r]
+    failed += [
+        (key, n) for key in ("identity_space", "ut22_lie_closure")
+        for n, r in record[key].items() if "error" in r
+    ]
     failed += [
         ("consequences", n)
         for n, r in record["consequences"].items()
