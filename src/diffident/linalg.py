@@ -2,18 +2,21 @@
 
 Everything downstream (structure theory, codimension ranks, subspace
 lattices) is built on one incremental exact/modular eliminator, SparseRREF:
-add_row grows a span, solve gives coordinates in it (so a basis is factored
-only once), and reduced_basis gives its reduced row-echelon basis.
-Exact elimination is fraction-free: pivot and reduced rows are primitive
-integer rows, and Fractions appear only when solve and kernel read out.
-Reduced row echelon form, left kernels, canonical subspaces and the
-one-prime modular rank (a proven lower bound on the rank over Q) are all
-views of it.
+add_row grows a span and keeps its pivot rows fully reduced (each zero at
+every other lead), solve gives coordinates in it (so a basis is factored
+only once), and reduced_basis reads the pivots out as its reduced
+row-echelon basis.  Exact elimination is fraction-free: pivot rows are
+primitive integer rows, and Fractions appear only when solve and kernel
+read out.  Reduced row echelon form, left kernels, canonical subspaces and
+the one-prime modular rank (a proven lower bound on the rank over Q) are
+all views of it.
 A Subspace is the primitive integer rows of reduced_basis.  Subspace.spanned
 feeds sparse rows to one exact eliminator and is the one way to turn rows
-into a Subspace; kernels, sums, containment and images work on the integer
-rows, never on the dense Fraction basis.  A Matrix acts on an integer row
-through one loop, integer_apply, which apply and the matrix product share.
+into a Subspace (from_kernel feeds kernel vectors in descending order of
+their own tags, so that few pivots need back-substituting); kernels, sums,
+containment and images work on the integer rows, never on the dense
+Fraction basis.  A Matrix acts on an integer row through one loop,
+integer_apply, which apply and the matrix product share.
 Vectors are rows; a linear map given by a matrix M acts as v -> v*M, so
 composing "apply M1, then M2" is the ordinary product M1*M2.
 """
@@ -286,8 +289,12 @@ class Subspace:
         """Left kernel of the rows fed to a track_kernel eliminator, tagged
         by distinct ints in 0..ambient_dim-1, together with zero rows at
         zero_tags, the tags not fed: the span of the kernel vectors and the
-        unit vectors of zero_tags."""
-        return cls.spanned(ambient_dim, chain(rr.kernel, ({tag: 1} for tag in zero_tags)))
+        unit vectors of zero_tags.  A vector ends at its own tag, which no
+        other holds, when the tags rose as the rows were fed; fed in
+        descending order of their last columns, a residual's lead is seldom
+        held by a stored row."""
+        rows = chain(rr.kernel, ({tag: 1} for tag in zero_tags))
+        return cls.spanned(ambient_dim, sorted(rows, key=max, reverse=True))
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -410,13 +417,22 @@ class Subspace:
 _TARGET = object()
 
 
-def _combine(target: dict, a: int, b: int, source: dict) -> None:
-    """target <- a * target - b * source in place, dropping zeros."""
+def _combine(target: dict, a: int, b: int, source: dict, p: int | None = None) -> None:
+    """target <- a * target - b * source in place, modulo p when given,
+    dropping zeros."""
     if a != 1:
         for k in target:
             target[k] *= a
+    if p is None:
+        for k, v in source.items():
+            nv = target.get(k, 0) - b * v
+            if nv:
+                target[k] = nv
+            else:
+                del target[k]
+        return
     for k, v in source.items():
-        nv = target.get(k, 0) - b * v
+        nv = (target.get(k, 0) - b * v) % p
         if nv:
             target[k] = nv
         else:
@@ -431,7 +447,10 @@ class SparseRREF:
     expressing each pivot row, so that solve(row) gives the coordinates of a
     row in the span of the rows fed; with track_kernel (which implies tagged)
     rows reducing to zero are kept as left-kernel vectors over the tags,
-    each with coefficient 1 at its own tag.
+    each with coefficient 1 at its own tag.  The pivot rows are kept fully
+    reduced: each is zero at every other lead column, so a row is reduced in
+    one step per lead it holds, and add_row takes a new pivot off every
+    stored row that holds its lead.
 
     Exact mode is fraction-free: a rational input row is scaled to integers
     once, reduction cross-multiplies, and every pivot row is stored
@@ -439,7 +458,7 @@ class SparseRREF:
     dict over one positive integer denominator.  Fractions appear only when
     solve and kernel read results out, and those values are the unique
     ones, independent of how the rows were scaled.
-    With a prime, arithmetic is done modulo it.
+    With a prime, arithmetic is done modulo it and every pivot has lead 1.
     """
 
     def __init__(
@@ -451,6 +470,9 @@ class SparseRREF:
         # column label -> (row dict, combo dict, denominator); denominator * row
         # is the combo's sum of input rows (always 1 modulo a prime)
         self._pivots: dict = {}
+        # column label without a pivot -> leads of the pivot rows that may hold
+        # it, extended by the new pivot's columns only, since fill comes from them
+        self._holders: dict = {}
         self.kernel: list[dict] = []
         self.rank = 0
 
@@ -475,55 +497,71 @@ class SparseRREF:
                 out[c] = x
         return out, 1
 
+    def _take_off(self, row: dict, combo: dict | None, den: int, lead, pivot: tuple) -> int:
+        """One elimination step: clear row at lead, in place, by the pivot
+        (prow, pcombo, pden) with that lead, and take the same multiple of
+        pcombo off combo.  Returns the new denominator of combo."""
+        prow, pcombo, pden = pivot
+        f = row[lead]
+        p = self.prime
+        if p is not None:
+            _combine(row, 1, f, prow, p)
+            if combo is not None:
+                _combine(combo, 1, f, pcombo, p)
+            return den
+        g = prow[lead]
+        d = gcd(f, g)
+        a, b = g // d, f // d
+        _combine(row, a, b, prow)
+        if combo is not None:
+            m = lcm(den, pden)
+            _combine(combo, a * (m // den), b * (m // pden), pcombo)
+            den = m
+        return den
+
+    def _normalize(self, row: dict, lead, combo: dict | None, den: int) -> tuple:
+        """The pivot (row, combo, den) with lead: exactly, row made primitive
+        with a positive lead and combo over its least positive denominator;
+        modulo a prime, both scaled to give row lead 1."""
+        p = self.prime
+        if p is not None:
+            inv = pow(row[lead], -1, p)
+            if inv != 1:
+                row = {c: v * inv % p for c, v in row.items()}
+                if combo is not None:
+                    combo = {t: v * inv % p for t, v in combo.items()}
+            return row, combo, den
+        content = gcd(*row.values())
+        if row[lead] < 0:
+            content = -content
+        if content != 1:
+            row = {c: v // content for c, v in row.items()}
+        if combo is not None:
+            den *= content
+            shared = gcd(den, *combo.values())
+            if den < 0:
+                shared = -shared
+            if shared != 1:
+                den //= shared
+                combo = {t: v // shared for t, v in combo.items()}
+        return row, combo, den
+
     def _reduce(self, row: dict, combo: dict | None) -> tuple[dict, object, dict | None, int]:
         """(residual, lead, combo, denominator): row (coerced, with combo
         scaled to match) reduced against the pivots, and its lead column,
         which has no pivot, or None when it reduced to zero.  The same
         multiples of the pivot combinations are taken off combo, so that
-        denominator * residual is combo's sum of input rows."""
-        p = self.prime
+        denominator * residual is combo's sum of input rows; it takes one
+        step per lead the row holds."""
         pivots = self._pivots
         den = 1
-        if p is None:
-            while row:
-                lead = min(row)
-                hit = pivots.get(lead)
-                if hit is None:
-                    return row, lead, combo, den
-                prow, pcombo, pden = hit
-                f, g = row[lead], prow[lead]
-                d = gcd(f, g)
-                a, b = g // d, f // d
-                _combine(row, a, b, prow)
-                if combo is not None:
-                    m = lcm(den, pden)
-                    _combine(combo, a * (m // den), b * (m // pden), pcombo)
-                    den = m
-            return row, None, combo, den
-        while row:
-            lead = min(row)
-            hit = pivots.get(lead)
-            if hit is None:
-                return row, lead, combo, den
-            prow, pcombo, _ = hit
-            f = row[lead]
-            for c, v in prow.items():
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            if combo is not None:
-                for t, v in pcombo.items():
-                    nv = (combo.get(t, 0) - f * v) % p
-                    if nv:
-                        combo[t] = nv
-                    else:
-                        combo.pop(t, None)
-        return row, None, combo, den
+        for lead in row.keys() & pivots.keys():
+            den = self._take_off(row, combo, den, lead, pivots[lead])
+        return row, min(row) if row else None, combo, den
 
     def add_row(self, row: dict, tag=None) -> bool:
-        """Insert a row; returns True if it enlarged the span."""
+        """Insert a row; returns True if it enlarged the span.  A new pivot
+        is taken off every stored row that holds its lead."""
         row, scale = self._coerce(row)
         combo = {tag: scale} if self.tagged else None
         row, lead, combo, den = self._reduce(row, combo)
@@ -534,27 +572,20 @@ class SparseRREF:
                     combo = {t: Fraction(v, own) for t, v in combo.items()}
                 self.kernel.append(combo)
             return False
-        p = self.prime
-        if p is None:
-            content = gcd(*row.values())
-            if row[lead] < 0:
-                content = -content
-            if content != 1:
-                row = {c: v // content for c, v in row.items()}
-            if combo is not None:
-                den *= content
-                shared = gcd(den, *combo.values())
-                if den < 0:
-                    shared = -shared
-                if shared != 1:
-                    den //= shared
-                    combo = {t: v // shared for t, v in combo.items()}
-        else:
-            inv = pow(row[lead], -1, p)
-            row = {c: v * inv % p for c, v in row.items()}
-            if combo is not None:
-                combo = {t: v * inv % p for t, v in combo.items()}
-        self._pivots[lead] = (row, combo, den)
+        pivot = self._normalize(row, lead, combo, den)
+        pivots, holders = self._pivots, self._holders
+        cols = [c for c in pivot[0] if c != lead]
+        for other in holders.pop(lead, ()):
+            held, held_combo, held_den = pivots[other]
+            if lead in held:
+                for c in cols:
+                    if c not in held:
+                        holders.setdefault(c, []).append(other)
+                held_den = self._take_off(held, held_combo, held_den, lead, pivot)
+                pivots[other] = self._normalize(held, other, held_combo, held_den)
+        for c in cols:
+            holders.setdefault(c, []).append(lead)
+        pivots[lead] = pivot
         self.rank += 1
         return True
 
@@ -582,24 +613,12 @@ class SparseRREF:
         ascending lead order, each row a primitive int dict with a positive
         lead and zero at every other lead column.  Needs an exact eliminator.
 
-        Back-substitutes on integers in descending lead order: a stored pivot
-        row has entries only at columns >= its lead, so the rows it is reduced
-        by are final, and each of them is zero at every other lead column.
+        The pivot rows are kept fully reduced, so this reads them out; they
+        are the eliminator's own, and a later add_row may change them.
         """
         if self.prime is not None:
             raise ValueError("reduced_basis needs an exact SparseRREF")
-        done: dict = {}
-        for lead in sorted(self._pivots, reverse=True):
-            row = dict(self._pivots[lead][0])
-            for c in [c for c in row if c in done]:
-                f, g = row[c], done[c][c]
-                d = gcd(f, g)
-                _combine(row, g // d, f // d, done[c])
-            content = gcd(*row.values())
-            if content != 1:
-                row = {k: v // content for k, v in row.items()}
-            done[lead] = row
-        return sorted(done.items())
+        return [(lead, self._pivots[lead][0]) for lead in sorted(self._pivots)]
 
 
 def span_coordinates(vectors: Sequence[Sequence]):

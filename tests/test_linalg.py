@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
@@ -439,6 +439,64 @@ def _fed(basis, prime):
 def _residue(x, prime):
     x = Fraction(x)
     return x if prime is None else x.numerator * pow(x.denominator, -1, prime) % prime
+
+
+class _CountingSteps(SparseRREF):
+    """An eliminator that records, for each _reduce, the leads the coerced
+    row holds and the elimination steps taken."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.steps = 0
+        self.reductions: list = []
+
+    def _take_off(self, *args):
+        self.steps += 1
+        return super()._take_off(*args)
+
+    def _reduce(self, row, combo):
+        held, before = len(row.keys() & self._pivots.keys()), self.steps
+        out = super()._reduce(row, combo)
+        self.reductions.append((held, self.steps - before))
+        return out
+
+
+@pytest.mark.parametrize("prime", [None, PRIME], ids=["exact", "modular"])
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+class TestFullyReducedPivots:
+    """Every stored pivot row is zero at every other lead, so a row is
+    reduced in one step per lead it holds, and the pivots still satisfy
+    den * row = the combination of the input rows."""
+
+    @seed(14)
+    @settings(max_examples=80, deadline=None)
+    @given(rational_matrices())
+    # the second pivot fills the first row at column 2, the third pivot's lead
+    @example(Matrix(3, 4, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0]]))
+    def test_pivots_stay_reduced_and_steps_match_leads(self, prime, tagged, m):
+        rr = _CountingSteps(prime=prime, tagged=tagged)
+        for i, row in enumerate(m.entries):
+            rr.add_row(dict(enumerate(row)), tag=i)
+            leads = set(rr._pivots)
+            for lead, (prow, combo, den) in rr._pivots.items():
+                assert leads & set(prow) == {lead}
+                assert min(prow) == lead
+                if prime is None:
+                    assert prow[lead] > 0 and gcd(*prow.values()) == 1
+                else:
+                    assert prow[lead] == 1
+                if not tagged:
+                    continue
+                total = [
+                    sum(c * _residue(m.entries[t][j], prime) for t, c in combo.items())
+                    for j in range(m.cols)
+                ]
+                expected = [den * prow.get(j, 0) for j in range(m.cols)]
+                if prime is not None:
+                    total = [x % prime for x in total]
+                assert total == expected
+        assert all(held == steps for held, steps in rr.reductions)
+        assert len(rr.reductions) == m.rows
 
 
 @pytest.mark.parametrize("prime", [None, PRIME], ids=["exact", "modular"])

@@ -230,6 +230,28 @@ class TestCodim:
         assert time.perf_counter() - start < 1
 
 
+def test_differential_codimension_sandwich():
+    """c_n <= c_n^L <= e^n * c_n, c_n the codimension under the trivial
+    action and e the envelope dimension.  P_n lies in P_n^L, and an ordinary
+    polynomial is an identity exactly when it is a differential one; each
+    of the e^n decoration tuples maps P_n onto the monomials it decorates
+    and Id(A) into Id^L(A), so it adds at most c_n.  Checked for n <= 2 on
+    every battery fixture and for n = 3 where e <= 7."""
+    checked = 0
+    for label, alg, act in battery_fixtures():
+        e = act.envelope.dim
+        ordinary = lie_closure(alg, [])
+        for n in (1, 2, 3):
+            if n == 3 and e > 7:
+                continue
+            c, c_diff = pe.codim(alg, ordinary, n), pe.codim(alg, act, n)
+            assert c <= c_diff <= e**n * c, (label, n)
+            if e == 1:
+                assert c_diff == c, (label, n)
+            checked += 1
+    assert checked == 2 * 25 + 18
+
+
 class TestIdentitySpace:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rank_nullity_invariant(self, u2, act_eps, n):

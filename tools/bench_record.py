@@ -9,7 +9,7 @@ length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 ``diffident battery`` once, ``diffident codim`` on the shipped ``ut2-eps``
 file for n = 1..8 in exact and in modular mode, ``identity_space`` on it at
 n = 4, 5 and 6, ``consequences_space`` of battery criterion 9's three
-identities on it at n = 4 and 5, ``lie_closure`` of the block-triangular
+identities on it at n = 4, 5 and 6, ``lie_closure`` of the block-triangular
 UT(2,2) under the seeded inner pairs 0 and 1 (each run in a fresh
 interpreter whose address space is capped at SCRIPT_ADDRESS_SPACE, so that a
 checkout that holds these spaces densely stops with MemoryError instead of
@@ -53,7 +53,7 @@ REPO = Path(__file__).resolve().parent.parent
 SEED = 0
 CODIM_MAX_N = 8
 IDENTITY_SPACE_N = (4, 5, 6)
-CONSEQUENCES_N = (4, 5)
+CONSEQUENCES_N = (4, 5, 6)
 SCRIPT_ADDRESS_SPACE = 2 * 2**30  # bytes: the RLIMIT_AS of each run_script interpreter
 
 # identity_space on the shipped ut2-eps file at degree argv[1], as one JSON line
