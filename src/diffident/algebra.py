@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .errors import (
     AmbientMismatch,
     BadParams,
+    InternalVerificationFailed,
     NotADerivation,
     NotAssociative,
     NotAUnit,
@@ -82,14 +83,22 @@ class StructureAlgebra:
     # -- verification ------------------------------------------------------
 
     def _check_associative(self):
+        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, on integers.
+
+        table[i][j] holds D_c * e_i e_j, so integer_product gives
+        D_c^2 * (e_i e_j) e_k from the factors table[i][j] and e_k, and
+        D_c^2 * e_i (e_j e_k) from e_i and table[j][k].  Both sides carry the
+        same positive scale D_c^2, so the integer vectors are equal exactly
+        when the rational products are."""
         n = self.dim
+        table = self.integer_table[1]
+        cells = [[dict(cell) for cell in row] for row in table]
         for i in range(n):
             for j in range(n):
-                ij = self.constants[i][j]
+                ij = cells[i][j]
                 for k in range(n):
-                    left = self.multiply(ij, self.basis_vector(k))
-                    right = self.multiply(self.basis_vector(i), self.constants[j][k])
-                    if left != right:
+                    left = integer_product(table, ij, {k: 1})
+                    if left != integer_product(table, {i: 1}, cells[j][k]):
                         raise NotAssociative((i, j, k))
 
     def _check_unit(self):
@@ -150,23 +159,37 @@ def inner_derivation(alg: StructureAlgebra, a: Sequence, name: str = "") -> Deri
     return Derivation(Matrix.from_rows(rows), name=name)
 
 
-def check_derivation(alg: StructureAlgebra, m: Matrix) -> bool:
-    """Leibniz rule on all basis pairs."""
-    if m.rows != alg.dim or m.cols != alg.dim:
+def leibniz_failure(alg: StructureAlgebra, m: Matrix) -> Optional[tuple[int, int]]:
+    """The first basis pair (i, j) on which m breaks D(e_i e_j) =
+    D(e_i) e_j + e_i D(e_j), or None when m is a derivation of alg.
+
+    Works on integers: with (D_c, table) alg's integer_table and (d, rows)
+    m's integer_form, the left side is d * D_c * D(e_i e_j), table[i][j] run
+    through rows, and the right side is d * D_c * (D(e_i) e_j + e_i D(e_j)),
+    the integer products of rows[i] with e_j and of e_i with rows[j].  Both
+    sides carry the same positive scale d * D_c, so the integer vectors are
+    equal exactly when the rational ones are."""
+    n = alg.dim
+    if m.rows != n or m.cols != n:
         raise BadParams("derivation matrix must be N x N")
-    for i in range(alg.dim):
-        ei = alg.basis_vector(i)
-        dei = m.apply(ei)
-        for j in range(alg.dim):
-            ej = alg.basis_vector(j)
-            lhs = m.apply(alg.constants[i][j])
-            rhs = [
-                a + b
-                for a, b in zip(alg.multiply(dei, ej), alg.multiply(ei, m.apply(ej)))
-            ]
-            if lhs != rhs:
-                return False
-    return True
+    table = alg.integer_table[1]
+    images = [dict(row) for row in m.integer_form[1]]
+    for i in range(n):
+        for j in range(n):
+            lhs = {k: x for k, x in enumerate(m.integer_apply(table[i][j])) if x}
+            rhs = integer_product(table, images[i], {j: 1})
+            for k, x in integer_product(table, {i: 1}, images[j]).items():
+                rhs[k] = rhs.get(k, 0) + x
+            if lhs != {k: x for k, x in rhs.items() if x}:
+                return i, j
+    return None
+
+
+def check_derivation(alg: StructureAlgebra, m: Matrix) -> bool:
+    """Leibniz rule on all basis pairs, on integers: both sides of each pair
+    are scaled by the same positive d * D_c (m's and alg's denominators), so
+    they agree exactly when the rational sides do (see leibniz_failure)."""
+    return leibniz_failure(alg, m) is None
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -260,8 +283,9 @@ def envelope(alg: StructureAlgebra, closure_matrices: list[Matrix]) -> Envelope:
 
 def lie_closure(alg: StructureAlgebra, generators: list[Derivation]) -> LieAction:
     for d in generators:
-        if not check_derivation(alg, d.matrix):
-            raise NotADerivation()
+        pair = leibniz_failure(alg, d.matrix)
+        if pair is not None:
+            raise NotADerivation(pair, d.name)
     closure_mats, solver = _lie_closure_matrices([d.matrix for d in generators])
     closure = [
         Derivation(m, name=generators[i].name if i < len(generators) else f"d{i}")
@@ -276,7 +300,7 @@ def lie_closure(alg: StructureAlgebra, generators: list[Derivation]) -> LieActio
         for b in closure_mats:
             combo = solver.solve(commutator(a, b).sparse())
             if combo is None:
-                raise NotADerivation("closure not bracket-closed (internal)")
+                raise InternalVerificationFailed("closure not bracket-closed")
             row.append([combo.get(i, ZERO) for i in range(k)])
         brackets.append(row)
     return LieAction(

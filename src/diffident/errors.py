@@ -14,9 +14,12 @@ class DenominatorDivisibleByPrime(DiffidentError):
 
 
 class NotAssociative(DiffidentError):
+    """The structure constants fail associativity on a basis triple: triple
+    holds 0-based indices, the message the file's 1-based ones."""
+
     def __init__(self, triple):
         self.triple = triple
-        super().__init__(f"associativity fails on basis triple {triple}")
+        super().__init__(f"associativity fails on basis triple {_one_based(triple)}")
 
 
 class NotAUnit(DiffidentError):
@@ -24,14 +27,18 @@ class NotAUnit(DiffidentError):
 
 
 class NotADerivation(DiffidentError):
-    """A matrix fails the Leibniz rule on some basis pair."""
+    """A matrix fails the Leibniz rule on some basis pair: pair holds 0-based
+    indices, the message the file's 1-based ones and the derivation's name."""
 
-    def __init__(self, pair=None):
+    def __init__(self, pair, name: str = ""):
         self.pair = pair
-        msg = "Leibniz rule fails"
-        if pair is not None:
-            msg += f" on basis pair {pair}"
-        super().__init__(msg)
+        self.name = name
+        msg = f"Leibniz rule fails on basis pair {_one_based(pair)}"
+        super().__init__(f"derivation {name}: {msg}" if name else msg)
+
+
+def _one_based(indices: tuple) -> tuple:
+    return tuple(i + 1 for i in indices)
 
 
 class NonSplitCenter(DiffidentError):

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Derivation, LieAction, StructureAlgebra, check_derivation
+from .algebra import Derivation, LieAction, StructureAlgebra, leibniz_failure
 from .errors import NotADerivation, NotMultilinear, ParseError, SizeCap
 from .linalg import Matrix, ZERO, frac
 from .piengine import (
@@ -73,8 +73,9 @@ class AlgebraFile:
         )
         ders = []
         for name, m in self.derivations:
-            if not check_derivation(alg, m):
-                raise NotADerivation((self.name, name))
+            pair = leibniz_failure(alg, m)
+            if pair is not None:
+                raise NotADerivation(pair, name)
             ders.append(Derivation(m, name=name))
         return alg, ders
 

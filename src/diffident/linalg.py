@@ -478,10 +478,12 @@ class SparseRREF:
 
     def _coerce(self, row: dict) -> tuple[dict, int]:
         """(entries, scale): the nonzero entries of row times scale, as ints.
-        Exact mode scales by the lcm of the denominators; modulo a prime the
-        entries are residues and the scale is 1."""
+        Exact mode scales by the lcm of the denominators, 1 for a row of
+        ints; modulo a prime the entries are residues and the scale is 1."""
         p = self.prime
         if p is None:
+            if all(type(v) is int for v in row.values()):
+                return {c: v for c, v in row.items() if v}, 1
             row = {c: v if type(v) is int else frac(v) for c, v in row.items() if v}
             scale = lcm(*(v.denominator for v in row.values()))
             return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}, scale

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from diffident.algebra import (
     Derivation,
@@ -22,6 +23,7 @@ from diffident.algebra import (
 from diffident.acceptance import battery_fixtures
 from diffident.errors import NotADerivation, NotAssociative, NotAUnit
 from diffident.linalg import Matrix, Subspace
+from test_basis_change import _in_basis, _invertible
 
 
 def test_ut2_products():
@@ -64,8 +66,66 @@ def test_identity_map_is_not_a_derivation():
 
 
 def test_lie_closure_rejects_non_derivation():
-    with pytest.raises(NotADerivation):
-        lie_closure(ut(2), [Derivation(Matrix.identity(3))])
+    # the message names the derivation and the pair in 1-based indices
+    with pytest.raises(NotADerivation, match=r"^derivation id: .* pair \(1, 1\)$") as exc:
+        lie_closure(ut(2), [Derivation(Matrix.identity(3), name="id")])
+    assert exc.value.pair == (0, 0)
+
+
+def _leibniz_oracle(alg: StructureAlgebra, m: Matrix) -> bool:
+    """D(e_i e_j) = D(e_i) e_j + e_i D(e_j) on every basis pair, in
+    Fractions straight from the constants; D(e_i) is row i of m."""
+    c, d, r = alg.constants, m.entries, range(alg.dim)
+    return all(
+        [sum(c[i][j][a] * d[a][k] for a in r) for k in r]
+        == [sum(d[i][a] * c[a][j][k] + d[j][a] * c[i][a][k] for a in r) for k in r]
+        for i in r
+        for j in r
+    )
+
+
+def _associative_oracle(c: list) -> bool:
+    """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple, in Fractions
+    straight from the constants c."""
+    r = range(len(c))
+    return all(
+        [sum(c[i][j][a] * c[a][k][b] for a in r) for b in r]
+        == [sum(c[j][k][a] * c[i][a][b] for a in r) for b in r]
+        for i in r
+        for j in r
+        for k in r
+    )
+
+
+@seed(23)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), basis_rng=st.randoms(use_true_random=False))
+def test_checks_on_integer_forms_in_a_rational_basis(data, basis_rng):
+    # battery algebras moved to a basis with denominators, so that the
+    # constants' D_c and each derivation's d exceed 1
+    acted = [f for f in battery_fixtures() if f[2].closure_basis]
+    label, alg, act = data.draw(st.sampled_from(acted))
+    p, p_inv = _invertible(alg.dim, basis_rng)
+    moved = _in_basis(alg, p, p_inv)  # StructureAlgebra with its checks on
+    ders = [p * d.matrix * p_inv for d in act.closure_basis]
+    assume(moved.integer_table[0] > 1 and all(m.integer_form[0] > 1 for m in ders))
+    for m in ders:
+        assert check_derivation(moved, m) and _leibniz_oracle(moved, m), label
+
+    n = moved.dim
+    i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    constants = [[list(cell) for cell in row] for row in moved.constants]
+    constants[i][j][k] += 1
+    assert not _associative_oracle(constants), label
+    with pytest.raises(NotAssociative):
+        StructureAlgebra(constants)
+
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    entries = [list(row) for row in data.draw(st.sampled_from(ders)).entries]
+    entries[a][b] += 1
+    bad = Matrix.from_rows(entries)
+    assert not _leibniz_oracle(moved, bad), label
+    assert not check_derivation(moved, bad), label
 
 
 def test_metabelian_closure_of_der_ut2():

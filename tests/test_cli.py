@@ -259,6 +259,25 @@ class TestCommands:
         assert "error input: config " + key in err
         assert str(cfg) in err
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            # (e1 e1) e2 = 2 e2 but e1 (e1 e2) = 4 e2
+            ("1 2 2 1", "1 2 2 2", "associativity fails on basis triple (1, 1, 2)"),
+            # eps(e2) = e2 + e3, so eps(e1 e2) = e2 + e3 against e1 eps(e2) = e2
+            ("0 1 0", "0 1 1", "derivation eps: Leibniz rule fails on basis pair (1, 2)"),
+        ],
+    )
+    def test_bad_input_names_its_location_in_file_indices(
+        self, tmp_path, capsys, old, new, message
+    ):
+        path = tmp_path / "bad.alg"
+        text = shipped_algebra_file("ut2-eps", []).serialize()
+        assert f"\n{old}\n" in text
+        path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+        assert main(["exponent", str(path)]) == 2
+        assert f"error input: {message}\n" in capsys.readouterr().err
+
     def test_decompose_report(self, tmp_path, capsys):
         path = self._gen(tmp_path, "ut2")
         assert main(["decompose", path]) == 0

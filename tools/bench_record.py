@@ -10,15 +10,15 @@ length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 file for n = 1..8 in exact and in modular mode, ``identity_space`` on it at
 n = 4, 5 and 6, ``consequences_space`` of battery criterion 9's three
 identities on it at n = 4, 5 and 6, ``lie_closure`` of the block-triangular
-UT(2,2) under the seeded inner pairs 0 and 1 (each run in a fresh
-interpreter whose address space is capped at SCRIPT_ADDRESS_SPACE, so that a
-checkout that holds these spaces densely stops with MemoryError instead of
-filling the machine's memory) and its tier-1 test command once, and writes
-BENCH_<pr>.json at the root of this repository. The file holds the
-checkout's commit (and whether its tree had uncommitted changes), the
-Python version, nproc, the load average before and after, for each workload
-and trace level the run's correct/attempted/failed counts and every metric
-with its unit, under ``battery`` the battery's exit
+UT(2,2) under the seeded inner pairs 0 and 1 and the input checks on the
+same inputs (each run in a fresh interpreter whose address space is capped
+at SCRIPT_ADDRESS_SPACE, so that a checkout that holds these spaces densely
+stops with MemoryError instead of filling the machine's memory), and its
+tier-1 test command once, and writes BENCH_<pr>.json at the root of this
+repository. The file holds the checkout's commit (and whether its tree had
+uncommitted changes), the Python version, nproc, the load average before and
+after, for each workload and trace level the run's correct/attempted/failed
+counts and every metric with its unit, under ``battery`` the battery's exit
 code and the seconds of each criterion, read from its ``criterion K T s``
 stderr lines, under ``codim`` each mode's exit code and, per n, the
 monomials, rank and seconds read from its ``n N monomials M rank C T s``
@@ -26,10 +26,14 @@ stderr lines, under ``identity_space`` per n the seconds, ``codim``,
 ``identity_dim`` and the interpreter's ``ru_maxrss`` in KiB, under
 ``consequences`` per n the seconds, the dimension, whether it equals the
 ``identity_space`` kernel and ``ru_maxrss``, under ``ut22_lie_closure``
-per seed the seconds and the envelope dimension, and under ``tier1`` the test
-run's exit code, its passed and failed counts (from pytest's summary line),
-its wall-clock seconds and its ten slowest test phases with their seconds
-(from pytest's ``--durations=10`` report), and under ``src_lines`` the line
+per seed the seconds and the envelope dimension, under ``validate`` per seed
+the seconds of ``StructureAlgebra(constants, unit_vector=...)`` with its
+associativity and unit checks (``algebra_seconds``), the seconds of
+``check_derivation`` on the two inner derivations (``derivation_seconds``)
+and whether both passed, and under ``tier1`` the test run's exit code, its
+passed and failed counts (from pytest's summary line), its wall-clock
+seconds and its ten slowest test phases with their seconds (from pytest's
+``--durations=10`` report), and under ``src_lines`` the line
 count of the checkout's ``src/diffident/*.py``. Two files made on the same
 machine can be compared workload by workload and layer by layer, and any
 two files by the size of the engine.
@@ -96,13 +100,13 @@ print(json.dumps({"seconds": seconds, "dim": space.dim,
                   "ru_maxrss_kb": rss}))
 """
 
-# lie_closure of UT(2,2), the block upper-triangular 4 x 4 matrices with 2 x 2
-# diagonal blocks, under two inner derivations drawn from random.Random(argv[1])
-# (the inner pairs of the exponent tests); one JSON line
-_UT22_LIE_CLOSURE = """
+# UT(2,2), the block upper-triangular 4 x 4 matrices with 2 x 2 diagonal
+# blocks, and two inner derivations drawn from random.Random(argv[1]) (the
+# inner pairs of the exponent tests): the inputs of the two scripts below
+_UT22_INPUTS = """
 import json, random, sys, time
 from fractions import Fraction
-from diffident.algebra import _matrix_units_algebra, inner_derivation, lie_closure
+from diffident.algebra import _matrix_units_algebra, inner_derivation
 
 rng = random.Random(int(sys.argv[1]))
 block = (0, 0, 1, 1)
@@ -111,9 +115,30 @@ alg = _matrix_units_algebra(
 )
 gens = [inner_derivation(alg, [Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)])
         for _ in range(2)]
+"""
+
+# lie_closure of those inputs; one JSON line
+_UT22_LIE_CLOSURE = _UT22_INPUTS + """
+from diffident.algebra import lie_closure
+
 start = time.perf_counter()
 act = lie_closure(alg, gens)
 print(json.dumps({"seconds": time.perf_counter() - start, "envelope_dim": act.envelope.dim}))
+"""
+
+# the input checks on those inputs: StructureAlgebra with its associativity
+# and unit checks on, then check_derivation of both derivations; one JSON line
+_VALIDATE = _UT22_INPUTS + """
+from diffident.algebra import StructureAlgebra, check_derivation
+
+start = time.perf_counter()
+checked = StructureAlgebra(alg.constants, unit_vector=alg.unit_vector)
+algebra_seconds = time.perf_counter() - start
+start = time.perf_counter()
+passed = all([check_derivation(checked, g.matrix) for g in gens])
+print(json.dumps({"algebra_seconds": algebra_seconds,
+                  "derivation_seconds": time.perf_counter() - start,
+                  "derivations_pass": passed}))
 """
 UT22_SEEDS = (0, 1)
 
@@ -272,12 +297,15 @@ def main(argv=None) -> int:
         ("identity_space", _IDENTITY_SPACE, IDENTITY_SPACE_N, "ut2-eps n ="),
         ("consequences", _CONSEQUENCES, CONSEQUENCES_N, "ut2-eps n ="),
         ("ut22_lie_closure", _UT22_LIE_CLOSURE, UT22_SEEDS, "UT(2,2) seed"),
+        ("validate", _VALIDATE, UT22_SEEDS, "UT(2,2) seed"),
     ):
         record[key] = {}
         for n in degrees:
             print(f"{key} {what} {n} ...", file=sys.stderr, flush=True)
             record[key][n] = result = run_script(checkout, script, n)
-            summary = result.get("error") or f"{result['seconds']:.2f}s"
+            summary = result.get("error") or " ".join(
+                f"{k} {v:.3f}" for k, v in result.items() if k.endswith("seconds")
+            )
             print(f"  {summary}", file=sys.stderr, flush=True)
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     record["tier1"] = run_tier1(checkout)
@@ -300,6 +328,10 @@ def main(argv=None) -> int:
     failed += [
         (key, n) for key in ("identity_space", "ut22_lie_closure")
         for n, r in record[key].items() if "error" in r
+    ]
+    failed += [
+        ("validate", n) for n, r in record["validate"].items()
+        if "error" in r or not r["derivations_pass"]
     ]
     failed += [
         ("consequences", n)
