@@ -78,7 +78,9 @@ class StructureAlgebra:
         return d, [[[(k, int(c * d)) for k, c in enumerate(cell) if c] for cell in r] for r in rows]
 
     def basis_vector(self, i: int) -> list:
-        return [ONE if j == i else ZERO for j in range(self.dim)]
+        vec = [ZERO] * self.dim
+        vec[i] = ONE
+        return vec
 
     # -- verification ------------------------------------------------------
 
@@ -124,7 +126,8 @@ class StructureAlgebra:
 
 def integer_product(table: list, u: dict, v: dict) -> dict:
     """D_c * u * v for sparse integer vectors u, v, with (D_c, table) an
-    algebra's integer_table; zeros dropped."""
+    algebra's integer_table; zeros dropped.  The accumulator is returned as
+    it is unless an entry cancelled to zero."""
     out: dict = {}
     for i, a in u.items():
         row = table[i]
@@ -132,6 +135,8 @@ def integer_product(table: list, u: dict, v: dict) -> dict:
             ab = a * b
             for k, c in row[j]:
                 out[k] = out.get(k, 0) + ab * c
+    if all(out.values()):
+        return out
     return {k: x for k, x in out.items() if x}
 
 

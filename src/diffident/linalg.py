@@ -160,10 +160,21 @@ class Matrix:
 
 def integer_vector(vec: Sequence) -> tuple[int, dict]:
     """(d, {b: d * vec[b]}): a vector of Fractions or ints scaled by the lcm
-    of its denominators, nonzero entries only."""
-    nonzero = [(b, x) for b, x in enumerate(vec) if x]
-    d = lcm(*[x.denominator for _b, x in nonzero])
-    return d, {b: x.numerator * (d // x.denominator) for b, x in nonzero}
+    of its denominators, nonzero entries only.  One pass takes the entries
+    and the lcm of the denominators other than 1; only when that lcm is not
+    1 are the entries rescaled."""
+    d = 1
+    out = {}
+    for b, x in enumerate(vec):
+        if x:
+            if x.denominator == 1:
+                out[b] = x.numerator
+            else:
+                out[b] = x
+                d = lcm(d, x.denominator)
+    if d != 1:
+        out = {b: x.numerator * (d // x.denominator) for b, x in out.items()}
+    return d, out
 
 
 def divided(acc: Sequence[int], den: int) -> list:

@@ -23,7 +23,11 @@ kernel vector, and hands each zero row's monomial, a unit kernel vector,
 to the canonicalizing pass.
 evaluate_poly, at an arbitrary rational assignment, goes through the same
 integer product table of the algebra and the integer form of each word's
-operator (word_matrix).
+operator (word_matrix).  It walks the polynomial's evaluation_plan, built
+once per polynomial: each position's image is taken at most once, a term
+extends the product it shares with the term before it, the terms under a
+zero prefix product are skipped, and each output coordinate is divided
+once per scale.
 
 consequences_space runs on integers too.  It builds one formal instance of a
 generator per shape, substituted, multiplied out and collapsed on variables
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product as iproduct
 from math import factorial, gcd, inf, lcm
 from operator import mul
@@ -51,7 +56,8 @@ from .errors import (
     SizeCap,
     WordCapExceeded,
 )
-from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, draw_prime, frac, integer_vector
+from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, common_denominator, draw_prime
+from .linalg import frac, integer_vector
 
 Word = tuple  # of closure-basis indices
 
@@ -173,6 +179,32 @@ class LPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    @cached_property
+    def evaluation_plan(self) -> tuple:
+        """(positions, D, terms), how evaluate_poly walks f, built on first
+        use and kept; it does not depend on the action.  positions are the
+        distinct (variable, word) pairs of the terms, sorted, so the first
+        and the last hold the least and the greatest variable.  D is the
+        lcm of the coefficients' denominators.  terms holds (shared,
+        indices, D * coefficient) per term, sorted by indices, the term's
+        positions in product order; shared is the length of the prefix of
+        indices that the term shares with the one before it."""
+        positions = sorted({key for vars_, words in self.terms for key in zip(vars_, words)})
+        index = {key: i for i, key in enumerate(positions)}
+        d = common_denominator(self.terms.values())
+        keyed = sorted(
+            (tuple(index[key] for key in zip(vars_, words)), c.numerator * (d // c.denominator))
+            for (vars_, words), c in self.terms.items()
+        )
+        terms, before = [], ()
+        for indices, c in keyed:
+            shared = 0
+            while shared < len(before) and before[shared] == indices[shared]:
+                shared += 1
+            terms.append((shared, indices, c))
+            before = indices
+        return tuple(positions), d, tuple(terms)
 
     def __add__(self, other: "LPolynomial") -> "LPolynomial":
         out = dict(self.terms)
@@ -609,46 +641,63 @@ def identity_space(
 def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
     """Value of f at a tuple of coordinate vectors (index i for variable i+1).
 
-    The arithmetic is on integers: each vector is scaled to integers once,
-    each (variable, word) image is taken once through the integer form of
-    word_matrix, and products go through the algebra's integer_table.  A
-    term's value is its integer product over the product of those scales,
-    one division per output coordinate.
+    Every variable of f needs a vector of length dim, or ValueError is
+    raised before any product.  The arithmetic is on integers and walks
+    f.evaluation_plan: each vector is scaled to integers once, each
+    position's image is taken at most once, through the integer form of
+    word_matrix, and a term extends the prefix product it shares with the
+    term before it through the algebra's integer_table.  When a prefix
+    product is zero, the terms that share that prefix are skipped.  The
+    values are summed as ints per scale, one division per scale and output
+    coordinate.
     """
     alg = act.algebra
+    positions, d_f, terms = f.evaluation_plan
+    if positions and (positions[0][0] < 1 or positions[-1][0] > len(assignment)):
+        raise ValueError("the assignment has no vector for some variable")
+    if any(len(vector) != alg.dim for vector in assignment):
+        raise ValueError("assignment vector length does not match the algebra")
     d_c, table = alg.integer_table
     scaled: dict = {}  # variable -> (scale, {b: int})
-    images: dict = {}  # (variable, word) -> (scale, {k: int})
-    out = [ZERO] * alg.dim
-    for (vars_, words), c in f.terms.items():
-        prod = None
-        den = 1
-        for v, w in zip(vars_, words):
-            image = images.get((v, w))
+    images = [None] * len(positions)  # position -> (scale, {k: int})
+    prefix: list = []  # prefix[i] = (scale, product of the first i + 1 images)
+    zero_prefix = inf  # length of a prefix of the last walked term whose product is 0
+    sums: dict = {}  # scale -> {k: int}
+    for shared, indices, c in terms:
+        if shared >= zero_prefix:
+            continue
+        zero_prefix = inf
+        del prefix[shared:]
+        for i in indices[shared:]:
+            image = images[i]
             if image is None:
+                v, w = positions[i]
                 if v not in scaled:
-                    vector = assignment[v - 1]
-                    if len(vector) != alg.dim:
-                        raise ValueError("assignment vector length does not match the algebra")
-                    scaled[v] = integer_vector(vector)
-                d_v, vec = scaled[v]
-                d_w, rows = word_matrix(act, w).integer_form
-                acc: dict = {}
-                for b, a in vec.items():
-                    for k, x in rows[b]:
-                        acc[k] = acc.get(k, 0) + a * x
-                image = images[(v, w)] = d_v * d_w, {k: x for k, x in acc.items() if x}
-            d, vec = image
-            if prod is None:
-                prod, den = vec, d
-            else:
-                prod = integer_product(table, prod, vec)
-                den *= d * d_c
-            if not prod:
+                    scaled[v] = integer_vector(assignment[v - 1])
+                image = scaled[v]
+                if w:
+                    m = word_matrix(act, w)
+                    acc = m.integer_apply(image[1].items())
+                    image = image[0] * m.integer_form[0], {k: x for k, x in enumerate(acc) if x}
+                images[i] = image
+            if prefix:
+                d, prod = prefix[-1]
+                image = d * image[0] * d_c, integer_product(table, prod, image[1])
+            prefix.append(image)
+            if not image[1]:
+                zero_prefix = len(prefix)
                 break
-        if prod:
-            for k, x in prod.items():
-                out[k] += c * Fraction(x, den)
+        else:
+            if prefix:
+                d, prod = prefix[-1]
+                acc = sums.setdefault(d, {})
+                for k, x in prod.items():
+                    acc[k] = acc.get(k, 0) + c * x
+    out = [ZERO] * alg.dim
+    for d, acc in sums.items():
+        for k, x in acc.items():
+            if x:
+                out[k] += Fraction(x, d * d_f)
     return out
 
 

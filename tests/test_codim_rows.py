@@ -11,7 +11,8 @@ It shares no integer table with the engine.
   the row generator nor SparseRREF with `codim`.
 * `evaluate_poly`, `is_identity` (with its witness) and the spanning-set
   rank of the battery are compared with the same evaluator on generated
-  polynomials and rational assignments.
+  polynomials and rational assignments, and `evaluate_poly` also on the
+  spanning-set members, whose terms share long prefixes and cancel.
 """
 
 import random
@@ -277,6 +278,60 @@ def test_evaluate_poly_matches_fraction_evaluator(name, data):
     act = ACTIONS[name]
     f = data.draw(polynomials(act))
     assignment = data.draw(vectors(act.algebra.dim, f.degree))
+    assert pe.evaluate_poly(f, act, assignment) == _fraction_evaluate(f, act, assignment)
+
+
+def test_evaluate_poly_refuses_a_bad_assignment_before_any_product():
+    """A vector of the wrong length, or a missing one, is refused even where
+    the products vanish; the unit of * still evaluates to the zero vector."""
+    x = pe.LPolynomial.variable
+    act = lie_closure(ut(2), [])
+    f = x(1) * x(2)
+    with pytest.raises(ValueError, match="length"):
+        pe.evaluate_poly(f, act, [[0, 0, 0], [1, 2]])
+    with pytest.raises(ValueError, match="no vector"):
+        pe.evaluate_poly(f, act, [[1, 0, 0]])
+    with pytest.raises(ValueError, match="no vector"):
+        pe.evaluate_poly(x(1) * x(3), act, [[0, 0, 0], [0, 0, 0]])
+    assert pe.evaluate_poly(pe.LPolynomial.monomial(()), act, []) == [0, 0, 0]
+
+
+def test_evaluation_plan_is_built_once_and_does_not_depend_on_the_action():
+    f = ut2_eps_spanning_set(4)[-1]
+    twin = pe.LPolynomial.from_terms(dict(f.terms))
+    text = repr(f)
+    plan = f.evaluation_plan
+    assert f.evaluation_plan is plan
+    for name, g in (("ut2-eps", f), ("rational-ut2-eps", twin)):
+        act = ACTIONS[name]
+        assignment = [act.algebra.basis_vector(b) for b in (0, 1, 1, 2)]
+        assert pe.evaluate_poly(g, act, assignment) == _fraction_evaluate(g, act, assignment)
+    assert f.evaluation_plan is plan
+    assert twin.evaluation_plan == plan
+    assert f == twin and repr(f) == repr(twin) == text
+    # the plan shares prefixes: every term after the first reuses at least one factor
+    terms = plan[2]
+    assert len(terms) > 1 and all(shared for shared, _i, _c in terms[1:])
+
+
+@pytest.mark.parametrize("name", ["ut2-eps", "rational-ut2-eps"])
+@seed(9)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_poly_on_spanning_sets_matches_fraction_evaluator(name, data):
+    """Spanning-set members share long prefixes between terms and cancel
+    heavily; their values at basis tuples and at rational points must be
+    the Fraction evaluator's."""
+    act = ACTIONS[name]
+    dim = act.algebra.dim
+    family = data.draw(st.sampled_from([ut2_spanning_set, ut2_eps_spanning_set]))
+    n = data.draw(st.integers(1, 4))
+    f = data.draw(st.sampled_from(family(n)))
+    if data.draw(st.booleans()):
+        tup = data.draw(st.lists(st.integers(0, dim - 1), min_size=n, max_size=n))
+        assignment = [act.algebra.basis_vector(b) for b in tup]
+    else:
+        assignment = data.draw(vectors(dim, n))
     assert pe.evaluate_poly(f, act, assignment) == _fraction_evaluate(f, act, assignment)
 
 

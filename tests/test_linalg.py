@@ -13,6 +13,7 @@ from diffident.linalg import (
     Matrix,
     SparseRREF,
     Subspace,
+    integer_vector,
     left_kernel,
     rank_modular,
     rref,
@@ -281,6 +282,28 @@ class TestIntegerForm:
                     j: x for j, x in enumerate(row) if x
                 }
             assert m.integer_form is m.integer_form
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        [0, 0, 0],
+        [Fraction(0)] * 3,
+        [],
+        [1, 0, -4],
+        [Fraction(3), Fraction(0), Fraction(-2)],
+        [Fraction(1, 2), 3, Fraction(0), Fraction(-5, 6), Fraction(7)],
+        [Fraction(-9, 4), 0, Fraction(1, 4)],
+    ],
+)
+def test_integer_vector_matches_its_definition(vec):
+    """(d, {b: d * vec[b]}) over the nonzero entries, d the lcm of their
+    denominators, every value an int."""
+    nonzero = {b: Fraction(x) for b, x in enumerate(vec) if x}
+    d, out = integer_vector(vec)
+    assert d == lcm(*(x.denominator for x in nonzero.values()))
+    assert out == {b: d * x for b, x in nonzero.items()}
+    assert all(type(x) is int for x in out.values())
 
 
 class TestAgainstSympy:

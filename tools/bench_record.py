@@ -11,7 +11,8 @@ file for n = 1..8 in exact and in modular mode, ``identity_space`` on it at
 n = 4, 5 and 6, ``consequences_space`` of battery criterion 9's three
 identities on it at n = 4, 5 and 6, ``lie_closure`` of the block-triangular
 UT(2,2) under the seeded inner pairs 0 and 1 and the input checks on the
-same inputs (each run in a fresh interpreter whose address space is capped
+same inputs, ``evaluate_poly`` on the spanning sets of battery criterion 8
+(each run in a fresh interpreter whose address space is capped
 at SCRIPT_ADDRESS_SPACE, so that a checkout that holds these spaces densely
 stops with MemoryError instead of filling the machine's memory), and its
 tier-1 test command once, and writes BENCH_<pr>.json at the root of this
@@ -30,7 +31,10 @@ per seed the seconds and the envelope dimension, under ``validate`` per seed
 the seconds of ``StructureAlgebra(constants, unit_vector=...)`` with its
 associativity and unit checks (``algebra_seconds``), the seconds of
 ``check_derivation`` on the two inner derivations (``derivation_seconds``)
-and whether both passed, and under ``tier1`` the test run's exit code, its
+and whether both passed, under ``evaluate`` the seconds, the count and the
+sha256 of the values of the ``evaluate_poly`` calls that the ``identities``
+workload's spanning-set job makes (every member of the ut2 and ut2-eps
+spanning sets for n = 2..5 at every basis tuple), and under ``tier1`` the test run's exit code, its
 passed and failed counts (from pytest's summary line), its wall-clock
 seconds and its ten slowest test phases with their seconds (from pytest's
 ``--durations=10`` report), and under ``src_lines`` the line
@@ -141,6 +145,34 @@ print(json.dumps({"algebra_seconds": algebra_seconds,
                   "derivations_pass": passed}))
 """
 UT22_SEEDS = (0, 1)
+
+# evaluate_poly on every member of the ut2 and ut2-eps spanning sets for
+# n = 2..argv[1] at every basis tuple, as the identities workload's
+# spanning-set job calls it: the seconds of the calls, their count and the
+# sha256 of the reprs of their values; one JSON line
+_EVALUATE = """
+import hashlib, json, sys, time
+from itertools import product
+from diffident.algebra import lie_closure
+from diffident.families import ut2_eps_spanning_set, ut2_spanning_set
+from diffident.piengine import evaluate_poly
+from diffident.shipped import shipped_algebra_file
+
+values, seconds = [], 0.0
+for name, family in (("ut2", ut2_spanning_set), ("ut2-eps", ut2_eps_spanning_set)):
+    alg, ders = shipped_algebra_file(name, []).to_algebra()
+    act = lie_closure(alg, ders)
+    for n in range(2, int(sys.argv[1]) + 1):
+        polys = family(n)
+        start = time.perf_counter()
+        for p in polys:
+            for tup in product(range(alg.dim), repeat=n):
+                values.append(evaluate_poly(p, act, [alg.basis_vector(b) for b in tup]))
+        seconds += time.perf_counter() - start
+digest = hashlib.sha256("\\n".join(map(repr, values)).encode()).hexdigest()
+print(json.dumps({"seconds": seconds, "calls": len(values), "digest": digest}))
+"""
+EVALUATE_TOP = (5,)
 
 
 def _git(checkout: Path, *args: str) -> str | None:
@@ -298,6 +330,7 @@ def main(argv=None) -> int:
         ("consequences", _CONSEQUENCES, CONSEQUENCES_N, "ut2-eps n ="),
         ("ut22_lie_closure", _UT22_LIE_CLOSURE, UT22_SEEDS, "UT(2,2) seed"),
         ("validate", _VALIDATE, UT22_SEEDS, "UT(2,2) seed"),
+        ("evaluate", _EVALUATE, EVALUATE_TOP, "spanning sets n = 2.."),
     ):
         record[key] = {}
         for n in degrees:
@@ -326,7 +359,7 @@ def main(argv=None) -> int:
         if "error" in result or not result["correct"]
     ]
     failed += [
-        (key, n) for key in ("identity_space", "ut22_lie_closure")
+        (key, n) for key in ("identity_space", "ut22_lie_closure", "evaluate")
         for n, r in record[key].items() if "error" in r
     ]
     failed += [
