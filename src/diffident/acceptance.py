@@ -143,7 +143,7 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """ut2-eps differential codimensions against 2^(n-1)n+1, n=1..6.
 
-    For n=2..4 the computed value must also be certified from both sides.
+    For n=2..5 the computed value must also be certified from both sides.
     The evaluation rank of families.ut2_eps_spanning_set(n) is a lower
     bound. The n!*2^n monomials minus the consequence closure of three
     eps-identities (each checked with is_identity) is an upper bound.
@@ -160,7 +160,7 @@ def criterion_2() -> CriterionResult:
         expected = 2 ** (n - 1) * n + 1
         good = c == expected
         line = f"n={n}: codim {c} formula {expected}"
-        if 2 <= n <= 4:
+        if 2 <= n <= 5:
             lower = _evaluation_rank(ut2_eps_spanning_set(n), act)
             closure = consequences_space(gens, n, act)
             upper = monomial_count(n, act.envelope.dim) - closure.dim
@@ -327,7 +327,7 @@ def criterion_9() -> CriterionResult:
     _, act = _ut2_eps_action()
     gens = _ut2_eps_identities(act)
     eps_results = {}
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         eps_results[n] = (
             consequences_space(gens, n, act) == identity_space(u2, act, n).kernel
         )

@@ -303,7 +303,11 @@ class _PolyParser:
                 return poly
             self.take()
             nxt = self.term()
-            poly = self.charged(poly + (nxt if text == "+" else nxt.scale(-1)), pos)
+            try:
+                poly = poly + (nxt if text == "+" else nxt.scale(-1))
+            except NotMultilinear as exc:
+                raise NotMultilinear(f"{exc} (at offset {pos})") from None
+            poly = self.charged(poly, pos)
 
     def term(self) -> LPolynomial:
         coeff = Fraction(1)

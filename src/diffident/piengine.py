@@ -31,12 +31,11 @@ once per scale.
 
 consequences_space runs on integers too.  It builds one formal instance of a
 generator per shape, substituted, multiplied out and collapsed on variables
-1..n in order, and renames its variables for every permutation, since
-renaming commutes with substitution, Leibniz, PBW normalization and
-collapse.  The closure under the derivations and the decorations x -> x^u
-runs letter by letter, through each letter's right and left action on the
-envelope, and every row it feeds is a primitive int row, a positive
-multiple of the rational one, so the span is unchanged.
+1..n in order.  It closes them under the derivations and the decorations
+x -> x^u letter by letter, through each letter's right and left action on
+the envelope, then under two renamings of the variables that generate S_n.
+Every row it feeds is a primitive int row, a positive multiple of the
+rational one, so the span is unchanged.
 """
 
 from __future__ import annotations
@@ -155,16 +154,18 @@ class LPolynomial:
 
     @classmethod
     def from_terms(cls, terms: dict) -> "LPolynomial":
+        """The polynomial of nonzero terms that all use the same variables,
+        each once; NotMultilinear otherwise."""
         terms = {k: frac(v) for k, v in terms.items() if v}
-        degree = 0
-        for (vars_, words) in terms:
-            degree = len(vars_)
-            if len(set(vars_)) != degree or len(words) != degree:
+        used = [frozenset(vars_) for vars_, _w in terms]
+        for (vars_, words), variables in zip(terms, used):
+            if len(variables) != len(vars_) or len(words) != len(vars_):
                 raise NotMultilinear(f"bad term {(vars_, words)}")
-        for (vars_, _w) in terms:
-            if len(vars_) != degree:
-                raise NotMultilinear("mixed degrees")
-        return cls(terms=terms, degree=degree)
+            if variables != used[0]:
+                raise NotMultilinear(
+                    f"terms over variables {tuple(sorted(used[0]))} and {tuple(sorted(variables))}"
+                )
+        return cls(terms=terms, degree=len(used[0]) if used else 0)
 
     @classmethod
     def variable(cls, i: int, word: Word = ()) -> "LPolynomial":
@@ -739,15 +740,8 @@ def is_identity(
 
 
 def _degree_n_instances(g: LPolynomial, n: int, act: LieAction, cap: int):
-    """Collapsed degree-n instances u0 * g(m_1..m_k) * u1 over variables 1..n,
-    as primitive integer terms (_primitive).
-
-    Each shape (the size of u0 and the sizes of the m_i) is built once, on
-    variables 1..n in order: substitute, the outer monomials, collapsed_terms.
-    Its instance for a permutation is that one with variable v renamed to
-    perm[v-1], since renaming commutes with substitution, Leibniz, PBW
-    normalization and collapse.
-    """
+    """Collapsed degree-n instances u0 * g(m_1..m_k) * u1 as primitive int
+    terms, one per shape (sizes of u0 and the m_i) on variables 1..n in order."""
     k = g.degree
     if k > n:
         return
@@ -765,12 +759,7 @@ def _degree_n_instances(g: LPolynomial, n: int, act: LieAction, cap: int):
                 continue
             left = LPolynomial.monomial(range(1, extra_left + 1))
             right = LPolynomial.monomial(range(pos + 1, n + 1))
-            terms = _primitive(collapsed_terms(left * body * right, act))
-            for perm in permutations(range(1, n + 1)):
-                yield {
-                    (tuple(perm[v - 1] for v in vars_), exps): c
-                    for (vars_, exps), c in terms.items()
-                }
+            yield _primitive(collapsed_terms(left * body * right, act))
 
 
 def _compositions(total: int, parts: int):
@@ -828,11 +817,13 @@ def consequences_space(
     degree-n consequences of the generators.
 
     Instances (substitutions with monomial images plus outer multipliers)
-    are built formally and collapsed once per shape, then renamed for every
-    order of the variables (_degree_n_instances).  The closure under the
-    derivations and under the endomorphisms x_j -> x_j^u runs on collapsed
-    coordinates, where the envelope absorbs arbitrarily long words, so the
-    result equals the collapse of the uncapped formal consequence space.
+    are built formally and collapsed once per shape, on variables 1..n in
+    order (_degree_n_instances).  Their closure V under the derivations and
+    x_j -> x_j^u, on collapsed coordinates where the envelope absorbs long
+    words, is the collapse of the uncapped formal one.  A renaming sigma
+    commutes with the derivations and sends x_j's decorations to x_sigma(j)'s,
+    so the span is sum_sigma sigma(V): V's basis closed breadth first under
+    s_1 = (1 2) and the n-cycle v -> v + 1, which generate S_n.
     A letter g derives by its right action (op_e -> op_e * g, right[g]) and
     decorates x_j by its left action (op_e -> g * op_e).  Letters suffice:
     decorations compose as dec_j(Y) o dec_j(X) = dec_j(Y * X), and op_u is
@@ -876,6 +867,17 @@ def consequences_space(
             acted = [_collapsed_act(terms, right)]
             acted += [_collapsed_act(terms, left, var) for var in range(1, n + 1)]
             queue.extend(row for row in acted if push(row))
+    rank = {vars_: i for i, vars_ in enumerate(permutations(range(1, n + 1)))}
+    renamings = [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)] if n > 1 else []
+    block = env.dim**n  # a column is (variable order) * block + (exponents)
+    tables = [[rank[tuple(s[v - 1] for v in vars_)] * block for vars_ in rank] for s in renamings]
+    frontier = [row for _lead, row in rr.reduced_basis()]
+    while frontier:
+        renamed = [
+            {t[c // block] + c % block: x for c, x in row.items()}
+            for row in frontier for t in tables
+        ]
+        frontier = [row for row in renamed if rr.add_row(row)]
     return Subspace(len(index), rr.reduced_basis())
 
 

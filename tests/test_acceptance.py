@@ -1,7 +1,7 @@
 """Acceptance battery: one test per criterion, at the stated tolerances.
 
 Criterion 2 checks the ut2-eps differential codimensions against
-2^(n-1)n+1 and, for n = 2..4, certifies each value by a spanning-set lower
+2^(n-1)n+1 and, for n = 2..5, certifies each value by a spanning-set lower
 bound and a consequence-closure upper bound that must meet.
 """
 

@@ -442,6 +442,16 @@ class TestCommands:
         assert proc.stderr.startswith("error input: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_terms_over_other_variables_name_their_sign(self, tmp_path, capsys):
+        path = self._gen(tmp_path, "ut2")
+        poly = tmp_path / "p.poly"
+        poly.write_text("x2*x1 - x1*x3")
+        capsys.readouterr()
+        assert main(["check-identity", path, "--poly", str(poly)]) == 2
+        assert capsys.readouterr().err == (
+            "error input: terms over variables (1, 2) and (1, 3) (at offset 6)\n"
+        )
+
     def test_empty_algebra_file_names_end_of_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.alg"
         empty.write_text("")

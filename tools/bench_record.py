@@ -9,7 +9,7 @@ length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 ``diffident battery`` once, ``diffident codim`` on the shipped ``ut2-eps``
 file for n = 1..8 in exact and in modular mode, ``identity_space`` on it at
 n = 4, 5 and 6, ``consequences_space`` of battery criterion 9's three
-identities on it at n = 4, 5 and 6, ``lie_closure`` of the block-triangular
+identities on it at n = 4, 5, 6 and 7, ``lie_closure`` of the block-triangular
 UT(2,2) under the seeded inner pairs 0 and 1 and the input checks on the
 same inputs, ``evaluate_poly`` on the spanning sets of battery criterion 8
 (each run in a fresh interpreter whose address space is capped
@@ -26,7 +26,10 @@ monomials, rank and seconds read from its ``n N monomials M rank C T s``
 stderr lines, under ``identity_space`` per n the seconds, ``codim``,
 ``identity_dim`` and the interpreter's ``ru_maxrss`` in KiB, under
 ``consequences`` per n the seconds, the dimension, whether it equals the
-``identity_space`` kernel and ``ru_maxrss``, under ``ut22_lie_closure``
+``identity_space`` kernel (past n = 6, where that kernel is not built,
+whether the dimension is the monomial count minus ``codim``, which proves
+the same, since the closure lies in the kernel) and ``ru_maxrss``, or the
+error it ended with (a ``MemoryError`` under the cap among them), under ``ut22_lie_closure``
 per seed the seconds and the envelope dimension, under ``validate`` per seed
 the seconds of ``StructureAlgebra(constants, unit_vector=...)`` with its
 associativity and unit checks (``algebra_seconds``), the seconds of
@@ -61,7 +64,7 @@ REPO = Path(__file__).resolve().parent.parent
 SEED = 0
 CODIM_MAX_N = 8
 IDENTITY_SPACE_N = (4, 5, 6)
-CONSEQUENCES_N = (4, 5, 6)
+CONSEQUENCES_N = (4, 5, 6, 7)
 SCRIPT_ADDRESS_SPACE = 2 * 2**30  # bytes: the RLIMIT_AS of each run_script interpreter
 
 # identity_space on the shipped ut2-eps file at degree argv[1], as one JSON line
@@ -83,12 +86,13 @@ print(json.dumps({"seconds": seconds, "codim": rep.codim, "identity_dim": rep.id
 
 # consequences_space of battery criterion 9's identities on the shipped
 # ut2-eps file at degree argv[1], timed and its ru_maxrss read before it is
-# compared with the identity_space kernel; one JSON line
+# compared with the identity_space kernel, or past n = 6 its dimension with
+# the monomial count minus codim; one JSON line
 _CONSEQUENCES = """
 import json, resource, sys, time
 from diffident.acceptance import _ut2_eps_identities
 from diffident.algebra import lie_closure
-from diffident.piengine import consequences_space, identity_space
+from diffident.piengine import codim, consequences_space, identity_space, monomial_count
 from diffident.shipped import shipped_algebra_file
 
 n = int(sys.argv[1])
@@ -99,8 +103,11 @@ start = time.perf_counter()
 space = consequences_space(gens, n, act)
 seconds = time.perf_counter() - start
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"seconds": seconds, "dim": space.dim,
-                  "equals_kernel": space == identity_space(alg, act, n).kernel,
+if n <= 6:
+    equal = space == identity_space(alg, act, n).kernel
+else:
+    equal = space.dim == monomial_count(n, act.envelope.dim) - codim(alg, act, n)
+print(json.dumps({"seconds": seconds, "dim": space.dim, "equals_kernel": equal,
                   "ru_maxrss_kb": rss}))
 """
 
