@@ -29,9 +29,10 @@ stderr lines, under ``identity_space`` per n the seconds, ``codim``,
 ``identity_space`` kernel (past n = 6, where that kernel is not built,
 whether the dimension is the monomial count minus ``codim``, which proves
 the same, since the closure lies in the kernel) and ``ru_maxrss``, or the
-error it ended with (a ``MemoryError`` under the cap among them), under ``ut22_lie_closure``
-per seed the seconds and the envelope dimension, under ``validate`` per seed
-the seconds of ``StructureAlgebra(constants, unit_vector=...)`` with its
+error it ended with (a ``MemoryError`` under the cap among them), under
+``ut22_lie_closure`` per seed the seconds and the envelope dimension, under
+``validate`` per seed the seconds of
+``StructureAlgebra(constants, unit_vector=...)`` with its
 associativity and unit checks (``algebra_seconds``), the seconds of
 ``check_derivation`` on the two inner derivations (``derivation_seconds``)
 and whether both passed, under ``evaluate`` the seconds, the count and the
