@@ -190,13 +190,6 @@ def leibniz_failure(alg: StructureAlgebra, m: Matrix) -> Optional[tuple[int, int
     return None
 
 
-def check_derivation(alg: StructureAlgebra, m: Matrix) -> bool:
-    """Leibniz rule on all basis pairs, on integers: both sides of each pair
-    are scaled by the same positive d * D_c (m's and alg's denominators), so
-    they agree exactly when the rational sides do (see leibniz_failure)."""
-    return leibniz_failure(alg, m) is None
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 
@@ -228,17 +221,21 @@ class Envelope:
         return self.solver.solve(m.sparse())
 
 
-def _lie_closure_matrices(generators: list[Matrix]) -> tuple[list[Matrix], SparseRREF]:
-    """A basis of the Lie algebra the generators generate, and a tagged
-    eliminator holding its i-th element under tag i."""
+def _lie_closure_matrices(generators: list[Matrix]) -> tuple[list, list[int], SparseRREF]:
+    """A basis of the Lie algebra the generators generate, each element's
+    index in the queue (below len(generators) for a generator, left out when
+    zero or a combination of those before it), and a tagged eliminator
+    holding its i-th element under tag i."""
     basis: list[Matrix] = []
+    sources: list[int] = []
     solver = SparseRREF(tagged=True)
     queue = list(generators)
-    for m in queue:  # the queue grows while it is walked
+    for q, m in enumerate(queue):  # the queue grows while it is walked
         if solver.add_row(m.sparse(), tag=len(basis)):
             basis.append(m)
+            sources.append(q)
             queue.extend(commutator(other, m) for other in basis)
-    return basis, solver
+    return basis, sources, solver
 
 
 @dataclass
@@ -291,10 +288,10 @@ def lie_closure(alg: StructureAlgebra, generators: list[Derivation]) -> LieActio
         pair = leibniz_failure(alg, d.matrix)
         if pair is not None:
             raise NotADerivation(pair, d.name)
-    closure_mats, solver = _lie_closure_matrices([d.matrix for d in generators])
+    closure_mats, sources, solver = _lie_closure_matrices([d.matrix for d in generators])
     closure = [
-        Derivation(m, name=generators[i].name if i < len(generators) else f"d{i}")
-        for i, m in enumerate(closure_mats)
+        Derivation(m, name=generators[q].name if q < len(generators) else f"d{i}")
+        for i, (m, q) in enumerate(zip(closure_mats, sources))
     ]
     env = envelope(alg, closure_mats)
     # bracket constants of the closure in its own basis

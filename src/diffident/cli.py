@@ -178,7 +178,7 @@ def cmd_envelope(args, cfg) -> int:
 
 
 def cmd_codim(args, cfg) -> int:
-    from .piengine import codim, monomial_count
+    from .piengine import Monomials, codim
     from .shipped import identify_shipped, known_formula
 
     if args.max_n < 1:
@@ -201,7 +201,7 @@ def cmd_codim(args, cfg) -> int:
             seed=cfg["seed"],
             max_entries=cfg["max_entries"],
         )
-        monomials = monomial_count(n, act.envelope.dim)
+        monomials = Monomials(n, act.envelope.dim).count
         elapsed = time.monotonic() - start
         print(f"n {n} monomials {monomials} rank {values[n]} {elapsed:.2f}s", file=sys.stderr)
         out.append(f"n {n} c {values[n]}")

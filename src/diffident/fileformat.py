@@ -259,7 +259,11 @@ class _PolyParser:
         self.depth = 0
         self.act = act
         self.max_entries = max_entries
-        self.letters = {d.name: i for i, d in enumerate(act.closure_basis)}
+        # the first element of a name wins: a commutator d<i> never shadows a generator
+        self.letters = {d.name: i for i, d in reversed(list(enumerate(act.closure_basis)))}
+        # generators lie_closure left out, whose names must resolve to nothing
+        own = {d.name: d.matrix for d in reversed(act.closure_basis)}
+        self.dropped = {g.name for g in act.generators if own.get(g.name) != g.matrix}
 
     def charged(self, poly: LPolynomial, pos: int) -> LPolynomial:
         dim = self.act.algebra.dim
@@ -369,6 +373,9 @@ class _PolyParser:
                 kind, t, p = self.take()
                 if kind != "name":
                     raise ParseError(f"expected derivation name, found {_shown(t)}", f"offset {p}")
+                if t in self.dropped:
+                    why = "is zero or a combination of the derivations before it"
+                    raise ParseError(f"derivation {t!r} {why}", f"offset {p}")
                 if t not in self.letters:
                     raise ParseError(f"unknown derivation {t!r}", f"offset {p}")
                 base = self.charged(derive_polynomial(base, self.letters[t], self.act), pos)

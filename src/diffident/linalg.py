@@ -7,9 +7,9 @@ every other lead), solve gives coordinates in it (so a basis is factored
 only once), and reduced_basis reads the pivots out as its reduced
 row-echelon basis.  Exact elimination is fraction-free: pivot rows are
 primitive integer rows, and Fractions appear only when solve and kernel
-read out.  Reduced row echelon form, left kernels, canonical subspaces and
-the one-prime modular rank (a proven lower bound on the rank over Q) are
-all views of it.
+read out.  Reduced row echelon form, left kernels and canonical subspaces
+are views of it, and modulo a prime it gives the rank of codim's modular
+mode (a proven lower bound on the rank over Q).
 A Subspace is the primitive integer rows of reduced_basis.  Subspace.spanned
 feeds sparse rows to one exact eliminator and is the one way to turn rows
 into a Subspace (from_kernel feeds kernel vectors in descending order of
@@ -200,7 +200,7 @@ def left_kernel(m: Matrix) -> "Subspace":
 
 
 # ---------------------------------------------------------------------------
-# modular rank
+# denominators and modular primes
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
@@ -247,20 +247,6 @@ def draw_prime(seed: int, denominator: int = 1) -> int:
             p += 1
         if denominator % p:
             return p
-
-
-def rank_modular(m: Matrix, seed: int = 0) -> int:
-    """Rank modulo one random 31-bit prime drawn from the seed.
-
-    The rank of a matrix modulo a prime dividing none of its denominators is
-    at most its rank over Q, so the result is a proven lower bound.  It is
-    less only when the prime divides every r x r minor of the matrix cleared
-    of denominators, r being the rank over Q.
-    """
-    rr = SparseRREF(prime=draw_prime(seed, m.integer_form[0]))
-    for row in m.entries:
-        rr.add_row(dict(enumerate(row)))
-    return rr.rank
 
 
 # ---------------------------------------------------------------------------

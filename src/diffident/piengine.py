@@ -8,12 +8,16 @@ Two exponent representations coexist:
 * envelope indices: a formal word collapses to a linear combination of
   envelope basis operators; codimension ranks only ever see this form.
 
+One codec, Monomials, gives each degree-n monomial its position, the
+index of its row of the evaluation matrix and of its column in kernels,
+closures and certificates, and reads positions back, without a table.
+
 Evaluation runs on integers.  EvaluationRows gives the rows of codim,
 identity_space and containment_check, and is_identity sums its rows over a
 polynomial's collapsed terms.  A row's columns carry one int label each,
 ordered like (basis tuple, output coordinate), so the eliminator compares
 and hashes ints.  EvaluationRows.rows streams only the nonzero rows, each
-with its monomial's position in monomial_basis order, visiting only the
+with its monomial's position, visiting only the
 exponent tuples whose products are not all zero.  codim and
 containment_check skip rows that repeat an earlier one up to scale;
 containment_check merges the streams of A and B by position and stops at
@@ -40,10 +44,10 @@ rational one, so the span is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations, product as iproduct
+from itertools import chain, permutations, product as iproduct
 from math import factorial, gcd, inf, lcm
 from operator import mul
 
@@ -321,40 +325,70 @@ def substitute(
 # monomial bases and evaluation
 
 
-def monomial_basis(n: int, env_dim: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-    """All (vars, envelope-exponent) monomials, lex-ordered; lazily streamed.
+@dataclass
+class Monomials:
+    """The degree-n monomials (vars, exps) over width operators, by position:
+    the basis of P_n^L that rows, kernels and closures are written in.  The
+    variable orders come in lex order (permutations of 1..n), and within
+    each the exponent tuples in lex order (product of range(width)), so the
+    monomials of one order hold the `block` consecutive positions from
+    order_rank(vars) * block on.  Positions are computed, not tabulated;
+    position keeps the rank and the code of each order and tuple it meets."""
 
-    The budget is checked when called, before any monomial is produced.
-    """
-    if n < 1:
-        raise SizeCap("degree must be at least 1")
-    count = monomial_count(n, env_dim)
-    if count > max_entries:
-        raise SizeCap(f"{count} monomials exceed the budget {max_entries}")
-    return (
-        (vars_, exps)
-        for vars_ in permutations(range(1, n + 1))
-        for exps in iproduct(range(env_dim), repeat=n)
-    )
+    n: int
+    width: int
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise SizeCap("degree must be at least 1")
+        self.block = self.width**self.n
+        self.count = factorial(self.n) * self.block
 
-def monomial_count(n: int, env_dim: int) -> int:
-    return factorial(n) * env_dim**n
+    def __len__(self) -> int:
+        return self.count
 
+    def orders(self):
+        """(start, vars) for each variable order, in position order."""
+        return zip(range(0, self.count, self.block), permutations(range(1, self.n + 1)))
 
-def monomial_at(position: int, n: int, env_dim: int) -> tuple:
-    """The monomial (vars, exps) at a position of monomial_basis(n, env_dim)."""
-    index, rank = divmod(position, env_dim**n)
-    rest = list(range(1, n + 1))
-    vars_ = []
-    for left in range(n - 1, -1, -1):
-        i, index = divmod(index, factorial(left))
-        vars_.append(rest.pop(i))
-    exps = []
-    for _ in range(n):
-        rank, u = divmod(rank, env_dim)
-        exps.append(u)
-    return tuple(vars_), tuple(reversed(exps))
+    def __iter__(self):
+        exps = list(iproduct(range(self.width), repeat=self.n))
+        return ((vars_, e) for _start, vars_ in self.orders() for e in exps)
+
+    def __getitem__(self, position: int) -> tuple:
+        if not 0 <= position < self.count:
+            raise IndexError(f"position {position} outside 0..{self.count - 1}")
+        rank, code = divmod(position, self.block)
+        rest, vars_ = list(range(1, self.n + 1)), []
+        for left in range(self.n - 1, -1, -1):
+            i, rank = divmod(rank, factorial(left))
+            vars_.append(rest.pop(i))
+        exps = (code // self.width ** (self.n - 1 - i) % self.width for i in range(self.n))
+        return tuple(vars_), tuple(exps)
+
+    def order_rank(self, vars_: tuple) -> int:
+        """The index of a variable order among the n! orders, in lex order."""
+        rank, rest = 0, list(range(1, self.n + 1))
+        for v in vars_:
+            i = rest.index(v)
+            rank = rank * len(rest) + i
+            rest.pop(i)
+        return rank
+
+    def exponent_code(self, exps: tuple) -> int:
+        """The offset of an exponent tuple within its order's block."""
+        return sum(u * self.width ** (self.n - 1 - i) for i, u in enumerate(exps))
+
+    def position(self, vars_: tuple, exps: tuple) -> int:
+        rank = self._ranks.get(vars_)
+        if rank is None:
+            rank = self._ranks[vars_] = self.order_rank(vars_)
+        code = self._codes.get(exps)
+        if code is None:
+            code = self._codes[exps] = self.exponent_code(exps)
+        return rank * self.block + code
 
 
 class EvaluationRows:
@@ -463,8 +497,7 @@ class EvaluationRows:
 
     def rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         """The nonzero rows, as (position, row) pairs in increasing position,
-        the position of (vars, exps) being its index in
-        monomial_basis(n, width) order.
+        the position of (vars, exps) being Monomials(n, width).position.
 
         Only the variable orders and the live exponent tuples (the keys of
         the positional table) are visited, so no zero row is built: a
@@ -478,8 +511,7 @@ class EvaluationRows:
         all-identity tuple is live (ops[0] is the identity) and the charge
         is at least n! + 1.
         """
-        if n < 1:
-            raise SizeCap("degree must be at least 1")
+        monomials = Monomials(n, self.width)
         nilpotent = self._nilpotent()
         if nilpotent and n > self.dim:
             return
@@ -487,14 +519,8 @@ class EvaluationRows:
         if not nilpotent and orders + 1 > max_entries:
             raise SizeCap(f"{n}! variable orders exceed the budget {max_entries}")
         table = self._positional_table(n, max_entries, charge=orders + 1)
-        width = self.width
-        live = [
-            (sum(u * width ** (n - 1 - i) for i, u in enumerate(exps)), entries)
-            for exps, entries in table.items()
-        ]
-        block = width**n
-        for index, vars_ in enumerate(permutations(range(1, n + 1))):
-            start = index * block
+        live = [(monomials.exponent_code(exps), entries) for exps, entries in table.items()]
+        for start, vars_ in monomials.orders():
             weights = self._weights(vars_)
             for offset, entries in live:
                 row = {}
@@ -602,7 +628,7 @@ class IdentityReport:
     codim: int
     identity_dim: int
     kernel: Subspace
-    monomial_basis_order: list
+    monomial_basis_order: Monomials
 
 
 def identity_space(
@@ -612,20 +638,24 @@ def identity_space(
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> IdentityReport:
     """The rank and the left kernel of the evaluation matrix, over the
-    monomials in monomial_basis order, each of which counts against
+    positions of Monomials(n, envelope dim), each of which counts against
     max_entries.  The nonzero rows go to the kernel-tracking eliminator
     tagged with their positions; a monomial with a zero row is its own
     kernel vector, a unit vector, and goes straight to the canonicalizing
-    pass."""
-    order = list(monomial_basis(n, act.envelope.dim, max_entries))
+    pass: the positions the stream skips, kept as ranges."""
+    order = Monomials(n, act.envelope.dim)
+    if order.count > max_entries:
+        raise SizeCap(f"{order.count} monomials exceed the budget {max_entries}")
     rows = EvaluationRows(alg, act.envelope.op_basis)
     rr = SparseRREF(track_kernel=True)
-    live = set()
+    dead, after = [], 0
     for position, row in rows.rows(n, max_entries):
-        live.add(position)
+        if position > after:
+            dead.append(range(after, position))
+        after = position + 1
         rr.add_row(row, tag=position)
-    dead = [position for position in range(len(order)) if position not in live]
-    kernel = Subspace.from_kernel(len(order), rr, dead)
+    dead.append(range(after, order.count))
+    kernel = Subspace.from_kernel(order.count, rr, chain.from_iterable(dead))
     return IdentityReport(
         degree=n,
         codim=rr.rank,
@@ -813,8 +843,9 @@ def consequences_space(
     act: LieAction,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> Subspace:
-    """Span in the envelope-collapsed monomial coordinates of P_n^L of all
-    degree-n consequences of the generators.
+    """Span in the envelope-collapsed monomial coordinates of P_n^L, the
+    positions of Monomials(n, envelope dim), of all degree-n consequences of
+    the generators.
 
     Instances (substitutions with monomial images plus outer multipliers)
     are built formally and collapsed once per shape, on variables 1..n in
@@ -838,11 +869,14 @@ def consequences_space(
     for g in generators:
         for (_v, words) in g.terms:
             cap = max(cap, max((len(w) for w in words), default=0))
-    index = {mono: i for i, mono in enumerate(monomial_basis(n, act.envelope.dim, max_entries))}
+    monomials = Monomials(n, act.envelope.dim)
+    if monomials.count > max_entries:
+        raise SizeCap(f"{monomials.count} monomials exceed the budget {max_entries}")
+    position = monomials.position
     rr = SparseRREF()
 
     def push(terms: dict) -> bool:
-        return bool(terms) and rr.add_row({index[key]: c for key, c in terms.items()})
+        return bool(terms) and rr.add_row({position(*key): c for key, c in terms.items()})
 
     queue: list[dict] = []
     for g in generators:
@@ -867,10 +901,13 @@ def consequences_space(
             acted = [_collapsed_act(terms, right)]
             acted += [_collapsed_act(terms, left, var) for var in range(1, n + 1)]
             queue.extend(row for row in acted if push(row))
-    rank = {vars_: i for i, vars_ in enumerate(permutations(range(1, n + 1)))}
     renamings = [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)] if n > 1 else []
-    block = env.dim**n  # a column is (variable order) * block + (exponents)
-    tables = [[rank[tuple(s[v - 1] for v in vars_)] * block for vars_ in rank] for s in renamings]
+    block = monomials.block
+    # tables[i][r]: the start of the block that renaming i sends order r's block to
+    tables = [
+        [monomials.order_rank(tuple(s[v - 1] for v in o)) * block for _, o in monomials.orders()]
+        for s in renamings
+    ]
     frontier = [row for _lead, row in rr.reduced_basis()]
     while frontier:
         renamed = [
@@ -878,7 +915,7 @@ def consequences_space(
             for row in frontier for t in tables
         ]
         frontier = [row for row in renamed if rr.add_row(row)]
-    return Subspace(len(index), rr.reduced_basis())
+    return Subspace(monomials.count, rr.reduced_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -947,10 +984,10 @@ def containment_check(
             continue
         seen.add(form)
         if joint_rr.add_row(joint) and not kernel_a.add_row(row_a, tag=position):
-            combo = kernel_a.kernel[-1]
+            monomials = Monomials(n, len(words))
             terms = {}
-            for p, c in combo.items():
-                vars_, exps = monomial_at(p, n, len(words))
+            for p, c in kernel_a.kernel[-1].items():
+                vars_, exps = monomials[p]
                 terms[(vars_, tuple(words[i] for i in exps))] = c
             return False, LPolynomial.from_terms(terms)
     return True, None

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from diffident.algebra import Derivation, ad_unit, lie_closure, ut
+from diffident.algebra import Derivation, ad_unit, full_matrix, lie_closure, ut
 from diffident.cli import main
 from diffident.errors import DiffidentError, NotMultilinear, ParseError, SizeCap
 from diffident.fileformat import (
@@ -14,6 +14,7 @@ from diffident.fileformat import (
     parse_algebra_file,
     parse_polynomial,
 )
+from diffident.linalg import Matrix
 from diffident.shipped import identify_shipped, shipped_algebra_file
 from diffident import piengine as pe
 from test_basis_change import _in_basis, _inner_pair, _invertible, mat2_over_dual_numbers
@@ -176,6 +177,13 @@ class TestPolynomialParser:
         with pytest.raises(ParseError):
             parse_polynomial("x1^[zeta]", eps_action)
 
+    def test_a_generator_keeps_its_name_beside_a_commutator(self):
+        # the closure of ad e12 and ad e21 names their commutator d2
+        m2 = full_matrix(2)
+        act = lie_closure(m2, [ad_unit(m2, 1, 2, name="d2"), ad_unit(m2, 2, 1, name="f")])
+        assert [d.name for d in act.closure_basis] == ["d2", "f", "d2"]
+        assert parse_polynomial("x1^[d2]", act) == pe.LPolynomial.variable(1, (0,))
+
     def test_trailing_garbage(self, eps_action):
         with pytest.raises(ParseError):
             parse_polynomial("x1 x2 ]", eps_action)
@@ -332,6 +340,26 @@ class TestCommands:
         assert main(["check-identity", path, "--poly", str(poly)]) == 0
         out = capsys.readouterr().out
         assert "result false" in out and "witness" in out
+
+    def test_a_generator_outside_the_closure_basis_names_no_letter(self, tmp_path, capsys):
+        # z = 0 is left out of the closure basis, whose one element is eps
+        u2 = ut(2)
+        ders = [Derivation(Matrix.zero(3, 3), name="z"), ad_unit(u2, 2, 2, name="eps")]
+        path = tmp_path / "ut2-z-eps.alg"
+        path.write_text(AlgebraFile.from_algebra("ut2-z-eps", u2, ders).serialize())
+        assert main(["envelope", str(path)]) == 0
+        assert "closure dim 1\nenvelope dim 2\nword 1\nword eps\n" in capsys.readouterr().out
+        poly = tmp_path / "p.poly"
+        # eps is idempotent, and x1^[eps] resolves to it
+        for text, result in (("x1^[eps,eps] - x1^[eps]", "true"), ("x1^[eps]", "false")):
+            poly.write_text(text)
+            assert main(["check-identity", str(path), "--poly", str(poly)]) == 0
+            assert f"result {result}" in capsys.readouterr().out
+        poly.write_text("x1 + x1^[z]")
+        assert main(["check-identity", str(path), "--poly", str(poly)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error input: derivation 'z' is zero or a combination")
+        assert "(at offset 9)" in err and "Traceback" not in err
 
     def test_check_identity_honours_budget(self, tmp_path, capsys, monkeypatch):
         path = self._gen(tmp_path, "ut2")

@@ -17,7 +17,7 @@ It shares no integer table with the engine.
 
 import random
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 from math import factorial
 
 import pytest
@@ -78,7 +78,7 @@ def _qq_rank(rows, width):
 
 def _reference_codim(act, n):
     rows = []
-    for vars_, exps in pe.monomial_basis(n, act.envelope.dim):
+    for vars_, exps in pe.Monomials(n, act.envelope.dim):
         words = tuple(act.envelope.word_reps[u] for u in exps)
         rows.append(_value_row(pe.LPolynomial.from_terms({(vars_, words): 1}), act))
     return _qq_rank(rows, act.algebra.dim ** (n + 1))
@@ -401,7 +401,7 @@ def test_labels_index_the_value_rows_in_lex_order(name):
         tuples = list(iproduct(range(dim), repeat=n))
         scale = None
         streamed = dict(rows.rows(n))
-        for position, (vars_, exps) in enumerate(pe.monomial_basis(n, act.envelope.dim)):
+        for position, (vars_, exps) in enumerate(pe.Monomials(n, act.envelope.dim)):
             row = streamed.get(position, {})
             words = tuple(act.envelope.word_reps[u] for u in exps)
             values = _value_row(pe.LPolynomial.from_terms({(vars_, words): 1}), act)
@@ -426,13 +426,32 @@ def test_one_monomial_combination_is_its_row(name):
     act = _zero2() if name == "zero2" else ACTIONS[name]
     rows = pe.EvaluationRows(act.algebra, act.envelope.op_basis)
     for n in range(1, 5):
-        monomials = list(pe.monomial_basis(n, act.envelope.dim))
+        monomials = pe.Monomials(n, act.envelope.dim)
         combined = rows.combined_rows(n, [{mono: Fraction(1)} for mono in monomials])
         stream = list(rows.rows(n))
         positions = [position for position, _row in stream]
         assert positions == sorted(set(positions))
         assert stream == [(position, row) for position, row in enumerate(combined) if row]
-        assert all(pe.monomial_at(p, n, act.envelope.dim) == m for p, m in enumerate(monomials))
+
+
+@seed(27)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 4), width=st.integers(1, 3))
+def test_monomials_codec_is_the_lex_order(n, width):
+    """Monomials(n, width) iterates the variable orders, then the exponent
+    tuples, both in lex order; its positions index that order both ways."""
+    monomials = pe.Monomials(n, width)
+    expected = [
+        (vars_, exps)
+        for vars_ in permutations(range(1, n + 1))
+        for exps in iproduct(range(width), repeat=n)
+    ]
+    assert list(monomials) == expected
+    assert len(monomials) == factorial(n) * width**n
+    for p, m in enumerate(expected):
+        assert monomials[p] == m and monomials.position(*m) == p
+    with pytest.raises(IndexError):
+        monomials[len(monomials)]
 
 
 class _StreamedRows:

@@ -1,5 +1,5 @@
 """Modules of the package use only each other's public names, and the engine
-loads no sympy: it is only the oracle of battery criterion 12 and the tests."""
+neither imports nor loads sympy: it is an oracle of the tests only."""
 
 import ast
 from pathlib import Path
@@ -18,6 +18,24 @@ def test_no_module_imports_a_private_name_from_another():
                 f"{path.name}:{node.lineno} imports {alias.name}"
                 for alias in node.names
                 if internal and alias.name.startswith("_")
+            ]
+    assert not offenders, offenders
+
+
+def test_no_module_imports_sympy():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} imports {name}"
+                for name in names
+                if name.split(".")[0] == "sympy"
             ]
     assert not offenders, offenders
 

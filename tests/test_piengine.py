@@ -302,7 +302,7 @@ class TestIdentitySpace:
 def _identity_space_of_every_row(alg, act, n):
     """identity_space with every monomial's row fed, zero rows included,
     each built alone by combined_rows."""
-    order = list(pe.monomial_basis(n, act.envelope.dim))
+    order = pe.Monomials(n, act.envelope.dim)
     rows = pe.EvaluationRows(alg, act.envelope.op_basis)
     rr = pe.SparseRREF(track_kernel=True)
     for tag, row in enumerate(rows.combined_rows(n, [{mono: 1} for mono in order])):
@@ -401,7 +401,7 @@ class TestConsequences:
             cons = pe.consequences_space(gens[1] + gens[2], n, act_full)
             assert cons == pe.identity_space(u2, act_full, n).kernel
         # each identity's closure holds its Leibniz derivatives
-        order = list(pe.monomial_basis(2, act_full.envelope.dim))
+        order = pe.Monomials(2, act_full.envelope.dim)
         for g in gens[2]:
             cons = pe.consequences_space([g], 2, act_full)
             for letter in range(act_full.closure_dim):
@@ -428,8 +428,7 @@ class TestConsequences:
         n = 3
         cons = pe.consequences_space(gens, n, act)
         assert 0 < cons.dim < pe.identity_space(alg, act, n).identity_dim
-        order = list(pe.monomial_basis(n, env.dim))
-        index = {mono: i for i, mono in enumerate(order)}
+        order = pe.Monomials(n, env.dim)
         # times[u][e]: coordinates of op_u * op_e (apply op_u, then op_e)
         times = [[env.expand(a * b) for b in env.op_basis] for a in env.op_basis]
         for vec in cons.basis:
@@ -441,7 +440,7 @@ class TestConsequences:
                             pos = vars_.index(var)
                             for k, x in times[u][exps[pos]].items():
                                 key = (vars_, exps[:pos] + (k,) + exps[pos + 1 :])
-                                decorated[index[key]] += c * x
+                                decorated[order.position(*key)] += c * x
                     assert cons.member(decorated), (var, u)
 
     def test_scaled_derivation_keeps_rows_primitive(self, u2, monkeypatch):
@@ -524,7 +523,7 @@ def test_closure_on_battery_fixtures_equals_the_every_order_closure(data):
     # the fixtures with at most 750 degree-3 columns; the random inner ones
     # with larger envelopes close to nearly full rank over 2,058-41,154
     # dense columns, which takes from 14 s to minutes
-    small = [f for f in battery_fixtures() if pe.monomial_count(3, f[2].envelope.dim) <= 750]
+    small = [f for f in battery_fixtures() if len(pe.Monomials(3, f[2].envelope.dim)) <= 750]
     label, alg, act = data.draw(st.sampled_from(small), label="fixture")
     gens = _kernel_generators(alg, act, 2)
     assert pe.consequences_space(gens, 3, act) == _every_order_closure(gens, 3, act), label
@@ -555,7 +554,7 @@ def _every_order_closure(gens, n, act) -> pe.Subspace:
     env = act.envelope
     words = [w for g in gens for (_v, ws) in g.terms for w in ws]
     cap = max([pe.default_word_cap(act)] + [len(w) for w in words])
-    index = {m: i for i, m in enumerate(pe.monomial_basis(n, env.dim))}
+    monomials = pe.Monomials(n, env.dim)
     letters = range(act.closure_dim)
     derive = [env.right[g] for g in letters]
     decorate = [[pe.collapse_word(act, (g,) + w) for w in env.word_reps] for g in letters]
@@ -563,7 +562,7 @@ def _every_order_closure(gens, n, act) -> pe.Subspace:
     queue = []
 
     def push(terms):
-        row = {index[key]: c for key, c in terms.items() if c}
+        row = {monomials.position(*key): c for key, c in terms.items() if c}
         if row and rr.add_row(row):
             queue.append(terms)
 
@@ -589,7 +588,7 @@ def _every_order_closure(gens, n, act) -> pe.Subspace:
             push(_acted(terms, derive[g], None))
             for var in range(1, n + 1):
                 push(_acted(terms, decorate[g], var))
-    return pe.Subspace(len(index), rr.reduced_basis())
+    return pe.Subspace(len(monomials), rr.reduced_basis())
 
 
 def _acted(terms, images, var):

@@ -34,7 +34,7 @@ error it ended with (a ``MemoryError`` under the cap among them), under
 ``validate`` per seed the seconds of
 ``StructureAlgebra(constants, unit_vector=...)`` with its
 associativity and unit checks (``algebra_seconds``), the seconds of
-``check_derivation`` on the two inner derivations (``derivation_seconds``)
+``leibniz_failure`` on the two inner derivations (``derivation_seconds``)
 and whether both passed, under ``evaluate`` the seconds, the count and the
 sha256 of the values of the ``evaluate_poly`` calls that the ``identities``
 workload's spanning-set job makes (every member of the ut2 and ut2-eps
@@ -93,7 +93,7 @@ _CONSEQUENCES = """
 import json, resource, sys, time
 from diffident.acceptance import _ut2_eps_identities
 from diffident.algebra import lie_closure
-from diffident.piengine import codim, consequences_space, identity_space, monomial_count
+from diffident.piengine import Monomials, codim, consequences_space, identity_space
 from diffident.shipped import shipped_algebra_file
 
 n = int(sys.argv[1])
@@ -107,7 +107,7 @@ rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if n <= 6:
     equal = space == identity_space(alg, act, n).kernel
 else:
-    equal = space.dim == monomial_count(n, act.envelope.dim) - codim(alg, act, n)
+    equal = space.dim == Monomials(n, act.envelope.dim).count - codim(alg, act, n)
 print(json.dumps({"seconds": seconds, "dim": space.dim, "equals_kernel": equal,
                   "ru_maxrss_kb": rss}))
 """
@@ -139,15 +139,15 @@ print(json.dumps({"seconds": time.perf_counter() - start, "envelope_dim": act.en
 """
 
 # the input checks on those inputs: StructureAlgebra with its associativity
-# and unit checks on, then check_derivation of both derivations; one JSON line
+# and unit checks on, then leibniz_failure of both derivations; one JSON line
 _VALIDATE = _UT22_INPUTS + """
-from diffident.algebra import StructureAlgebra, check_derivation
+from diffident.algebra import StructureAlgebra, leibniz_failure
 
 start = time.perf_counter()
 checked = StructureAlgebra(alg.constants, unit_vector=alg.unit_vector)
 algebra_seconds = time.perf_counter() - start
 start = time.perf_counter()
-passed = all([check_derivation(checked, g.matrix) for g in gens])
+passed = all([leibniz_failure(checked, g.matrix) is None for g in gens])
 print(json.dumps({"algebra_seconds": algebra_seconds,
                   "derivation_seconds": time.perf_counter() - start,
                   "derivations_pass": passed}))
