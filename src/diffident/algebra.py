@@ -221,7 +221,7 @@ class Envelope:
         return self.solver.solve(m.sparse())
 
 
-def _lie_closure_matrices(generators: list[Matrix]) -> tuple[list, list[int], SparseRREF]:
+def _lie_closure_matrices(generators: list[Matrix]) -> tuple[list[Matrix], list[int], SparseRREF]:
     """A basis of the Lie algebra the generators generate, each element's
     index in the queue (below len(generators) for a generator, left out when
     zero or a combination of those before it), and a tagged eliminator
