@@ -141,9 +141,10 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """ut2-eps differential codimensions against 2^(n-1)n+1, n=1..6.
+    """ut2-eps differential codimensions against 2^(n-1)n+1, n=1..10.
 
-    For n=2..5 the computed value must also be certified from both sides.
+    Each value is the exact rank of codim.  For n=2..5 it must also be
+    certified from both sides.
     The evaluation rank of families.ut2_eps_spanning_set(n) is a lower
     bound. The n!*2^n monomials minus the consequence closure of three
     eps-identities (each checked with is_identity) is an upper bound.
@@ -155,7 +156,7 @@ def criterion_2() -> CriterionResult:
     gens = _ut2_eps_identities(act)
     ok = all(is_identity(g, act) for g in gens)
     lines = []
-    for n in range(1, 7):
+    for n in range(1, 11):
         c = codim(u2, act, n)
         expected = 2 ** (n - 1) * n + 1
         good = c == expected
@@ -168,14 +169,14 @@ def criterion_2() -> CriterionResult:
             line += f" lower {lower} upper {upper}"
         ok = ok and good
         lines.append(line)
-    rejected = [2 ** (n - 1) * n - 1 for n in range(1, 7)]
+    rejected = [2 ** (n - 1) * n - 1 for n in range(1, 11)]
     lines.append(
         f"rejected 2^(n-1)n-1 = {rejected}: at n=2 x1x2 and the e12-monomials "
         "of x1^eps x2, x1 x2^eps, x2^eps x1, x2 x1^eps are independent, so c_2 >= 5"
     )
     return CriterionResult(
         2,
-        "differential codimensions of ut2-eps against 2^(n-1)n+1, n=1..6",
+        "differential codimensions of ut2-eps against 2^(n-1)n+1, n=1..10",
         ok,
         "; ".join(lines),
     )

@@ -289,10 +289,20 @@ def lie_closure(alg: StructureAlgebra, generators: list[Derivation]) -> LieActio
         if pair is not None:
             raise NotADerivation(pair, d.name)
     closure_mats, sources, solver = _lie_closure_matrices([d.matrix for d in generators])
-    closure = [
-        Derivation(m, name=generators[q].name if q < len(generators) else f"d{i}")
-        for i, (m, q) in enumerate(zip(closure_mats, sources))
-    ]
+    # a commutator at closure index i is named d<j> for the least j >= i that
+    # no input derivation and no earlier commutator holds
+    taken = {d.name for d in generators}
+    closure = []
+    for i, (m, q) in enumerate(zip(closure_mats, sources)):
+        if q < len(generators):
+            name = generators[q].name
+        else:
+            j = i
+            while f"d{j}" in taken:
+                j += 1
+            name = f"d{j}"
+            taken.add(name)
+        closure.append(Derivation(m, name=name))
     env = envelope(alg, closure_mats)
     # bracket constants of the closure in its own basis
     k = len(closure_mats)

@@ -16,12 +16,14 @@ Evaluation runs on integers.  EvaluationRows gives the rows of codim,
 identity_space and containment_check, and is_identity sums its rows over a
 polynomial's collapsed terms.  A row's columns carry one int label each,
 ordered like (basis tuple, output coordinate), so the eliminator compares
-and hashes ints.  EvaluationRows.rows streams only the nonzero rows, each
-with its monomial's position, visiting only the
-exponent tuples whose products are not all zero.  codim and
-containment_check skip rows that repeat an earlier one up to scale;
-containment_check merges the streams of A and B by position and stops at
-the first joint row [A | B] that raises the joint rank but not A's.
+and hashes ints.  Only the exponent tuples whose products are not all zero
+are visited.  codim builds the rows of the variable order (1..n) and
+closes them under renamings of the variables, which permute the labels
+(EvaluationRows.renaming).  EvaluationRows.rows streams every nonzero row,
+each with its monomial's position.  codim and containment_check skip rows
+that repeat an earlier one up to scale; containment_check merges the
+streams of A and B by position and stops at the first joint row [A | B]
+that raises the joint rank but not A's.
 identity_space feeds every nonzero row, tagged with its position, for its
 kernel vector, and hands each zero row's monomial, a unit kernel vector,
 to the canonicalizing pass.
@@ -47,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import chain, permutations, product as iproduct
 from math import factorial, gcd, inf, lcm
 from operator import mul
@@ -391,6 +394,26 @@ class Monomials:
         return rank * self.block + code
 
 
+class LabelRenaming(dict):
+    """Column label -> renamed label, for EvaluationRows.renaming: each label
+    is computed on first use and kept."""
+
+    def __init__(self, dim: int, weights: list):
+        super().__init__()
+        self.dim = dim
+        # the new weight of each variable, last variable (lowest digit) first
+        self.weights = weights[::-1]
+
+    def __missing__(self, label: int) -> int:
+        dim = self.dim
+        t, out = divmod(label, dim)
+        for w in self.weights:
+            t, digit = divmod(t, dim)
+            out += digit * w
+        self[label] = out
+        return out
+
+
 class EvaluationRows:
     """Integer evaluation rows of an algebra under a list of operators.
 
@@ -438,6 +461,14 @@ class EvaluationRows:
             out.append(b)
         return tuple(reversed(out))
 
+    def renaming(self, sigma: tuple) -> "LabelRenaming":
+        """The map of degree-n column labels, n = len(sigma), under the
+        renaming of each variable v to sigma[v - 1]: the basis element at v
+        moves to sigma[v - 1], so the n base-dim digits of label // dim are
+        permuted.  The row of the variable order vars is the row of (1..n)
+        mapped by renaming(vars)."""
+        return LabelRenaming(self.dim, self._weights(sigma))
+
     def _nilpotent(self) -> bool:
         """Whether A^(dim+1) = 0, that is, A is nilpotent: exactly when
         tr L_x = 0 for every x, L_x being left multiplication by x.  A
@@ -450,29 +481,31 @@ class EvaluationRows:
 
     def _positional_table(
         self, n: int, max_entries: int, wanted: set | None = None, charge: int = 1
-    ) -> dict:
-        """{exps: [(positional basis tuple, product)]} over the live exponent
-        tuples only, in lex order, nonzero products only.
+    ) -> tuple[dict, int]:
+        """({exps: [(positional basis tuple, product)]}, charged): the table
+        over the live exponent tuples only, in lex order, nonzero products
+        only, and what it was charged.
 
         A product depends only on the exponent tuple and on which basis
         element sits in each position, so it is computed once per tuple,
         level by level, each level extending the products of the one before.
         A prefix whose products are all zero is dropped at the level where
-        it dies, since every extension of a zero product is zero.  The
-        entries of the level being built count against max_entries as they
-        are stored, each entry of the last level charge times, so that level
-        stops past max_entries // charge entries.  With wanted, a set of
-        exponent tuples, only those and their prefixes are built.
+        it dies, since every extension of a zero product is zero.  Every
+        product, at every level, counts against max_entries as it is
+        computed: n, the most ints its basis tuple holds, and once it is
+        stored its nonzero coordinates, charge times on the last level.  The
+        table stops as soon as the count passes the budget, so it bounds
+        both the products computed and the table's size.  With wanted, a set
+        of exponent tuples, only those and their prefixes are built.
         """
         prefixes = None
         if wanted is not None:
             prefixes = {exps[:i] for exps in wanted for i in range(1, n + 1)}
         products = self.products
         level: dict = {(): [((), None)]}
+        charged = 0
         for depth in range(n):
             weight = charge if depth == n - 1 else 1
-            cap = max_entries // weight
-            stored = 0
             nxt = {}
             for exps, partial in level.items():
                 for u, column in enumerate(self.by_op):
@@ -482,34 +515,47 @@ class EvaluationRows:
                     for bt, prod in partial:
                         for b, vec in column:
                             p = vec if prod is None else integer_product(products, prod, vec)
+                            charged += n
                             if p:
                                 out.append((bt + (b,), p))
-                                stored += len(p)
-                                if stored > cap:
-                                    raise SizeCap(
-                                        f"{stored * weight} stored entries exceed the budget"
-                                        f" {max_entries}"
-                                    )
+                                charged += len(p) * weight
+                            if charged > max_entries:
+                                raise SizeCap(
+                                    f"{charged} charged entries exceed the budget {max_entries}"
+                                )
                     if out:
                         nxt[exps + (u,)] = out
             level = nxt
-        return level
+        return level, charged
+
+    @staticmethod
+    def _row(entries: list, weights: list) -> dict:
+        """The row of a tuple's table entries in the variable order whose
+        label weights are given."""
+        row = {}
+        for bt, prod in entries:
+            base = sum(map(mul, bt, weights))
+            for k, c in prod.items():
+                row[base + k] = c
+        return row
 
     def rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         """The nonzero rows, as (position, row) pairs in increasing position,
-        the position of (vars, exps) being Monomials(n, width).position.
+        the position of (vars, exps) being Monomials(n, width).position: the
+        rows of identity_space and containment_check, whose kernel vectors
+        need every row's position.  codim builds only the rows of one order
+        (first_order_rows) and renames them.
 
         Only the variable orders and the live exponent tuples (the keys of
         the positional table) are visited, so no zero row is built: a
         variable order reweights the positions of the labels of a tuple's
         table entries.  Every row of a tuple holds all its entries, so the
-        stream holds n! times the table's entries; the table and the stream,
-        (n! + 1) times the table's entries, count against max_entries while
-        the table is built.  Two cases are decided before the table is built.
-        A nilpotent A has A^n = 0 for n > dim, and then no tuple is live and
-        the stream is empty.  Any other A has A^n != 0 for every n, so the
-        all-identity tuple is live (ops[0] is the identity) and the charge
-        is at least n! + 1.
+        stream holds n! times the last level's product coordinates; the
+        table charges them n! + 1 times while it is built.  Two cases are
+        decided before the table is built.  A nilpotent A has A^n = 0 for
+        n > dim, and then no tuple is live and the stream is empty.  Any
+        other A has A^n != 0 for every n, so the all-identity tuple is live
+        (ops[0] is the identity) and the charge is at least n! + 1.
         """
         monomials = Monomials(n, self.width)
         nilpotent = self._nilpotent()
@@ -518,17 +564,24 @@ class EvaluationRows:
         orders = factorial(n)
         if not nilpotent and orders + 1 > max_entries:
             raise SizeCap(f"{n}! variable orders exceed the budget {max_entries}")
-        table = self._positional_table(n, max_entries, charge=orders + 1)
+        table, _charged = self._positional_table(n, max_entries, charge=orders + 1)
         live = [(monomials.exponent_code(exps), entries) for exps, entries in table.items()]
         for start, vars_ in monomials.orders():
             weights = self._weights(vars_)
             for offset, entries in live:
-                row = {}
-                for bt, prod in entries:
-                    base = sum(map(mul, bt, weights))
-                    for k, c in prod.items():
-                        row[base + k] = c
-                yield start + offset, row
+                yield start + offset, self._row(entries, weights)
+
+    def first_order_rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> tuple:
+        """(rows, charged): the nonzero rows of the variable order (1..n), one
+        per live exponent tuple in lex order, and what the positional table
+        was charged (_positional_table).  Each tuple's table entries are
+        freed once its row is built.  A nilpotent A has no live tuple past
+        its dimension, decided before any table is built."""
+        if self._nilpotent() and n > self.dim:
+            return [], 0
+        table, charged = self._positional_table(n, max_entries)
+        weights = self._weights(tuple(range(1, n + 1)))
+        return [self._row(table.pop(exps), weights) for exps in list(table)], charged
 
     def combined_rows(
         self, n: int, combos: list[dict], max_entries: int = DEFAULT_MAX_ENTRIES
@@ -541,7 +594,7 @@ class EvaluationRows:
         exponent tuples the combinations use are built.
         """
         wanted = {exps for combo in combos for _vars, exps in combo}
-        table = self._positional_table(n, max_entries, wanted)
+        table, _charged = self._positional_table(n, max_entries, wanted)
         out = []
         for combo in combos:
             scale = lcm(*(c.denominator for c in combo.values()))
@@ -578,27 +631,84 @@ def _normal_form(row: dict, prime: int | None) -> tuple | None:
     return (*cols, *[row[c] * inv % prime for c in cols])
 
 
-def _row_pass(
+def _rank_closure(
     rows: EvaluationRows,
     n: int,
     prime: int | None = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> SparseRREF:
-    """Feed the rows to one rank-only eliminator, exact or modulo prime,
-    skipping those that cannot raise the rank: rows zero modulo the prime,
-    and rows whose _normal_form was fed before (a nonzero multiple of an
-    earlier row)."""
+) -> tuple[SparseRREF, int]:
+    """(eliminator, charged): one rank-only eliminator, exact or modulo
+    prime, holding the span of every degree-n row, and what the work was
+    charged.
+
+    The row of an order vars is the row of (1..n) with its labels renamed
+    by vars, so the row space is the S_n-module that the rows of (1..n)
+    generate, and it is reached by closing the rows that raise the rank
+    under generators of S_n.  Rows that cannot raise the rank are not fed:
+    rows zero modulo the prime, and rows whose _normal_form was fed before.
+    The generators, and the order the rows are fed in, follow the number of
+    live exponent tuples, the rows of (1..n):
+
+    * Several: breadth first under s_1 = (1 2) and the n-cycle v -> v + 1
+      (_sn_generators, which consequences_space uses too).
+    * One, as under the trivial action: the rows are one S_n-orbit, the n!
+      rows of the stream (rows()).  They are renamed by the adjacent
+      transpositions, and the orders are fed in increasing position from a
+      heap, the stream's order, skipping the orders next to no row that
+      raised the rank.  On a dense algebra the order costs more than the
+      rows saved: breadth first, mat2 under the trivial action at n = 6
+      feeds 459 rows against the stream's 720, but a new pivot is taken off
+      a stored one 29,041 times against 11,976, three times the work.
+
+    The positional table is charged as _positional_table charges it, and
+    every renamed row adds its entries to the same count.
+    """
     if prime is not None and rows.denominator % prime == 0:
         raise DenominatorDivisibleByPrime(f"{prime} divides {rows.denominator}")
     rr = SparseRREF(prime=prime)
+    first, charged = rows.first_order_rows(n, max_entries)
     seen: set = set()
-    for _position, row in rows.rows(n, max_entries):
+
+    def raises(row: dict) -> bool:
         form = _normal_form(row, prime)
         if form is None or form in seen:
-            continue
+            return False
         seen.add(form)
-        rr.add_row(row)
-    return rr
+        return rr.add_row(row)
+
+    def renamed(row: dict, renaming: LabelRenaming) -> dict:
+        nonlocal charged
+        charged += len(row)
+        if charged > max_entries:
+            raise SizeCap(f"{charged} charged entries exceed the budget {max_entries}")
+        return {renaming[c]: x for c, x in row.items()}
+
+    if len(first) == 1:
+        swaps = [(*range(1, i), i + 1, i, *range(i + 2, n + 1)) for i in range(1, n)]
+        renamings = [rows.renaming(s) for s in swaps]
+        identity = tuple(range(1, n + 1))
+        heap, pushed = [(identity, first[0])], {identity}
+        while heap:
+            vars_, row = heappop(heap)
+            if raises(row):
+                for s, renaming in zip(swaps, renamings):
+                    order = tuple(s[v - 1] for v in vars_)
+                    if order not in pushed:
+                        pushed.add(order)
+                        heappush(heap, (order, renamed(row, renaming)))
+        return rr, charged
+    renamings = [rows.renaming(g) for g in _sn_generators(n)]
+    frontier = first
+    while frontier:
+        frontier = [row for row in frontier if raises(row)]
+        frontier = [renamed(row, renaming) for row in frontier for renaming in renamings]
+    return rr, charged
+
+
+def _sn_generators(n: int) -> list[tuple]:
+    """s_1 = (1 2) and the n-cycle v -> v + 1, which generate S_n, each as
+    the images of 1..n: the one transposition at n = 2, none at n = 1."""
+    return [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)][: min(n - 1, 2)]
 
 
 def codim(
@@ -611,6 +721,16 @@ def codim(
 ) -> int:
     """n-th differential codimension: rank of the evaluation matrix.
 
+    The rows of the variable order (1..n) generate the row space as an
+    S_n-module, so codim builds only those and closes the ones that raise
+    the rank under renamings of the variables (_rank_closure); the rows of
+    the other n! - 1 orders are never built unless the closure reaches them.
+    The budget max_entries bounds one count: n for every product the
+    positional table computes, the nonzero coordinates of every product it
+    keeps, and the entries of every renamed row.  The work stops as soon as
+    the count passes the budget, so a degree far over it is refused with
+    bounded memory.
+
     Modular mode takes the rank modulo one prime drawn from seed, a proven
     lower bound on the exact value: the rank of an integer matrix modulo a
     prime is at most its rank over Q.
@@ -619,7 +739,7 @@ def codim(
         raise ValueError("mode must be 'exact' or 'modular'")
     rows = EvaluationRows(alg, act.envelope.op_basis)
     prime = draw_prime(seed, rows.denominator) if mode == "modular" else None
-    return _row_pass(rows, n, prime, max_entries=max_entries).rank
+    return _rank_closure(rows, n, prime, max_entries=max_entries)[0].rank
 
 
 @dataclass
@@ -901,12 +1021,11 @@ def consequences_space(
             acted = [_collapsed_act(terms, right)]
             acted += [_collapsed_act(terms, left, var) for var in range(1, n + 1)]
             queue.extend(row for row in acted if push(row))
-    renamings = [(2, 1, *range(3, n + 1)), (*range(2, n + 1), 1)] if n > 1 else []
     block = monomials.block
-    # tables[i][r]: the start of the block that renaming i sends order r's block to
+    # tables[i][r]: the start of the block that generator i sends order r's block to
     tables = [
         [monomials.order_rank(tuple(s[v - 1] for v in o)) * block for _, o in monomials.orders()]
-        for s in renamings
+        for s in _sn_generators(n)
     ]
     frontier = [row for _lead, row in rr.reduced_basis()]
     while frontier:

@@ -1,8 +1,9 @@
 """Acceptance battery: one test per criterion, at the stated tolerances.
 
 Criterion 2 checks the ut2-eps differential codimensions against
-2^(n-1)n+1 and, for n = 2..5, certifies each value by a spanning-set lower
-bound and a consequence-closure upper bound that must meet.
+2^(n-1)n+1 for n = 1..10 and, for n = 2..5, certifies each value by a
+spanning-set lower bound and a consequence-closure upper bound that must
+meet.
 """
 
 import re

@@ -139,6 +139,21 @@ def test_metabelian_closure_of_der_ut2():
     assert act.envelope.word_reps[0] == ()
 
 
+@seed(28)
+@settings(max_examples=20, deadline=None)
+@given(names=st.lists(st.sampled_from(["d0", "d1", "d2", "d3", "f"]), min_size=2, max_size=2,
+                      unique=True))
+def test_commutator_names_avoid_every_input_name(names):
+    """ad e12 and ad e21 of mat2 close to three elements, their commutator
+    third; whatever d<i> names the inputs carry, the closure keeps them and
+    its commutator takes a name of neither."""
+    m2 = full_matrix(2)
+    gens = [ad_unit(m2, 1, 2, name=names[0]), ad_unit(m2, 2, 1, name=names[1])]
+    closure = [d.name for d in lie_closure(m2, gens).closure_basis]
+    assert closure[:2] == names and len(closure) == 3
+    assert closure[2] not in names and closure[2].startswith("d")
+
+
 def test_bracket_constants_match_matrices():
     u2 = ut(2)
     act = lie_closure(u2, [ad_unit(u2, 2, 2), ad_unit(u2, 1, 2)])

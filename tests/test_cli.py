@@ -178,11 +178,13 @@ class TestPolynomialParser:
             parse_polynomial("x1^[zeta]", eps_action)
 
     def test_a_generator_keeps_its_name_beside_a_commutator(self):
-        # the closure of ad e12 and ad e21 names their commutator d2
+        # the commutator of ad e12 and ad e21 sits at closure index 2, but the
+        # input holds d2, so it is named d3 and each name finds its own element
         m2 = full_matrix(2)
         act = lie_closure(m2, [ad_unit(m2, 1, 2, name="d2"), ad_unit(m2, 2, 1, name="f")])
-        assert [d.name for d in act.closure_basis] == ["d2", "f", "d2"]
+        assert [d.name for d in act.closure_basis] == ["d2", "f", "d3"]
         assert parse_polynomial("x1^[d2]", act) == pe.LPolynomial.variable(1, (0,))
+        assert parse_polynomial("x1^[d3]", act) == pe.LPolynomial.variable(1, (2,))
 
     def test_trailing_garbage(self, eps_action):
         with pytest.raises(ParseError):

@@ -193,15 +193,46 @@ class TestCodim:
         with pytest.raises(SizeCap):
             pe.codim(u2, act_eps, 9, max_entries=1000)
 
-    def test_budget_is_the_built_entries(self, u2, act_eps):
-        # degree 5 has 6 live exponent tuples holding 12 table entries, and
-        # each of the 5! variable orders streams all 12 of them
+    def test_budget_is_the_built_entries(self, u2, act_eps, monkeypatch):
+        """codim charges n for every product its table computes, the nonzero
+        coordinates of every product it stores, and the entries of every
+        renamed row.  The table's part is counted here by brute force over
+        all exponent and basis tuples, in Fractions, and the renamed rows'
+        part by counting the label lookups of the renamings."""
+        n, alg = 5, u2
+        ops = act_eps.envelope.op_basis
+        # live[d]: the nonzero products of the (exps, basis tuple) pairs of length d
+        live = [[None]]
+        for d in range(1, n + 1):
+            live.append([])
+            for exps in iproduct(range(len(ops)), repeat=d):
+                for bt in iproduct(range(alg.dim), repeat=d):
+                    value = None
+                    for u, b in zip(exps, bt):
+                        vec = ops[u].apply(alg.basis_vector(b))
+                        value = vec if value is None else alg.multiply(value, vec)
+                    if any(value):
+                        live[d].append(value)
+        images = sum(1 for op in ops for b in range(alg.dim) if any(op.apply(alg.basis_vector(b))))
+        table = sum(
+            n * len(live[d - 1]) * images + sum(sum(1 for x in v if x) for v in live[d])
+            for d in range(1, n + 1)
+        )
+        renamed = []
+
+        class Counting(pe.LabelRenaming):
+            def __getitem__(self, label):
+                renamed.append(label)
+                return super().__getitem__(label)
+
         rows = pe.EvaluationRows(u2, act_eps.envelope.op_basis)
-        assert sum(len(row) for _p, row in rows.rows(5)) == 12 * factorial(5)
-        charge = 12 * (factorial(5) + 1)
-        assert pe.codim(u2, act_eps, 5, max_entries=charge) == 81
+        monkeypatch.setattr(pe, "LabelRenaming", Counting)
+        rr, charged = pe._rank_closure(rows, n)
+        assert rr.rank == 81 and renamed
+        assert charged == table + len(renamed)
+        assert pe.codim(u2, act_eps, n, max_entries=charged) == 81
         with pytest.raises(SizeCap):
-            pe.codim(u2, act_eps, 5, max_entries=charge - 1)
+            pe.codim(u2, act_eps, n, max_entries=charged - 1)
 
     def test_last_table_level_stops_at_its_share_of_the_budget(self, u2, monkeypatch):
         """Each entry of the table's last level is charged n! + 1 times, so
@@ -222,24 +253,30 @@ class TestCodim:
             list(rows.rows(5, max_entries=5000))
         assert len(calls) < full / 2
 
-    def test_budget_is_decided_before_the_table(self, u2, act_eps):
-        """n! orders over the budget stop an algebra that is not nilpotent
-        at once, and a nilpotent one gives an empty stream past its
-        dimension."""
+    def test_budget_is_decided_before_the_table(self):
+        """Charged per product computed, the table of an algebra that is not
+        nilpotent stops far over the budget at once, with bounded memory,
+        and a nilpotent one gives rank 0 past its dimension."""
         from diffident.algebra import full_matrix, make_algebra
 
         m2 = full_matrix(2)
         mat2_ad11 = lie_closure(m2, [ad_unit(m2, 1, 1, name="ad11")])
         z = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
         zero2 = make_algebra(z, label="zero2")
-        for alg, act, n in ((m2, mat2_ad11, 30), (u2, act_eps, 12)):
-            start = time.perf_counter()
-            with pytest.raises(SizeCap):
-                pe.codim(alg, act, n)
-            assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        with pytest.raises(SizeCap):
+            pe.codim(m2, mat2_ad11, 30)
+        assert time.perf_counter() - start < 1
         start = time.perf_counter()
         assert pe.codim(zero2, trivial_action(zero2), 40) == 0
         assert time.perf_counter() - start < 1
+
+    def test_ut2_eps_stops_at_degree_16_under_the_default_budget(self, u2, act_eps):
+        """c_15 = 245,761 fits the default budget and degree 16 does not:
+        its renamed rows pass 10^7 entries (about 20 s and 470 MB before
+        the refusal, on one core)."""
+        with pytest.raises(SizeCap, match="exceed the budget 10000000"):
+            pe.codim(u2, act_eps, 16, mode="modular")
 
 
 def test_differential_codimension_sandwich():

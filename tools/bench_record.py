@@ -7,12 +7,13 @@ workload in its BENCHMARK.json with seed 0 and the benchmark's own run
 length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
 (per-layer metrics), one run at a time, then runs the checkout's
 ``diffident battery`` once, ``diffident codim`` on the shipped ``ut2-eps``
-file for n = 1..8 in exact and in modular mode, ``identity_space`` on it at
-n = 4, 5 and 6, ``consequences_space`` of battery criterion 9's three
-identities on it at n = 4, 5, 6 and 7, ``lie_closure`` of the block-triangular
-UT(2,2) under the seeded inner pairs 0 and 1 and the input checks on the
-same inputs, ``evaluate_poly`` on the spanning sets of battery criterion 8
-(each run in a fresh interpreter whose address space is capped
+file for n = 1..CODIM_MAX_N (12) in exact and in modular mode,
+``identity_space`` on it at n = 4, 5 and 6, ``consequences_space`` of
+battery criterion 9's three identities on it at n = 4, 5, 6 and 7,
+``lie_closure`` of the block-triangular UT(2,2) under the seeded inner pairs
+0 and 1 and the input checks on the same inputs, ``evaluate_poly`` on the
+spanning sets of battery criterion 8, ``codim`` of mat2 under the trivial
+action at n = 6 (each run in a fresh interpreter whose address space is capped
 at SCRIPT_ADDRESS_SPACE, so that a checkout that holds these spaces densely
 stops with MemoryError instead of filling the machine's memory), and its
 tier-1 test command once, and writes BENCH_<pr>.json at the root of this
@@ -38,7 +39,9 @@ associativity and unit checks (``algebra_seconds``), the seconds of
 and whether both passed, under ``evaluate`` the seconds, the count and the
 sha256 of the values of the ``evaluate_poly`` calls that the ``identities``
 workload's spanning-set job makes (every member of the ut2 and ut2-eps
-spanning sets for n = 2..5 at every basis tuple), and under ``tier1`` the test run's exit code, its
+spanning sets for n = 2..5 at every basis tuple), under
+``mat2_trivial_codim`` per n the seconds, the codimension and
+``ru_maxrss``, and under ``tier1`` the test run's exit code, its
 passed and failed counts (from pytest's summary line), its wall-clock
 seconds and its ten slowest test phases with their seconds (from pytest's
 ``--durations=10`` report), and under ``src_lines`` the line
@@ -63,7 +66,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 0
-CODIM_MAX_N = 8
+CODIM_MAX_N = 12
 IDENTITY_SPACE_N = (4, 5, 6)
 CONSEQUENCES_N = (4, 5, 6, 7)
 SCRIPT_ADDRESS_SPACE = 2 * 2**30  # bytes: the RLIMIT_AS of each run_script interpreter
@@ -181,6 +184,23 @@ digest = hashlib.sha256("\\n".join(map(repr, values)).encode()).hexdigest()
 print(json.dumps({"seconds": seconds, "calls": len(values), "digest": digest}))
 """
 EVALUATE_TOP = (5,)
+
+# codim of mat2 under the trivial action at degree argv[1], exact: the dense
+# case where the order codim feeds its rows in matters most; one JSON line
+_MAT2_TRIVIAL = """
+import json, resource, sys, time
+from diffident.algebra import full_matrix, trivial_action
+from diffident.piengine import codim
+
+n = int(sys.argv[1])
+alg = full_matrix(2)
+act = trivial_action(alg)
+start = time.perf_counter()
+c = codim(alg, act, n)
+print(json.dumps({"seconds": time.perf_counter() - start, "codim": c,
+                  "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+MAT2_TRIVIAL_N = (6,)
 
 
 def _git(checkout: Path, *args: str) -> str | None:
@@ -339,6 +359,7 @@ def main(argv=None) -> int:
         ("ut22_lie_closure", _UT22_LIE_CLOSURE, UT22_SEEDS, "UT(2,2) seed"),
         ("validate", _VALIDATE, UT22_SEEDS, "UT(2,2) seed"),
         ("evaluate", _EVALUATE, EVALUATE_TOP, "spanning sets n = 2.."),
+        ("mat2_trivial_codim", _MAT2_TRIVIAL, MAT2_TRIVIAL_N, "mat2 trivial n ="),
     ):
         record[key] = {}
         for n in degrees:
@@ -367,7 +388,8 @@ def main(argv=None) -> int:
         if "error" in result or not result["correct"]
     ]
     failed += [
-        (key, n) for key in ("identity_space", "ut22_lie_closure", "evaluate")
+        (key, n)
+        for key in ("identity_space", "ut22_lie_closure", "evaluate", "mat2_trivial_codim")
         for n, r in record[key].items() if "error" in r
     ]
     failed += [
