@@ -638,30 +638,27 @@ def _rank_closure(
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> tuple[SparseRREF, int]:
     """(eliminator, charged): one rank-only eliminator, exact or modulo
-    prime, holding the span of every degree-n row, and what the work was
-    charged.
+    prime, holding the span of every degree-n row, and the count charged.
 
     The row of an order vars is the row of (1..n) with its labels renamed
-    by vars, so the row space is the S_n-module that the rows of (1..n)
-    generate, and it is reached by closing the rows that raise the rank
-    under generators of S_n.  Rows that cannot raise the rank are not fed:
-    rows zero modulo the prime, and rows whose _normal_form was fed before.
-    The generators, and the order the rows are fed in, follow the number of
-    live exponent tuples, the rows of (1..n):
+    by vars, so the rows of (1..n) generate the row space as an S_n-module,
+    and closing the rows that raise the rank under generators of S_n
+    reaches all of it.  Rows zero modulo the prime, and rows whose
+    _normal_form was fed before, are not fed.  The generators and the
+    order of feeding follow the number of live exponent tuples, the rows
+    of (1..n):
 
-    * Several: breadth first under s_1 = (1 2) and the n-cycle v -> v + 1
-      (_sn_generators, which consequences_space uses too).
+    * Several: breadth first under _sn_generators, s_1 and the n-cycle.
     * One, as under the trivial action: the rows are one S_n-orbit, the n!
-      rows of the stream (rows()).  They are renamed by the adjacent
-      transpositions, and the orders are fed in increasing position from a
-      heap, the stream's order, skipping the orders next to no row that
-      raised the rank.  On a dense algebra the order costs more than the
-      rows saved: breadth first, mat2 under the trivial action at n = 6
-      feeds 459 rows against the stream's 720, but a new pivot is taken off
-      a stored one 29,041 times against 11,976, three times the work.
+      rows of rows().  They are renamed by the adjacent transpositions and
+      fed in increasing position from a heap, the stream's order.  On a
+      dense algebra breadth first costs more than it saves: mat2 under the
+      trivial action at n = 6 feeds 459 rows against the stream's 720, but
+      takes a new pivot off a stored one 29,041 times against 11,976,
+      three times the work.
 
-    The positional table is charged as _positional_table charges it, and
-    every renamed row adds its entries to the same count.
+    Every renamed row adds its entries to the table's charge
+    (_positional_table).
     """
     if prime is not None and rows.denominator % prime == 0:
         raise DenominatorDivisibleByPrime(f"{prime} divides {rows.denominator}")
