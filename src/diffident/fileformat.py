@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Derivation, LieAction, StructureAlgebra, leibniz_failure
-from .errors import NotADerivation, NotMultilinear, ParseError, SizeCap
+from .errors import NotADerivation, NotMultilinear, ParseError
 from .linalg import Matrix, ZERO, frac
 from .piengine import (
     DEFAULT_MAX_ENTRIES,
     LPolynomial,
+    charge_evaluation,
     commutator_poly,
     derive_polynomial,
     normalize_poly,
@@ -248,9 +249,8 @@ class _PolyParser:
     (None, None, len(source)), so errors there read "found end of input".
 
     Every polynomial built on the way (a sum, a product, a commutator step,
-    a derivative) is charged as is_identity charges it, dim^degree basis
-    tuples times its terms; more than max_entries raises SizeCap at the
-    offset of the term or factor being built."""
+    a derivative) is charged as is_identity charges it, by
+    charge_evaluation at the offset of the term or factor being built."""
 
     def __init__(self, tokens, end: int, act: LieAction, max_entries: int):
         self.tokens = tokens
@@ -266,12 +266,7 @@ class _PolyParser:
         self.dropped = {g.name for g in act.generators if own.get(g.name) != g.matrix}
 
     def charged(self, poly: LPolynomial, pos: int) -> LPolynomial:
-        dim = self.act.algebra.dim
-        if dim**poly.degree * len(poly.terms) > self.max_entries:
-            raise SizeCap(
-                f"{dim}^{poly.degree} basis tuples times {len(poly.terms)} terms"
-                f" exceed the budget {self.max_entries} (at offset {pos})"
-            )
+        charge_evaluation(poly, self.act.algebra.dim, self.max_entries, f" (at offset {pos})")
         return poly
 
     def peek(self):

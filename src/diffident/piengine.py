@@ -17,13 +17,14 @@ identity_space and containment_check, and is_identity sums its rows over a
 polynomial's collapsed terms.  A row's columns carry one int label each,
 ordered like (basis tuple, output coordinate), so the eliminator compares
 and hashes ints.  Only the exponent tuples whose products are not all zero
-are visited.  codim builds the rows of the variable order (1..n) and
-closes them under renamings of the variables, which permute the labels
-(EvaluationRows.renaming).  EvaluationRows.rows streams every nonzero row,
-each with its monomial's position.  codim and containment_check skip rows
-that repeat an earlier one up to scale; containment_check merges the
-streams of A and B by position and stops at the first joint row [A | B]
-that raises the joint rank but not A's.
+are visited.  Each row is built once, for the variable order (1..n)
+(EvaluationRows.first_order_rows); another order's row is that row with
+its labels renamed (EvaluationRows.renaming).  codim closes the rows of
+(1..n) under renamings that generate S_n, EvaluationRows.rows streams
+every nonzero row with its monomial's position, and combined_rows sums
+them.  codim and containment_check skip rows that repeat an earlier one
+up to scale; containment_check merges the streams of A and B by position
+and stops at the first joint row [A | B] that raises the rank but not A's.
 identity_space feeds every nonzero row, tagged with its position, for its
 kernel vector, and hands each zero row's monomial, a unit kernel vector,
 to the canonicalizing pass.
@@ -57,6 +58,7 @@ from operator import mul
 from .algebra import LieAction, StructureAlgebra, integer_product
 from .errors import (
     AlphabetMismatch,
+    BadParams,
     DenominatorDivisibleByPrime,
     NotMultilinear,
     SizeCap,
@@ -345,7 +347,7 @@ class Monomials:
 
     def __post_init__(self):
         if self.n < 1:
-            raise SizeCap("degree must be at least 1")
+            raise BadParams("degree must be at least 1")
         self.block = self.width**self.n
         self.count = factorial(self.n) * self.block
 
@@ -429,6 +431,8 @@ class EvaluationRows:
     `denominator` that scale vanishes, so such a prime is refused.
     ops[0] must be the identity, as it is in an envelope's op_basis and in
     the generator words of containment_check.
+    Rows have one builder, first_order_rows; rows() and combined_rows
+    rename its rows.
     """
 
     def __init__(self, alg: StructureAlgebra, ops: list[Matrix]):
@@ -480,11 +484,11 @@ class EvaluationRows:
         )
 
     def _positional_table(
-        self, n: int, max_entries: int, wanted: set | None = None, charge: int = 1
+        self, n: int, max_entries: int, wanted: set | None = None
     ) -> tuple[dict, int]:
         """({exps: [(positional basis tuple, product)]}, charged): the table
         over the live exponent tuples only, in lex order, nonzero products
-        only, and what it was charged.
+        only, and what it was charged.  first_order_rows is its one reader.
 
         A product depends only on the exponent tuple and on which basis
         element sits in each position, so it is computed once per tuple,
@@ -493,10 +497,10 @@ class EvaluationRows:
         it dies, since every extension of a zero product is zero.  Every
         product, at every level, counts against max_entries as it is
         computed: n, the most ints its basis tuple holds, and once it is
-        stored its nonzero coordinates, charge times on the last level.  The
-        table stops as soon as the count passes the budget, so it bounds
-        both the products computed and the table's size.  With wanted, a set
-        of exponent tuples, only those and their prefixes are built.
+        stored its nonzero coordinates.  The table stops as soon as the
+        count passes the budget, so it bounds both the products computed
+        and the table's size.  With wanted, a set of exponent tuples, only
+        those and their prefixes are built.
         """
         prefixes = None
         if wanted is not None:
@@ -504,8 +508,7 @@ class EvaluationRows:
         products = self.products
         level: dict = {(): [((), None)]}
         charged = 0
-        for depth in range(n):
-            weight = charge if depth == n - 1 else 1
+        for _depth in range(n):
             nxt = {}
             for exps, partial in level.items():
                 for u, column in enumerate(self.by_op):
@@ -518,7 +521,7 @@ class EvaluationRows:
                             charged += n
                             if p:
                                 out.append((bt + (b,), p))
-                                charged += len(p) * weight
+                                charged += len(p)
                             if charged > max_entries:
                                 raise SizeCap(
                                     f"{charged} charged entries exceed the budget {max_entries}"
@@ -528,86 +531,84 @@ class EvaluationRows:
             level = nxt
         return level, charged
 
-    @staticmethod
-    def _row(entries: list, weights: list) -> dict:
-        """The row of a tuple's table entries in the variable order whose
-        label weights are given."""
-        row = {}
-        for bt, prod in entries:
-            base = sum(map(mul, bt, weights))
-            for k, c in prod.items():
-                row[base + k] = c
-        return row
+    def first_order_rows(
+        self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES, wanted: set | None = None
+    ) -> tuple[dict, int]:
+        """({exps: row}, charged): the nonzero rows of the variable order
+        (1..n), keyed by live exponent tuple in lex order (only the wanted
+        ones, if given), and what the positional table was charged.  Each
+        tuple's table entries are freed once its row is built.  A degree
+        below 1 is refused, and a nilpotent A has no live tuple past its
+        dimension, both before any table is built."""
+        if n < 1:
+            raise BadParams("degree must be at least 1")
+        if self._nilpotent() and n > self.dim:
+            return {}, 0
+        table, charged = self._positional_table(n, max_entries, wanted)
+        weights = self._weights(tuple(range(1, n + 1)))
+        rows = {}
+        for exps in list(table):
+            row = rows[exps] = {}
+            for bt, prod in table.pop(exps):
+                base = sum(map(mul, bt, weights))
+                for k, c in prod.items():
+                    row[base + k] = c
+        return rows, charged
 
     def rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-        """The nonzero rows, as (position, row) pairs in increasing position,
-        the position of (vars, exps) being Monomials(n, width).position: the
-        rows of identity_space and containment_check, whose kernel vectors
-        need every row's position.  codim builds only the rows of one order
-        (first_order_rows) and renames them.
-
-        Only the variable orders and the live exponent tuples (the keys of
-        the positional table) are visited, so no zero row is built: a
-        variable order reweights the positions of the labels of a tuple's
-        table entries.  Every row of a tuple holds all its entries, so the
-        stream holds n! times the last level's product coordinates; the
-        table charges them n! + 1 times while it is built.  Two cases are
-        decided before the table is built.  A nilpotent A has A^n = 0 for
-        n > dim, and then no tuple is live and the stream is empty.  Any
-        other A has A^n != 0 for every n, so the all-identity tuple is live
-        (ops[0] is the identity) and the charge is at least n! + 1.
-        """
+        """The nonzero rows as (position, row) pairs in increasing position
+        (Monomials(n, width).position), for identity_space and
+        containment_check, whose kernel vectors need positions: each row of
+        first_order_rows renamed by each variable order, charged as in codim
+        (the table, then every row yielded).  An A that is not nilpotent
+        has A^n != 0, so its all-identity tuple is live (ops[0] is the
+        identity) and it streams at least n! nonempty rows: it is refused
+        before the table when n! alone passes the budget."""
         monomials = Monomials(n, self.width)
-        nilpotent = self._nilpotent()
-        if nilpotent and n > self.dim:
-            return
-        orders = factorial(n)
-        if not nilpotent and orders + 1 > max_entries:
+        if not self._nilpotent() and factorial(n) > max_entries:
             raise SizeCap(f"{n}! variable orders exceed the budget {max_entries}")
-        table, _charged = self._positional_table(n, max_entries, charge=orders + 1)
-        live = [(monomials.exponent_code(exps), entries) for exps, entries in table.items()]
+        first, charged = self.first_order_rows(n, max_entries)
+        live = [(monomials.exponent_code(exps), row) for exps, row in first.items()]
         for start, vars_ in monomials.orders():
-            weights = self._weights(vars_)
-            for offset, entries in live:
-                yield start + offset, self._row(entries, weights)
-
-    def first_order_rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> tuple:
-        """(rows, charged): the nonzero rows of the variable order (1..n), one
-        per live exponent tuple in lex order, and what the positional table
-        was charged (_positional_table).  Each tuple's table entries are
-        freed once its row is built.  A nilpotent A has no live tuple past
-        its dimension, decided before any table is built."""
-        if self._nilpotent() and n > self.dim:
-            return [], 0
-        table, charged = self._positional_table(n, max_entries)
-        weights = self._weights(tuple(range(1, n + 1)))
-        return [self._row(table.pop(exps), weights) for exps in list(table)], charged
+            renaming = self.renaming(vars_)
+            for offset, row in live:
+                row, charged = _renamed(row, renaming, charged, max_entries)
+                yield start + offset, row
 
     def combined_rows(
         self, n: int, combos: list[dict], max_entries: int = DEFAULT_MAX_ENTRIES
     ) -> list[dict]:
         """For each combination {(vars, exps): c} of degree-n monomials, the
-        integer row sum c * row(vars, exps), labelled as in rows().
+        integer row sum c * row(vars, exps), labelled as in rows(): the row
+        of exps in first_order_rows renamed by vars.
 
         Each row is the rational one times a positive integer, so it has the
         same nonzero labels, and a set of them the same rank.  Only the
         exponent tuples the combinations use are built.
         """
         wanted = {exps for combo in combos for _vars, exps in combo}
-        table, _charged = self._positional_table(n, max_entries, wanted)
+        first, _charged = self.first_order_rows(n, max_entries, wanted)
+        renamings = {vars_: self.renaming(vars_) for combo in combos for vars_, _e in combo}
         out = []
         for combo in combos:
             scale = lcm(*(c.denominator for c in combo.values()))
             row: dict = {}
             for (vars_, exps), c in combo.items():
                 c = c.numerator * (scale // c.denominator)
-                weights = self._weights(vars_)
-                for bt, prod in table.get(exps, ()):
-                    base = sum(map(mul, bt, weights))
-                    for k, x in prod.items():
-                        row[base + k] = row.get(base + k, 0) + c * x
+                renaming = renamings[vars_]
+                for label, x in first.get(exps, {}).items():
+                    label = renaming[label]
+                    row[label] = row.get(label, 0) + c * x
             out.append({label: x for label, x in row.items() if x})
         return out
+
+
+def _renamed(row: dict, renaming: LabelRenaming, charged: int, max_entries: int) -> tuple:
+    """(row renamed, charged + its entries); SizeCap past max_entries."""
+    charged += len(row)
+    if charged > max_entries:
+        raise SizeCap(f"{charged} charged entries exceed the budget {max_entries}")
+    return {renaming[c]: x for c, x in row.items()}, charged
 
 
 def _normal_form(row: dict, prime: int | None) -> tuple | None:
@@ -657,8 +658,8 @@ def _rank_closure(
       takes a new pivot off a stored one 29,041 times against 11,976,
       three times the work.
 
-    Every renamed row adds its entries to the table's charge
-    (_positional_table).
+    Every renamed row adds its entries to the table's charge (_renamed),
+    as in rows().
     """
     if prime is not None and rows.denominator % prime == 0:
         raise DenominatorDivisibleByPrime(f"{prime} divides {rows.denominator}")
@@ -675,16 +676,14 @@ def _rank_closure(
 
     def renamed(row: dict, renaming: LabelRenaming) -> dict:
         nonlocal charged
-        charged += len(row)
-        if charged > max_entries:
-            raise SizeCap(f"{charged} charged entries exceed the budget {max_entries}")
-        return {renaming[c]: x for c, x in row.items()}
+        row, charged = _renamed(row, renaming, charged, max_entries)
+        return row
 
     if len(first) == 1:
         swaps = [(*range(1, i), i + 1, i, *range(i + 2, n + 1)) for i in range(1, n)]
         renamings = [rows.renaming(s) for s in swaps]
         identity = tuple(range(1, n + 1))
-        heap, pushed = [(identity, first[0])], {identity}
+        heap, pushed = [(identity, next(iter(first.values())))], {identity}
         while heap:
             vars_, row = heappop(heap)
             if raises(row):
@@ -695,7 +694,7 @@ def _rank_closure(
                         heappush(heap, (order, renamed(row, renaming)))
         return rr, charged
     renamings = [rows.renaming(g) for g in _sn_generators(n)]
-    frontier = first
+    frontier = list(first.values())
     while frontier:
         frontier = [row for row in frontier if raises(row)]
         frontier = [renamed(row, renaming) for row in frontier for renaming in renamings]
@@ -849,6 +848,14 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
     return out
 
 
+def charge_evaluation(f: LPolynomial, dim: int, max_entries: int, where: str = "") -> None:
+    """SizeCap, its message ending in where, when evaluating f on every
+    basis tuple, dim^degree tuples times its terms, passes max_entries."""
+    if dim**f.degree * len(f.terms) > max_entries:
+        tuples = f"{dim}^{f.degree} basis tuples times {len(f.terms)} terms"
+        raise SizeCap(f"{tuples} exceed the budget {max_entries}{where}")
+
+
 def is_identity(
     f: LPolynomial,
     act: LieAction,
@@ -859,24 +866,21 @@ def is_identity(
 
     f's value row on every basis tuple is summed from EvaluationRows rows
     over its collapsed terms; the witness is the least basis tuple (indexed
-    by variable) where it is nonzero.  The work is charged as dim^n basis
-    tuples times the terms of f; more than max_entries raises SizeCap before
-    any evaluation.  The positional table behind the rows counts against
-    max_entries as it does in codim.
+    by variable) where it is nonzero.  charge_evaluation is checked before
+    any evaluation, and the positional table behind the rows counts against
+    max_entries as in codim.  f whose terms all collapse to zero, such as
+    the zero polynomial, is an identity without any row.
     """
     cap = default_word_cap(act)
     for (_vars, words) in f.terms:
         for w in words:
             if len(w) > cap:
                 raise WordCapExceeded(f"word {w} longer than cap {cap}")
-    alg = act.algebra
     n = f.degree
-    if alg.dim**n * len(f.terms) > max_entries:
-        raise SizeCap(
-            f"{alg.dim}^{n} basis tuples times {len(f.terms)} terms exceed the budget {max_entries}"
-        )
-    rows = EvaluationRows(alg, act.envelope.op_basis)
-    (row,) = rows.combined_rows(n, [collapsed_terms(f, act)], max_entries)
+    charge_evaluation(f, act.algebra.dim, max_entries)
+    rows = EvaluationRows(act.algebra, act.envelope.op_basis)
+    terms = collapsed_terms(f, act)
+    row = rows.combined_rows(n, [terms], max_entries)[0] if terms else {}
     if row:
         return (False, rows.label_tuple(min(row), n)) if witness else False
     return (True, None) if witness else True

@@ -363,6 +363,14 @@ class TestCommands:
         assert err.startswith("error input: derivation 'z' is zero or a combination")
         assert "(at offset 9)" in err and "Traceback" not in err
 
+    def test_zero_polynomial_is_bad_input(self, tmp_path, capsys):
+        path = self._gen(tmp_path, "ut2")
+        poly = tmp_path / "p.poly"
+        poly.write_text("x1 - x1")
+        capsys.readouterr()
+        assert main(["check-identity", path, "--poly", str(poly)]) == 2
+        assert capsys.readouterr().err == "error input: the zero polynomial has no degree\n"
+
     def test_check_identity_honours_budget(self, tmp_path, capsys, monkeypatch):
         path = self._gen(tmp_path, "ut2")
         poly = tmp_path / "p.poly"

@@ -446,25 +446,27 @@ def test_labels_index_the_value_rows_in_lex_order(name):
 
 @pytest.mark.parametrize("name", ["ut2-eps", "rational-ut2-eps", "mat2-ad11"])
 def test_renaming_the_first_order_gives_every_row(name):
-    """Every row of the stream is a row of the variable order (1..n) with
-    its labels mapped by renaming(vars), and first_order_rows holds the
-    stream's rows of (1..n), one per live exponent tuple."""
+    """first_order_rows keys the nonzero rows of the variable order (1..n)
+    by exponent tuple, in lex order.  Renamed by renaming(vars), the row of
+    exps is the Fraction value row of the monomial (vars, exps) times one
+    positive scale per degree, and an exponent tuple without a row has a
+    zero value row in every order."""
     act = ACTIONS[name]
     rows = pe.EvaluationRows(act.algebra, act.envelope.op_basis)
     for n in (1, 2, 3):
-        monomials = pe.Monomials(n, act.envelope.dim)
         first, _charged = rows.first_order_rows(n)
-        streamed = dict(rows.rows(n))
-        codes = [p for p in sorted(streamed) if p < monomials.block]
-        assert first == [streamed[p] for p in codes]
-        for start, vars_ in monomials.orders():
+        assert list(first) == sorted(first) and all(first.values())
+        scale = None
+        for vars_, exps in pe.Monomials(n, act.envelope.dim):
             renaming = rows.renaming(vars_)
-            renamed = {
-                start + code: {renaming[c]: x for c, x in row.items()}
-                for code, row in zip(codes, first)
-            }
-            block = range(start, start + monomials.block)
-            assert renamed == {p: r for p, r in streamed.items() if p in block}
+            row = {renaming[c]: x for c, x in first.get(exps, {}).items()}
+            words = tuple(act.envelope.word_reps[u] for u in exps)
+            values = _value_row(pe.LPolynomial.from_terms({(vars_, words): 1}), act)
+            assert set(row) == {label for label, x in enumerate(values) if x}
+            for label, x in row.items():
+                scale = scale or x / values[label]
+                assert x == scale * values[label]
+        assert scale > 0
 
 
 def _zero2():
@@ -509,8 +511,9 @@ def test_monomials_codec_is_the_lex_order(n, width):
 
 class _StreamedRows:
     """What _rank_closure reads of EvaluationRows, over a fixed list of rows
-    given as the rows of the variable order (1..n); at n = 1 no renaming is
-    asked for, so every row is offered as it is."""
+    given as the rows of the variable order (1..n), each keyed by its index
+    in the list; at n = 1 no renaming is asked for, so every row is offered
+    as it is."""
 
     denominator = 1
 
@@ -518,7 +521,7 @@ class _StreamedRows:
         self.stream = stream
 
     def first_order_rows(self, n, max_entries):
-        return list(self.stream), 0
+        return {(i,): row for i, row in enumerate(self.stream)}, 0
 
 
 def _fed_rank(rows, n, prime=None):

@@ -20,7 +20,13 @@ from diffident.algebra import (
     ut,
 )
 from diffident.acceptance import _ut2_eps_identities, battery_fixtures
-from diffident.errors import AlphabetMismatch, NotMultilinear, SizeCap, WordCapExceeded
+from diffident.errors import (
+    AlphabetMismatch,
+    BadParams,
+    NotMultilinear,
+    SizeCap,
+    WordCapExceeded,
+)
 from diffident.linalg import Matrix
 from diffident import piengine as pe
 from test_basis_change import _in_basis, _invertible
@@ -166,6 +172,30 @@ def test_normalizing_words_keeps_collapsed_terms(request, action, data):
     assert pe.collapsed_terms(pe.normalize_poly(act, f), act) == pe.collapsed_terms(f, act)
 
 
+def _table_charge(alg, ops, n):
+    """What the positional table of degree n is charged, counted by brute
+    force over all exponent and basis tuples, in Fractions: n for every
+    product computed, an extension of a nonzero product of the level
+    before, and the nonzero coordinates of every nonzero product."""
+    # live[d]: the nonzero products of the (exps, basis tuple) pairs of length d
+    live = [[None]]
+    for d in range(1, n + 1):
+        live.append([])
+        for exps in iproduct(range(len(ops)), repeat=d):
+            for bt in iproduct(range(alg.dim), repeat=d):
+                value = None
+                for u, b in zip(exps, bt):
+                    vec = ops[u].apply(alg.basis_vector(b))
+                    value = vec if value is None else alg.multiply(value, vec)
+                if any(value):
+                    live[d].append(value)
+    images = sum(1 for op in ops for b in range(alg.dim) if any(op.apply(alg.basis_vector(b))))
+    return sum(
+        n * len(live[d - 1]) * images + sum(sum(1 for x in v if x) for v in live[d])
+        for d in range(1, n + 1)
+    )
+
+
 class TestCodim:
     def test_ordinary_ut2_small(self, u2, triv):
         assert [pe.codim(u2, triv, n) for n in (1, 2, 3)] == [1, 2, 6]
@@ -196,28 +226,10 @@ class TestCodim:
     def test_budget_is_the_built_entries(self, u2, act_eps, monkeypatch):
         """codim charges n for every product its table computes, the nonzero
         coordinates of every product it stores, and the entries of every
-        renamed row.  The table's part is counted here by brute force over
-        all exponent and basis tuples, in Fractions, and the renamed rows'
-        part by counting the label lookups of the renamings."""
-        n, alg = 5, u2
-        ops = act_eps.envelope.op_basis
-        # live[d]: the nonzero products of the (exps, basis tuple) pairs of length d
-        live = [[None]]
-        for d in range(1, n + 1):
-            live.append([])
-            for exps in iproduct(range(len(ops)), repeat=d):
-                for bt in iproduct(range(alg.dim), repeat=d):
-                    value = None
-                    for u, b in zip(exps, bt):
-                        vec = ops[u].apply(alg.basis_vector(b))
-                        value = vec if value is None else alg.multiply(value, vec)
-                    if any(value):
-                        live[d].append(value)
-        images = sum(1 for op in ops for b in range(alg.dim) if any(op.apply(alg.basis_vector(b))))
-        table = sum(
-            n * len(live[d - 1]) * images + sum(sum(1 for x in v if x) for v in live[d])
-            for d in range(1, n + 1)
-        )
+        renamed row.  The table's part is counted by brute force
+        (_table_charge), and the renamed rows' part by counting the label
+        lookups of the renamings."""
+        n = 5
         renamed = []
 
         class Counting(pe.LabelRenaming):
@@ -229,16 +241,31 @@ class TestCodim:
         monkeypatch.setattr(pe, "LabelRenaming", Counting)
         rr, charged = pe._rank_closure(rows, n)
         assert rr.rank == 81 and renamed
-        assert charged == table + len(renamed)
+        assert charged == _table_charge(u2, act_eps.envelope.op_basis, n) + len(renamed)
         assert pe.codim(u2, act_eps, n, max_entries=charged) == 81
         with pytest.raises(SizeCap):
             pe.codim(u2, act_eps, n, max_entries=charged - 1)
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_stream_budget_is_the_built_entries(self, u2, act_eps, n):
+        """rows() is charged as codim is: the table's count (_table_charge),
+        then the entries of every row it streams.  It streams in full at
+        that charge and is refused one below it."""
+        ops = act_eps.envelope.op_basis
+        rows = pe.EvaluationRows(u2, ops)
+        stream = list(rows.rows(n))
+        charged = _table_charge(u2, ops, n) + sum(len(row) for _position, row in stream)
+        assert list(rows.rows(n, max_entries=charged)) == stream
+        with pytest.raises(SizeCap):
+            list(rows.rows(n, max_entries=charged - 1))
+
     def test_last_table_level_stops_at_its_share_of_the_budget(self, u2, monkeypatch):
-        """Each entry of the table's last level is charged n! + 1 times, so
-        that level stops past max_entries // (n! + 1) entries instead of
-        being built in full first.  In a random basis every product is
-        dense and the last level holds most of the table's products."""
+        """The stream's table counts every product it computes as it
+        computes it, so a stream far over the budget is refused while its
+        table is built, not after.  In a random basis every product is
+        dense and the last level holds most of the table's products: under
+        5,000 entries fewer than half of the full table's products are
+        computed."""
         p, p_inv = _invertible(u2.dim, random.Random(0))
         moved = _in_basis(u2, p, p_inv)
         eps = Derivation(p * ad_unit(u2, 2, 2).matrix * p_inv, name="eps")
@@ -246,7 +273,7 @@ class TestCodim:
         calls = []
         product = pe.integer_product
         monkeypatch.setattr(pe, "integer_product", lambda *a: calls.append(a) or product(*a))
-        rows._positional_table(5, 10**9)
+        rows.first_order_rows(5, 10**9)
         full = len(calls)
         calls.clear()
         with pytest.raises(SizeCap):
@@ -359,6 +386,40 @@ def test_identity_space_matches_every_row_fed(u2, name):
         expected = _identity_space_of_every_row(alg, act, n)
         assert rep == expected
         assert rep.kernel.pivot_columns == expected.kernel.pivot_columns
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u2, act: pe.codim(u2, act, 0),
+        lambda u2, act: pe.codim(u2, act, -1),
+        lambda u2, act: pe.codim(u2, act, 0, mode="modular"),
+        lambda u2, act: pe.EvaluationRows(u2, act.envelope.op_basis).first_order_rows(0),
+        lambda u2, act: list(pe.EvaluationRows(u2, act.envelope.op_basis).rows(0)),
+        lambda u2, act: pe.is_identity(pe.LPolynomial.monomial(()), act),
+        lambda u2, act: pe.identity_space(u2, act, 0),
+        lambda u2, act: pe.consequences_space([x(1)], 0, act),
+        lambda u2, act: pe.containment_check(act, act, 0),
+    ],
+    ids=[
+        "codim",
+        "codim-negative",
+        "codim-modular",
+        "first_order_rows",
+        "rows",
+        "is_identity",
+        "identity_space",
+        "consequences_space",
+        "containment_check",
+    ],
+)
+def test_degree_below_one_is_bad_input(u2, act_eps, call):
+    """A degree below 1 is bad input (BadParams, exit 2 from the CLI), not a
+    budget error, at every entry point; the zero polynomial, which has no
+    degree, is still an identity."""
+    with pytest.raises(BadParams, match="degree must be at least 1"):
+        call(u2, act_eps)
+    assert pe.is_identity(pe.LPolynomial.from_terms({}), act_eps)
 
 
 class TestIsIdentity:

@@ -12,8 +12,10 @@ file for n = 1..CODIM_MAX_N (12) in exact and in modular mode,
 battery criterion 9's three identities on it at n = 4, 5, 6 and 7,
 ``lie_closure`` of the block-triangular UT(2,2) under the seeded inner pairs
 0 and 1 and the input checks on the same inputs, ``evaluate_poly`` on the
-spanning sets of battery criterion 8, ``codim`` of mat2 under the trivial
-action at n = 6 (each run in a fresh interpreter whose address space is capped
+spanning sets of battery criterion 8, ``containment_check`` over the
+ordered pairs of the one-generator UT2 actions at n = 1..4 and
+``classify_growth`` on battery criterion 11's five UT2 actions, ``codim`` of
+mat2 under the trivial action at n = 6 (each run in a fresh interpreter whose address space is capped
 at SCRIPT_ADDRESS_SPACE, so that a checkout that holds these spaces densely
 stops with MemoryError instead of filling the machine's memory), and its
 tier-1 test command once, and writes BENCH_<pr>.json at the root of this
@@ -39,7 +41,11 @@ associativity and unit checks (``algebra_seconds``), the seconds of
 and whether both passed, under ``evaluate`` the seconds, the count and the
 sha256 of the values of the ``evaluate_poly`` calls that the ``identities``
 workload's spanning-set job makes (every member of the ut2 and ut2-eps
-spanning sets for n = 2..5 at every basis tuple), under
+spanning sets for n = 2..5 at every basis tuple), under ``containment``
+the seconds, the count and the sha256 of the reprs of the 64
+``containment_check`` results (zero, eps, delta and eta 1 1, every ordered
+pair, n = 1..4), and the seconds, the sha256 of the reprs and the
+classification of the ``classify_growth`` reports, under
 ``mat2_trivial_codim`` per n the seconds, the codimension and
 ``ru_maxrss``, and under ``tier1`` the test run's exit code, its
 passed and failed counts (from pytest's summary line), its wall-clock
@@ -184,6 +190,49 @@ digest = hashlib.sha256("\\n".join(map(repr, values)).encode()).hexdigest()
 print(json.dumps({"seconds": seconds, "calls": len(values), "digest": digest}))
 """
 EVALUATE_TOP = (5,)
+
+# containment_check over the ordered pairs of the one-generator UT2 actions
+# (zero, eps, delta, eta 1 1) at n = 1..argv[1], then classify_growth on battery
+# criterion 11's five UT2 actions: the seconds of each part and the sha256 of
+# the reprs of its results, and each action's classification; one JSON line
+_CONTAINMENT = """
+import hashlib, json, sys, time
+from diffident.algebra import Derivation, ad_unit, lie_closure, trivial_action, ut
+from diffident.exponent import classify_growth
+from diffident.linalg import Matrix
+from diffident.piengine import containment_check
+
+u2 = ut(2)
+eps, delta = ad_unit(u2, 2, 2, name="eps"), ad_unit(u2, 1, 2, name="delta")
+eta = Derivation(eps.matrix + delta.matrix, "eta")
+one = {"zero": lie_closure(u2, [Derivation(Matrix.zero(3, 3), "g0")]),
+       "eps": lie_closure(u2, [eps]), "delta": lie_closure(u2, [delta]),
+       "eta11": lie_closure(u2, [eta])}
+results = []
+start = time.perf_counter()
+for n in range(1, int(sys.argv[1]) + 1):
+    for a in one.values():
+        for b in one.values():
+            results.append(containment_check(a, b, n))
+seconds = time.perf_counter() - start
+growth = {"ut2 trivial": trivial_action(u2), "ut2 eps": lie_closure(u2, [eps]),
+          "ut2 eta0": lie_closure(u2, [delta]), "ut2 eta11": lie_closure(u2, [eta]),
+          "ut2 D": lie_closure(u2, [eps, delta])}
+start = time.perf_counter()
+reports = {label: classify_growth(u2, act) for label, act in growth.items()}
+classify_seconds = time.perf_counter() - start
+
+
+def digest(values):
+    return hashlib.sha256("\\n".join(map(repr, values)).encode()).hexdigest()
+
+
+print(json.dumps({"seconds": seconds, "calls": len(results), "digest": digest(results),
+                  "classify_seconds": classify_seconds,
+                  "classify_digest": digest(reports.values()),
+                  "classification": {k: r.classification for k, r in reports.items()}}))
+"""
+CONTAINMENT_TOP = (4,)
 
 # codim of mat2 under the trivial action at degree argv[1], exact: the dense
 # case where the order codim feeds its rows in matters most; one JSON line
@@ -359,6 +408,7 @@ def main(argv=None) -> int:
         ("ut22_lie_closure", _UT22_LIE_CLOSURE, UT22_SEEDS, "UT(2,2) seed"),
         ("validate", _VALIDATE, UT22_SEEDS, "UT(2,2) seed"),
         ("evaluate", _EVALUATE, EVALUATE_TOP, "spanning sets n = 2.."),
+        ("containment", _CONTAINMENT, CONTAINMENT_TOP, "ut2 one-generator pairs n = 1.."),
         ("mat2_trivial_codim", _MAT2_TRIVIAL, MAT2_TRIVIAL_N, "mat2 trivial n ="),
     ):
         record[key] = {}
@@ -389,7 +439,9 @@ def main(argv=None) -> int:
     ]
     failed += [
         (key, n)
-        for key in ("identity_space", "ut22_lie_closure", "evaluate", "mat2_trivial_codim")
+        for key in (
+            "identity_space", "ut22_lie_closure", "evaluate", "containment", "mat2_trivial_codim"
+        )
         for n, r in record[key].items() if "error" in r
     ]
     failed += [
