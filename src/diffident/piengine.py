@@ -458,12 +458,8 @@ class EvaluationRows:
 
     def label_tuple(self, label: int, n: int) -> tuple:
         """The basis tuple, indexed by variable, of a degree-n column label."""
-        t, _k = divmod(label, self.dim)
-        out = []
-        for _ in range(n):
-            t, b = divmod(t, self.dim)
-            out.append(b)
-        return tuple(reversed(out))
+        t, dim = label // self.dim, self.dim
+        return tuple(t // dim ** (n - 1 - i) % dim for i in range(n))
 
     def renaming(self, sigma: tuple) -> "LabelRenaming":
         """The map of degree-n column labels, n = len(sigma), under the
@@ -473,6 +469,7 @@ class EvaluationRows:
         mapped by renaming(vars)."""
         return LabelRenaming(self.dim, self._weights(sigma))
 
+    @cached_property
     def _nilpotent(self) -> bool:
         """Whether A^(dim+1) = 0, that is, A is nilpotent: exactly when
         tr L_x = 0 for every x, L_x being left multiplication by x.  A
@@ -542,7 +539,7 @@ class EvaluationRows:
         dimension, both before any table is built."""
         if n < 1:
             raise BadParams("degree must be at least 1")
-        if self._nilpotent() and n > self.dim:
+        if self._nilpotent and n > self.dim:
             return {}, 0
         table, charged = self._positional_table(n, max_entries, wanted)
         weights = self._weights(tuple(range(1, n + 1)))
@@ -560,17 +557,23 @@ class EvaluationRows:
         (Monomials(n, width).position), for identity_space and
         containment_check, whose kernel vectors need positions: each row of
         first_order_rows renamed by each variable order, charged as in codim
-        (the table, then every row yielded).  An A that is not nilpotent
-        has A^n != 0, so its all-identity tuple is live (ops[0] is the
-        identity) and it streams at least n! nonempty rows: it is refused
-        before the table when n! alone passes the budget."""
+        (the table, then every row yielded).  Their labels are split into
+        digits once, so each order renames one by a weighted sum, as
+        renaming(vars) does.  An A that is not nilpotent has A^n != 0, so
+        its all-identity tuple is live (ops[0] is the identity) and it
+        streams at least n! nonempty rows: it is refused before the table
+        when n! alone passes the budget."""
         monomials = Monomials(n, self.width)
-        if not self._nilpotent() and factorial(n) > max_entries:
+        if not self._nilpotent and factorial(n) > max_entries:
             raise SizeCap(f"{n}! variable orders exceed the budget {max_entries}")
         first, charged = self.first_order_rows(n, max_entries)
+        if not first:
+            return
         live = [(monomials.exponent_code(exps), row) for exps, row in first.items()]
+        digits = {c: (c % self.dim, *self.label_tuple(c, n)) for row in first.values() for c in row}
         for start, vars_ in monomials.orders():
-            renaming = self.renaming(vars_)
+            weights = (1, *self._weights(vars_))
+            renaming = {label: sum(map(mul, d, weights)) for label, d in digits.items()}
             for offset, row in live:
                 row, charged = _renamed(row, renaming, charged, max_entries)
                 yield start + offset, row
@@ -674,11 +677,6 @@ def _rank_closure(
         seen.add(form)
         return rr.add_row(row)
 
-    def renamed(row: dict, renaming: LabelRenaming) -> dict:
-        nonlocal charged
-        row, charged = _renamed(row, renaming, charged, max_entries)
-        return row
-
     if len(first) == 1:
         swaps = [(*range(1, i), i + 1, i, *range(i + 2, n + 1)) for i in range(1, n)]
         renamings = [rows.renaming(s) for s in swaps]
@@ -691,13 +689,16 @@ def _rank_closure(
                     order = tuple(s[v - 1] for v in vars_)
                     if order not in pushed:
                         pushed.add(order)
-                        heappush(heap, (order, renamed(row, renaming)))
+                        moved, charged = _renamed(row, renaming, charged, max_entries)
+                        heappush(heap, (order, moved))
         return rr, charged
     renamings = [rows.renaming(g) for g in _sn_generators(n)]
     frontier = list(first.values())
     while frontier:
-        frontier = [row for row in frontier if raises(row)]
-        frontier = [renamed(row, renaming) for row in frontier for renaming in renamings]
+        raised, frontier = [row for row in frontier if raises(row)], []
+        for row, renaming in iproduct(raised, renamings):
+            moved, charged = _renamed(row, renaming, charged, max_entries)
+            frontier.append(moved)
     return rr, charged
 
 
@@ -1043,14 +1044,9 @@ def consequences_space(
 
 
 def _generator_words(m: int, cap: int) -> list:
-    """All words over m generator letters of length at most cap, lex order."""
-    words = [()]
-    frontier = [()]
-    for _ in range(cap):
-        nxt = [w + (g,) for w in frontier for g in range(m)]
-        words.extend(nxt)
-        frontier = nxt
-    return sorted(words, key=lambda w: (len(w), w))
+    """All words over m generator letters of length at most cap, shortest
+    first, each length in lex order."""
+    return [w for k in range(cap + 1) for w in iproduct(range(m), repeat=k)]
 
 
 def _formal_rows(act: LieAction, words: list) -> EvaluationRows:

@@ -298,6 +298,19 @@ class TestCodim:
         assert pe.codim(zero2, trivial_action(zero2), 40) == 0
         assert time.perf_counter() - start < 1
 
+    def test_nilpotent_stream_past_its_dimension_is_empty(self):
+        """A nilpotent A has no nonzero row past its dimension, so its
+        stream ends before any of the n! variable orders is visited:
+        containment_check of zero2 in itself at n = 13 answers at once."""
+        from diffident.algebra import make_algebra
+
+        z = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
+        act = trivial_action(make_algebra(z, label="zero2"))
+        start = time.perf_counter()
+        assert list(pe.EvaluationRows(act.algebra, act.envelope.op_basis).rows(13)) == []
+        assert pe.containment_check(act, act, 13) == (True, None)
+        assert time.perf_counter() - start < 1
+
     def test_ut2_eps_stops_at_degree_16_under_the_default_budget(self, u2, act_eps):
         """c_15 = 245,761 fits the default budget and degree 16 does not:
         its renamed rows pass 10^7 entries (about 20 s and 470 MB before
@@ -415,11 +428,9 @@ def test_identity_space_matches_every_row_fed(u2, name):
 )
 def test_degree_below_one_is_bad_input(u2, act_eps, call):
     """A degree below 1 is bad input (BadParams, exit 2 from the CLI), not a
-    budget error, at every entry point; the zero polynomial, which has no
-    degree, is still an identity."""
+    budget error, at every entry point."""
     with pytest.raises(BadParams, match="degree must be at least 1"):
         call(u2, act_eps)
-    assert pe.is_identity(pe.LPolynomial.from_terms({}), act_eps)
 
 
 class TestIsIdentity:
