@@ -22,7 +22,7 @@ from .errors import (
     NotAUnit,
 )
 from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, common_denominator, frac
-from .linalg import divided, integer_vector
+from .linalg import divided, integer_vector, matrix_coordinates
 
 
 class StructureAlgebra:
@@ -191,7 +191,21 @@ def leibniz_failure(alg: StructureAlgebra, m: Matrix) -> Optional[tuple[int, int
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a * b - b * a
+    """ab - ba as one integer accumulation: with (d_a, A) and (d_b, B) the
+    integer forms, row i of d_a * d_b * (ab - ba) is A_i B - B_i A."""
+    d_a, left = a.integer_form
+    d_b, right = b.integer_form
+    accs = []
+    for row_a, row_b in zip(left, right):
+        acc = [0] * a.cols
+        for k, x in row_a:
+            for j, y in right[k]:
+                acc[j] += x * y
+        for k, y in row_b:
+            for j, x in left[k]:
+                acc[j] -= y * x
+        accs.append(acc)
+    return Matrix.from_integer(a.rows, a.cols, d_a * d_b, accs)
 
 
 @dataclass
@@ -203,7 +217,8 @@ class Envelope:
     right[g][i] holds the coordinates of op_basis[i] * g (apply op_basis[i],
     then closure matrix g) as a sparse {index: coefficient} dict: the
     envelope's right action, which the walk of envelope() computes.
-    solver holds op_basis[i] under tag i, so the basis is factored once.
+    solver holds op_basis[i] under tag i as its integer entries, so the
+    basis is factored once.
     """
 
     op_basis: list[Matrix]
@@ -217,21 +232,23 @@ class Envelope:
 
     def expand(self, m: Matrix) -> Optional[dict]:
         """Coordinates of m in op_basis as a sparse {index: coefficient}
-        dict, or None if m is outside the span."""
-        return self.solver.solve(m.sparse())
+        dict, or None if m is outside the span: the integer entries of m
+        solved in the solver, rescaled by each operator's denominator."""
+        return matrix_coordinates(self.solver, self.op_basis, m)
 
 
 def _lie_closure_matrices(generators: list[Matrix]) -> tuple[list[Matrix], list[int], SparseRREF]:
     """A basis of the Lie algebra the generators generate, each element's
     index in the queue (below len(generators) for a generator, left out when
     zero or a combination of those before it), and a tagged eliminator
-    holding its i-th element under tag i."""
+    holding its i-th element under tag i as its integer entries.  The queue
+    holds the integer commutators of each kept element with those before."""
     basis: list[Matrix] = []
     sources: list[int] = []
     solver = SparseRREF(tagged=True)
     queue = list(generators)
     for q, m in enumerate(queue):  # the queue grows while it is walked
-        if solver.add_row(m.sparse(), tag=len(basis)):
+        if solver.add_row(m.integer_entries(), tag=len(basis)):
             basis.append(m)
             sources.append(q)
             queue.extend(commutator(other, m) for other in basis)
@@ -261,13 +278,14 @@ class LieAction:
 def envelope(alg: StructureAlgebra, closure_matrices: list[Matrix]) -> Envelope:
     """Multiplicative closure of {identity} u closure basis, breadth-first.
 
-    Each product op_basis[i] * g is expanded once, and joins the basis when
+    Each product op_basis[i] * g, built in integer form, is expanded once
+    (Envelope.expand, on its integer entries), and joins the basis when
     outside the span.  The coordinates kept in right prove the span closed
     under products, since every operator is a word in the closure matrices.
     """
     ident = Matrix.identity(alg.dim)
     solver = SparseRREF(tagged=True)
-    solver.add_row(ident.sparse(), tag=0)
+    solver.add_row(ident.integer_entries(), tag=0)
     op_basis, words, right = [ident], [()], [[] for _ in closure_matrices]
     env = Envelope(op_basis, words, right, solver)
     for bi, op in enumerate(op_basis):  # op_basis grows while it is walked
@@ -276,7 +294,7 @@ def envelope(alg: StructureAlgebra, closure_matrices: list[Matrix]) -> Envelope:
             coords = env.expand(m)
             if coords is None:
                 coords = {len(op_basis): ONE}
-                solver.add_row(m.sparse(), tag=len(op_basis))
+                solver.add_row(m.integer_entries(), tag=len(op_basis))
                 op_basis.append(m)
                 words.append(words[bi] + (gi,))
             right[gi].append(coords)
@@ -310,7 +328,7 @@ def lie_closure(alg: StructureAlgebra, generators: list[Derivation]) -> LieActio
     for a in closure_mats:
         row = []
         for b in closure_mats:
-            combo = solver.solve(commutator(a, b).sparse())
+            combo = matrix_coordinates(solver, closure_mats, commutator(a, b))
             if combo is None:
                 raise InternalVerificationFailed("closure not bracket-closed")
             row.append([combo.get(i, ZERO) for i in range(k)])

@@ -138,7 +138,9 @@ def lemma_bridge_check(
 
 
 def is_solvable(act: LieAction) -> bool:
-    """Derived series of the Lie closure reaches zero."""
+    """Derived series of the Lie closure reaches zero.  Each term's
+    commutators, built in integer form, go to its eliminator as their
+    integer entries."""
     current = [d.matrix for d in act.closure_basis]  # a basis, and so is each nxt
     for _ in range(len(current) + 1):
         if not current:
@@ -147,7 +149,7 @@ def is_solvable(act: LieAction) -> bool:
         brackets = (
             commutator(a, b) for ia, a in enumerate(current) for b in current[ia + 1 :]
         )
-        nxt = [m for m in brackets if derived.add_row(m.sparse())]
+        nxt = [m for m in brackets if derived.add_row(m.integer_entries())]
         if len(nxt) >= len(current):
             return False
         current = nxt

@@ -42,19 +42,35 @@ def frac(x) -> Fraction:
 class Matrix:
     """Dense row-major matrix of exact rationals.
 
-    A Matrix is not mutated after it is built: its integer form is computed
-    on first use and kept.
+    A Matrix is not mutated after it is built.  It is built from its
+    entries, or (from_integer) from integer rows over one denominator, as
+    products, sums, differences and commutators are; each form is computed
+    from the other on first use and kept.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_integer_form")
+    __slots__ = ("rows", "cols", "_entries", "_integer_form")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence]):
         self.rows = rows
         self.cols = cols
-        self.entries = [[frac(x) for x in row] for row in entries]
-        if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
+        self._entries = [[frac(x) for x in row] for row in entries]
+        if len(self._entries) != rows or any(len(r) != cols for r in self._entries):
             raise ValueError("entry shape does not match rows x cols")
         self._integer_form = None
+
+    @classmethod
+    def from_integer(cls, rows: int, cols: int, den: int, accs: Sequence[Sequence[int]]) -> "Matrix":
+        """The matrix accs / den, for rows x cols dense int rows accs and a
+        positive den.  Its integer_form divides den and the ints by their
+        gcd, so that d is the lcm of the entries' denominators; the
+        Fraction entries are built on first use."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._entries = rows, cols, None
+        g = gcd(den, *(x for acc in accs for x in acc if x)) if den != 1 else 1
+        m._integer_form = den // g, [
+            [(j, x // g) for j, x in enumerate(acc) if x] for acc in accs
+        ]
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -71,39 +87,54 @@ class Matrix:
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
 
+    @property
+    def entries(self) -> list:
+        """The entries as Fractions, row by row."""
+        if self._entries is None:
+            d, rows = self._integer_form
+            entries = [[ZERO] * self.cols for _ in range(self.rows)]
+            for out, row in zip(entries, rows):
+                for j, x in row:
+                    out[j] = Fraction(x, d)
+            self._entries = entries
+        return self._entries
+
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.integer_form == other.integer_form
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.entries)))
+        d, rows = self.integer_form
+        return hash((self.rows, self.cols, d, tuple(tuple(r) for r in rows)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
 
+    def _combined(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, on the integer forms over their lcm."""
+        d_a, left = self.integer_form
+        d_b, right = other.integer_form
+        d = lcm(d_a, d_b)
+        s_a, s_b = d // d_a, sign * (d // d_b)
+        accs = []
+        for ra, rb in zip(left, right):
+            acc = [0] * self.cols
+            for j, x in ra:
+                acc[j] = s_a * x
+            for j, x in rb:
+                acc[j] += s_b * x
+            accs.append(acc)
+        return Matrix.from_integer(self.rows, self.cols, d, accs)
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            self.rows,
-            self.cols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self._combined(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            self.rows,
-            self.cols,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self._combined(other, -1)
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
@@ -114,31 +145,29 @@ class Matrix:
         """(d, rows): d is the lcm of the entries' denominators and rows[i] =
         [(j, d * entry), ...] over the nonzero entries of row i, as ints."""
         if self._integer_form is None:
-            d = common_denominator(x for row in self.entries for x in row)
+            d = common_denominator(x for row in self._entries for x in row)
             self._integer_form = d, [
                 [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
-                for row in self.entries
+                for row in self._entries
             ]
         return self._integer_form
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        """The product on the integer forms, each output entry divided once."""
+        """The product on the integer forms, built in integer form."""
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
         d_left, left = self.integer_form
         den = d_left * other.integer_form[0]
-        out = [divided(other.integer_apply(row), den) for row in left]
-        return Matrix(self.rows, other.cols, out)
+        return Matrix.from_integer(
+            self.rows, other.cols, den, [other.integer_apply(row) for row in left]
+        )
 
-    def sparse(self) -> dict:
-        """Nonzero entries keyed by their row-major position."""
+    def integer_entries(self) -> dict:
+        """d * the nonzero entries, as ints keyed by their row-major
+        position, d being the denominator of integer_form: the row an
+        eliminator holds the matrix as."""
         cols = self.cols
-        return {
-            i * cols + j: x
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-            if x
-        }
+        return {i * cols + j: x for i, row in enumerate(self.integer_form[1]) for j, x in row}
 
     def integer_apply(self, row: Iterable[tuple]) -> list:
         """d * (row * M) as a dense int list, for an int row given as its
@@ -618,6 +647,22 @@ class SparseRREF:
         if self.prime is not None:
             raise ValueError("reduced_basis needs an exact SparseRREF")
         return [(lead, self._pivots[lead][0]) for lead in sorted(self._pivots)]
+
+
+def matrix_coordinates(solver: SparseRREF, basis: Sequence[Matrix], m: Matrix) -> dict | None:
+    """Coordinates of m in basis as a sparse {index: coefficient} dict, or
+    None outside its span, from a tagged solver holding each basis[i] as its
+    integer entries under tag i.  The solver stores d_i * basis[i] and
+    solves d * m, so basis[i]'s coordinate is c_i * d_i / d."""
+    combo = solver.solve(m.integer_entries())
+    if combo is None:
+        return None
+    d = m.integer_form[0]
+    for i, c in combo.items():
+        d_i = basis[i].integer_form[0]
+        if d_i != d:
+            combo[i] = Fraction(c.numerator * d_i, c.denominator * d)
+    return combo
 
 
 def span_coordinates(vectors: Sequence[Sequence]):

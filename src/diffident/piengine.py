@@ -978,10 +978,13 @@ def consequences_space(
     so the span is sum_sigma sigma(V): V's basis closed breadth first under
     s_1 = (1 2) and the n-cycle v -> v + 1, which generate S_n.
     A letter g derives by its right action (op_e -> op_e * g, right[g]) and
-    decorates x_j by its left action (op_e -> g * op_e).  Letters suffice:
-    decorations compose as dec_j(Y) o dec_j(X) = dec_j(Y * X), and op_u is
-    the product of the letters of word_reps[u], so a space closed under the
-    letter decorations is closed under every x_j -> x_j^u.
+    decorates x_j by its left action (op_e -> g * op_e).  The letters of the
+    generators of L suffice: the derivation action is a Lie map, so a space
+    closed under the generators' derivations is closed under their brackets;
+    decorations compose as dec_j(Y) o dec_j(X) = dec_j(Y * X) and are linear
+    in Y, and every op_u is a combination of products of generator letters,
+    so a space closed under their decorations is closed under every
+    x_j -> x_j^u.
     It runs on ints: each side's images for one letter share one
     denominator, cleared once, and every instance, derived and decorated
     row is kept primitive, a positive multiple of its rational counterpart,
@@ -1011,10 +1014,13 @@ def consequences_space(
         return [[(k, int(x * d)) for k, x in image.items()] for image in images]
 
     env = act.envelope
-    # each letter's right (op_e * g) and left (g * op_e) action, on ints
+    # each generator letter's right (op_e * g) and left (g * op_e) action, on
+    # ints; a commutator's name is never a generator's
+    names = {d.name for d in act.generators}
     sides = [
         (on_ints(env.right[g]), on_ints([collapse_word(act, (g,) + w) for w in env.word_reps]))
-        for g in range(act.closure_dim)
+        for g, d in enumerate(act.closure_basis)
+        if d.name in names
     ]
     while queue:
         terms = queue.pop()

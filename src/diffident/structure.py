@@ -12,7 +12,7 @@ from fractions import Fraction
 from .algebra import LieAction, StructureAlgebra, subspace_under_action
 from .errors import InternalVerificationFailed, NonSplitCenter
 from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, common_denominator, frac
-from .linalg import left_kernel, span_coordinates
+from .linalg import left_kernel, matrix_coordinates, span_coordinates
 
 
 def radical(alg: StructureAlgebra) -> Subspace:
@@ -89,15 +89,16 @@ def quotient_by_ideal(alg: StructureAlgebra, ideal: Subspace) -> QuotientAlgebra
 
 def _min_poly(m: Matrix) -> list[Fraction]:
     """Monic minimal polynomial of m, coefficients constant term first."""
-    power = Matrix.identity(m.rows)
+    basis = [Matrix.identity(m.rows)]
     powers = SparseRREF(tagged=True)  # m^i under tag i
-    powers.add_row(power.sparse(), tag=0)
+    powers.add_row(basis[0].integer_entries(), tag=0)
     while True:
-        power = power * m
-        coords = powers.solve(power.sparse())
+        power = basis[-1] * m
+        coords = matrix_coordinates(powers, basis, power)
         if coords is not None:
             return [-coords.get(i, ZERO) for i in range(powers.rank)] + [ONE]
-        powers.add_row(power.sparse(), tag=powers.rank)
+        powers.add_row(power.integer_entries(), tag=powers.rank)
+        basis.append(power)
 
 
 def _horner(p: list[int], x: int) -> int:

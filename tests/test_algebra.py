@@ -22,7 +22,7 @@ from diffident.algebra import (
 )
 from diffident.acceptance import battery_fixtures
 from diffident.errors import NotADerivation, NotAssociative, NotAUnit
-from diffident.linalg import Matrix, Subspace
+from diffident.linalg import Matrix, SparseRREF, Subspace
 from test_basis_change import _in_basis, _invertible
 
 
@@ -205,6 +205,81 @@ def test_battery_bracket_constants_reconstruct_commutators():
         for a, row in zip(mats, act.bracket_constants):
             for b, coeffs in zip(mats, row):
                 assert _combination(mats, coeffs, alg.dim) == a * b - b * a, label
+
+
+def _dense_product(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _dense_bracket(a, b):
+    ab, ba = _dense_product(a, b), _dense_product(b, a)
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+
+
+def _fraction_rows(m):
+    return {i * len(row) + j: x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+
+
+def _fraction_lie_closure(generators, dim):
+    """The Lie closure, its names, bracket constants and envelope computed
+    on Fraction entries: products and brackets as triple loops, every row
+    fed to the eliminators as Fractions and every solve read as is."""
+    mats, sources, solver = [], [], SparseRREF(tagged=True)
+    queue = [d.matrix.entries for d in generators]
+    for q, m in enumerate(queue):
+        if solver.add_row(_fraction_rows(m), tag=len(mats)):
+            mats.append(m)
+            sources.append(q)
+            queue.extend(_dense_bracket(other, m) for other in mats)
+    taken, names = {d.name for d in generators}, []
+    for i, q in enumerate(sources):
+        if q < len(generators):
+            names.append(generators[q].name)
+            continue
+        j = i
+        while f"d{j}" in taken:
+            j += 1
+        names.append(f"d{j}")
+        taken.add(f"d{j}")
+    k = len(mats)
+    brackets = [
+        [
+            [solver.solve(_fraction_rows(_dense_bracket(a, b))).get(i, 0) for i in range(k)]
+            for b in mats
+        ]
+        for a in mats
+    ]
+    ident = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    env_solver = SparseRREF(tagged=True)
+    env_solver.add_row(_fraction_rows(ident), tag=0)
+    ops, words, right = [ident], [()], [[] for _ in mats]
+    for bi, op in enumerate(ops):
+        for gi, g in enumerate(mats):
+            m = _dense_product(op, g)
+            coords = env_solver.solve(_fraction_rows(m))
+            if coords is None:
+                coords = {len(ops): 1}
+                env_solver.add_row(_fraction_rows(m), tag=len(ops))
+                ops.append(m)
+                words.append(words[bi] + (gi,))
+            right[gi].append(coords)
+    return mats, names, brackets, ops, words, right
+
+
+@pytest.mark.parametrize("index", range(25))
+def test_battery_lie_closure_matches_the_fraction_oracle(index):
+    label, alg, act = battery_fixtures()[index]
+    mats, names, brackets, ops, words, right = _fraction_lie_closure(act.generators, alg.dim)
+    assert [d.matrix.entries for d in act.closure_basis] == mats, label
+    assert [d.name for d in act.closure_basis] == names, label
+    assert act.bracket_constants == brackets, label
+    env = act.envelope
+    assert [op.entries for op in env.op_basis] == ops, label
+    assert env.word_reps == words, label
+    assert env.right == right, label
 
 
 def test_battery_expand_rejects_matrix_outside_envelope():

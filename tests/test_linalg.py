@@ -8,6 +8,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from diffident.algebra import commutator
 from diffident.errors import AmbientMismatch
 from diffident.linalg import (
     Matrix,
@@ -285,6 +286,67 @@ class TestIntegerForm:
                     j: x for j, x in enumerate(row) if x
                 }
             assert m.integer_form is m.integer_form
+
+
+@st.composite
+def square_pairs(draw):
+    """Two square matrices of one size up to 4, with zero rows and entries
+    whose denominators cancel: each row of the second is a drawn multiple
+    of a row of the first or a fresh row."""
+    n = draw(st.integers(0, 4))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-6, 6, max_denominator=12))
+    row = st.lists(entry, min_size=n, max_size=n)
+    a = [draw(st.one_of(row, st.just([Fraction(0)] * n))) for _ in range(n)]
+    scale = st.sampled_from([Fraction(0), Fraction(6), Fraction(-3, 2), Fraction(4, 9)])
+    b = [
+        draw(st.one_of(row, st.builds(lambda c, r: [c * x for x in r], scale, st.sampled_from(a))))
+        for _ in range(n)
+    ]
+    return a, b
+
+
+def _fraction_product(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b))]
+        for i in range(len(a))
+    ]
+
+
+class TestIntegerFormArithmetic:
+    @seed(30)
+    @settings(max_examples=80, deadline=None)
+    @given(square_pairs())
+    def test_entries_and_forms_match_a_fraction_computation(self, pair):
+        a, b = pair
+        n = len(a)
+        left, right = Matrix(n, n, a), Matrix(n, n, b)
+        ab, ba = _fraction_product(a, b), _fraction_product(b, a)
+        expected = {
+            "*": ab,
+            "+": [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)],
+            "-": [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)],
+            "commutator": [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)],
+        }
+        got = {
+            "*": left * right,
+            "+": left + right,
+            "-": left - right,
+            "commutator": commutator(left, right),
+        }
+        for op, m in got.items():
+            assert (m.rows, m.cols) == (n, n), op
+            assert m.entries == expected[op], op
+            assert all(type(x) is Fraction for row in m.entries for x in row), op
+            # the form recomputed from the entries: the same d and rows
+            recomputed = Matrix(n, n, expected[op])
+            assert m.integer_form == recomputed.integer_form, op
+            assert hash(m) == hash(recomputed), op
+
+    def test_cancelling_denominators_leave_the_least_d(self):
+        half = Matrix(2, 2, [[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
+        total = half + half
+        assert total.integer_form == (1, [[(0, 1)], [(1, 3)]])
+        assert (half - half).integer_form == (1, [[], []])
 
 
 @pytest.mark.parametrize(

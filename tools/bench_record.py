@@ -1,6 +1,6 @@
 """Record the benchmark of one checkout in BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr N [--checkout DIR]
+    python3 tools/bench_record.py --pr N [--checkout DIR] [--before DIR]
 
 Runs ``bench/run.py`` of the checkout (default: this repository) on every
 workload in its BENCHMARK.json with seed 0 and the benchmark's own run
@@ -11,7 +11,8 @@ file for n = 1..CODIM_MAX_N (12) in exact and in modular mode,
 ``identity_space`` on it at n = 4, 5 and 6, ``consequences_space`` of
 battery criterion 9's three identities on it at n = 4, 5, 6 and 7,
 ``lie_closure`` of the block-triangular UT(2,2) under the seeded inner pairs
-0 and 1 and the input checks on the same inputs, ``evaluate_poly`` on the
+0 and 1 and the input checks on the same inputs, ``lie_closure`` on the
+generators of every battery fixture, ``evaluate_poly`` on the
 spanning sets of battery criterion 8, ``containment_check`` over the
 ordered pairs of the one-generator UT2 actions at n = 1..4 and
 ``classify_growth`` on battery criterion 11's five UT2 actions, ``codim`` of
@@ -34,6 +35,9 @@ whether the dimension is the monomial count minus ``codim``, which proves
 the same, since the closure lies in the kernel) and ``ru_maxrss``, or the
 error it ended with (a ``MemoryError`` under the cap among them), under
 ``ut22_lie_closure`` per seed the seconds and the envelope dimension, under
+``actions`` the least over ACTIONS_RUNS runs of the ``lie_closure`` seconds
+summed over the 25 battery fixtures and the sha256 of the reprs of their
+closures, bracket constants and envelopes, under
 ``validate`` per seed the seconds of
 ``StructureAlgebra(constants, unit_vector=...)`` with its
 associativity and unit checks (``algebra_seconds``), the seconds of
@@ -53,7 +57,9 @@ seconds and its ten slowest test phases with their seconds (from pytest's
 ``--durations=10`` report), and under ``src_lines`` the line
 count of the checkout's ``src/diffident/*.py``. Two files made on the same
 machine can be compared workload by workload and layer by layer, and any
-two files by the size of the engine.
+two files by the size of the engine.  With ``--before``, each BEFORE_KEYS
+script also runs on the earlier tree right after it runs on the checkout,
+and the results go under ``before`` with that tree's commit.
 """
 
 from __future__ import annotations
@@ -76,6 +82,8 @@ CODIM_MAX_N = 12
 IDENTITY_SPACE_N = (4, 5, 6)
 CONSEQUENCES_N = (4, 5, 6, 7)
 SCRIPT_ADDRESS_SPACE = 2 * 2**30  # bytes: the RLIMIT_AS of each run_script interpreter
+# the scripts that --before also runs on an earlier tree, each right after ours
+BEFORE_KEYS = ("ut22_lie_closure", "actions")
 
 # identity_space on the shipped ut2-eps file at degree argv[1], as one JSON line
 _IDENTITY_SPACE = """
@@ -146,6 +154,32 @@ start = time.perf_counter()
 act = lie_closure(alg, gens)
 print(json.dumps({"seconds": time.perf_counter() - start, "envelope_dim": act.envelope.dim}))
 """
+
+# lie_closure on the generators of every battery fixture, argv[1] times: the
+# least over the runs of the seconds summed over the fixtures, and the sha256
+# of the reprs of every closure (names and matrices), its bracket constants
+# and its envelope (op_basis, word_reps, right); one JSON line
+_ACTIONS = """
+import hashlib, json, sys, time
+from diffident.acceptance import battery_fixtures
+from diffident.algebra import lie_closure
+
+sums = []
+for _ in range(int(sys.argv[1])):
+    seconds, closures = 0.0, []
+    for _label, alg, act in battery_fixtures():
+        start = time.perf_counter()
+        closures.append(lie_closure(alg, act.generators))
+        seconds += time.perf_counter() - start
+    sums.append(seconds)
+values = [([(d.name, d.matrix.entries) for d in a.closure_basis], a.bracket_constants,
+           [op.entries for op in a.envelope.op_basis], a.envelope.word_reps, a.envelope.right)
+          for a in closures]
+digest = hashlib.sha256("\\n".join(map(repr, values)).encode()).hexdigest()
+print(json.dumps({"seconds": min(sums), "runs": len(sums), "fixtures": len(values),
+                  "digest": digest}))
+"""
+ACTIONS_RUNS = (5,)
 
 # the input checks on those inputs: StructureAlgebra with its associativity
 # and unit checks on, then leibniz_failure of both derivations; one JSON line
@@ -367,6 +401,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
     p.add_argument("--checkout", type=Path, default=REPO, help="tree whose bench/run.py is run")
+    p.add_argument(
+        "--before", type=Path, help="earlier tree whose BEFORE_KEYS scripts run after each of ours"
+    )
     args = p.parse_args(argv)
 
     checkout = args.checkout.resolve()
@@ -384,6 +421,9 @@ def main(argv=None) -> int:
         "src_lines": count_src_lines(checkout),
         "workloads": {},
     }
+    if args.before:
+        before = args.before.resolve()
+        record["before"] = {"commit": _git(before, "rev-parse", "HEAD") or "unknown"}
     for w in spec["workloads"]:
         name = w["name"]
         record["workloads"][name] = {}
@@ -406,6 +446,7 @@ def main(argv=None) -> int:
         ("identity_space", _IDENTITY_SPACE, IDENTITY_SPACE_N, "ut2-eps n ="),
         ("consequences", _CONSEQUENCES, CONSEQUENCES_N, "ut2-eps n ="),
         ("ut22_lie_closure", _UT22_LIE_CLOSURE, UT22_SEEDS, "UT(2,2) seed"),
+        ("actions", _ACTIONS, ACTIONS_RUNS, "battery lie_closure runs"),
         ("validate", _VALIDATE, UT22_SEEDS, "UT(2,2) seed"),
         ("evaluate", _EVALUATE, EVALUATE_TOP, "spanning sets n = 2.."),
         ("containment", _CONTAINMENT, CONTAINMENT_TOP, "ut2 one-generator pairs n = 1.."),
@@ -419,6 +460,8 @@ def main(argv=None) -> int:
                 f"{k} {v:.3f}" for k, v in result.items() if k.endswith("seconds")
             )
             print(f"  {summary}", file=sys.stderr, flush=True)
+            if args.before and key in BEFORE_KEYS:
+                record["before"].setdefault(key, {})[n] = run_script(before, script, n)
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     record["tier1"] = run_tier1(checkout)
     tier1 = record["tier1"]
@@ -440,7 +483,8 @@ def main(argv=None) -> int:
     failed += [
         (key, n)
         for key in (
-            "identity_space", "ut22_lie_closure", "evaluate", "containment", "mat2_trivial_codim"
+            "identity_space", "ut22_lie_closure", "actions", "evaluate", "containment",
+            "mat2_trivial_codim",
         )
         for n, r in record[key].items() if "error" in r
     ]
