@@ -262,6 +262,9 @@ class LieAction:
     algebra: StructureAlgebra
     generators: list[Derivation]
     closure_basis: list[Derivation]
+    # closure indices of the generators kept in the closure basis: under
+    # brackets they give the closure, and their letters generate the envelope
+    generator_letters: list[int]
     bracket_constants: list[list[list[Fraction]]]
     envelope: Envelope
     # word -> result caches of piengine.pbw_normalize_word, collapse_word and
@@ -337,6 +340,7 @@ def lie_closure(alg: StructureAlgebra, generators: list[Derivation]) -> LieActio
         algebra=alg,
         generators=generators,
         closure_basis=closure,
+        generator_letters=[i for i, q in enumerate(sources) if q < len(generators)],
         bracket_constants=brackets,
         envelope=env,
     )

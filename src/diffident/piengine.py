@@ -1015,12 +1015,10 @@ def consequences_space(
 
     env = act.envelope
     # each generator letter's right (op_e * g) and left (g * op_e) action, on
-    # ints; a commutator's name is never a generator's
-    names = {d.name for d in act.generators}
+    # ints
     sides = [
         (on_ints(env.right[g]), on_ints([collapse_word(act, (g,) + w) for w in env.word_reps]))
-        for g, d in enumerate(act.closure_basis)
-        if d.name in names
+        for g in act.generator_letters
     ]
     while queue:
         terms = queue.pop()

@@ -631,30 +631,21 @@ class TestConsequences:
 def test_closure_on_battery_fixtures_equals_the_every_order_closure(data):
     # the fixtures with at most 750 degree-3 columns; the random inner ones
     # with larger envelopes close to nearly full rank over 2,058-41,154
-    # dense columns, which takes from 14 s to minutes
+    # dense columns, which takes from 14 s to minutes.  consequences_space
+    # acts with the letters of L's generators only, the oracle with every
+    # closure letter: on random inner seeds 2 and 6 the closure has three
+    # letters and L two generators, so half the draws take those, and a part
+    # of the degree-2 kernel, which need not be closed under L, is drawn
     small = [f for f in battery_fixtures() if len(pe.Monomials(3, f[2].envelope.dim)) <= 750]
-    label, alg, act = data.draw(st.sampled_from(small), label="fixture")
-    gens = _kernel_generators(alg, act, 2)
-    assert pe.consequences_space(gens, 3, act) == _every_order_closure(gens, 3, act), label
-
-
-@seed(30)
-@settings(max_examples=12, deadline=None)
-@given(data=st.data())
-def test_closure_under_generator_letters_equals_the_all_letter_closure(data):
-    # consequences_space acts with the letters of L's generators only; the
-    # oracle acts with every closure letter.  On random inner seeds 2 and 6
-    # the closure has three letters and L two generators, so half the draws
-    # take those; a drawn part of the degree-2 kernel is not closed under L.
-    small = [f for f in battery_fixtures() if len(pe.Monomials(3, f[2].envelope.dim)) <= 750]
-    fewer = [f for f in small if f[2].closure_dim > len(f[2].generators)]
+    fewer = [f for f in small if f[2].closure_dim > len(f[2].generator_letters)]
     assert len(fewer) == 2
     label, alg, act = data.draw(
         st.one_of(st.sampled_from(fewer), st.sampled_from(small)), label="fixture"
     )
-    kernel = _kernel_generators(alg, act, 2)
-    picks = data.draw(st.sets(st.integers(0, max(len(kernel) - 1, 0)), min_size=1, max_size=2))
-    gens = [kernel[i] for i in sorted(picks) if i < len(kernel)]
+    gens = _kernel_generators(alg, act, 2)
+    if gens:
+        picks = data.draw(st.sets(st.sampled_from(range(len(gens))), max_size=2), label="part")
+        gens = [gens[i] for i in sorted(picks)] or gens
     assert pe.consequences_space(gens, 3, act) == _every_order_closure(gens, 3, act), label
 
 

@@ -1,6 +1,6 @@
 """Record the benchmark of one checkout in BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr N [--checkout DIR] [--before DIR]
+    python3 tools/bench_record.py --pr N [--checkout DIR]
 
 Runs ``bench/run.py`` of the checkout (default: this repository) on every
 workload in its BENCHMARK.json with seed 0 and the benchmark's own run
@@ -57,9 +57,7 @@ seconds and its ten slowest test phases with their seconds (from pytest's
 ``--durations=10`` report), and under ``src_lines`` the line
 count of the checkout's ``src/diffident/*.py``. Two files made on the same
 machine can be compared workload by workload and layer by layer, and any
-two files by the size of the engine.  With ``--before``, each BEFORE_KEYS
-script also runs on the earlier tree right after it runs on the checkout,
-and the results go under ``before`` with that tree's commit.
+two files by the size of the engine.
 """
 
 from __future__ import annotations
@@ -82,8 +80,6 @@ CODIM_MAX_N = 12
 IDENTITY_SPACE_N = (4, 5, 6)
 CONSEQUENCES_N = (4, 5, 6, 7)
 SCRIPT_ADDRESS_SPACE = 2 * 2**30  # bytes: the RLIMIT_AS of each run_script interpreter
-# the scripts that --before also runs on an earlier tree, each right after ours
-BEFORE_KEYS = ("ut22_lie_closure", "actions")
 
 # identity_space on the shipped ut2-eps file at degree argv[1], as one JSON line
 _IDENTITY_SPACE = """
@@ -401,9 +397,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
     p.add_argument("--checkout", type=Path, default=REPO, help="tree whose bench/run.py is run")
-    p.add_argument(
-        "--before", type=Path, help="earlier tree whose BEFORE_KEYS scripts run after each of ours"
-    )
     args = p.parse_args(argv)
 
     checkout = args.checkout.resolve()
@@ -421,9 +414,6 @@ def main(argv=None) -> int:
         "src_lines": count_src_lines(checkout),
         "workloads": {},
     }
-    if args.before:
-        before = args.before.resolve()
-        record["before"] = {"commit": _git(before, "rev-parse", "HEAD") or "unknown"}
     for w in spec["workloads"]:
         name = w["name"]
         record["workloads"][name] = {}
@@ -460,8 +450,6 @@ def main(argv=None) -> int:
                 f"{k} {v:.3f}" for k, v in result.items() if k.endswith("seconds")
             )
             print(f"  {summary}", file=sys.stderr, flush=True)
-            if args.before and key in BEFORE_KEYS:
-                record["before"].setdefault(key, {})[n] = run_script(before, script, n)
     print("tier-1 tests ...", file=sys.stderr, flush=True)
     record["tier1"] = run_tier1(checkout)
     tier1 = record["tier1"]
