@@ -267,11 +267,13 @@ class LieAction:
     generator_letters: list[int]
     bracket_constants: list[list[list[Fraction]]]
     envelope: Envelope
-    # word -> result caches of piengine.pbw_normalize_word, collapse_word and
-    # word_matrix
+    # word -> result caches of piengine.pbw_normalize_word and collapse_word
     _pbw_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _collapse_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _word_matrix_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # id(f) -> (f, scale, table), the value table piengine.evaluate_poly
+    # builds for each polynomial f it evaluates; holding f keeps the id from
+    # being reused while the entry lives
+    _value_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def closure_dim(self) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Derivation, LieAction, StructureAlgebra, leibniz_failure
-from .errors import NotADerivation, NotMultilinear, ParseError
+from .errors import NotADerivation, NotMultilinear, ParseError, WordCapExceeded
 from .linalg import Matrix, ZERO, frac
 from .piengine import (
     DEFAULT_MAX_ENTRIES,
@@ -249,8 +249,9 @@ class _PolyParser:
     (None, None, len(source)), so errors there read "found end of input".
 
     Every polynomial built on the way (a sum, a product, a commutator step,
-    a derivative) is charged as is_identity charges it, by
-    charge_evaluation at the offset of the term or factor being built."""
+    a derivative) is built by charged: a refusal to build it names the
+    offset of the term or factor being built, and it is charged as
+    is_identity charges it, by charge_evaluation at that offset."""
 
     def __init__(self, tokens, end: int, act: LieAction, max_entries: int):
         self.tokens = tokens
@@ -265,8 +266,15 @@ class _PolyParser:
         own = {d.name: d.matrix for d in reversed(act.closure_basis)}
         self.dropped = {g.name for g in act.generators if own.get(g.name) != g.matrix}
 
-    def charged(self, poly: LPolynomial, pos: int) -> LPolynomial:
-        charge_evaluation(poly, self.act.algebra.dim, self.max_entries, f" (at offset {pos})")
+    def charged(self, build, pos: int) -> LPolynomial:
+        """build(), its NotMultilinear or WordCapExceeded naming offset pos,
+        charged at that offset."""
+        where = f" (at offset {pos})"
+        try:
+            poly = build()
+        except (NotMultilinear, WordCapExceeded) as exc:
+            raise type(exc)(f"{exc}{where}") from None
+        charge_evaluation(poly, self.act.algebra.dim, self.max_entries, where)
         return poly
 
     def peek(self):
@@ -301,12 +309,8 @@ class _PolyParser:
             if text not in ("+", "-"):
                 return poly
             self.take()
-            nxt = self.term()
-            try:
-                poly = poly + (nxt if text == "+" else nxt.scale(-1))
-            except NotMultilinear as exc:
-                raise NotMultilinear(f"{exc} (at offset {pos})") from None
-            poly = self.charged(poly, pos)
+            nxt = self.term() if text == "+" else self.term().scale(-1)
+            poly = self.charged(lambda: poly + nxt, pos)
 
     def term(self) -> LPolynomial:
         coeff = Fraction(1)
@@ -322,7 +326,7 @@ class _PolyParser:
             kind, text, at = self.peek()
             if kind == "var" or text == "[":
                 f = self.factor()
-                poly = f if poly is None else self.charged(poly * f, at)
+                poly = f if poly is None else self.charged(lambda: poly * f, at)
             elif text == "*":
                 self.take()
             else:
@@ -355,7 +359,7 @@ class _PolyParser:
                 raise ParseError("commutators need at least two arguments", f"offset {pos}")
             base = args[0]
             for arg in args[1:]:
-                base = self.charged(commutator_poly(base, arg), pos)
+                base = self.charged(lambda: commutator_poly(base, arg), pos)
         else:
             raise ParseError(
                 f"expected a variable or '[', found {_shown(text)}", f"offset {pos}"
@@ -373,7 +377,8 @@ class _PolyParser:
                     raise ParseError(f"derivation {t!r} {why}", f"offset {p}")
                 if t not in self.letters:
                     raise ParseError(f"unknown derivation {t!r}", f"offset {p}")
-                base = self.charged(derive_polynomial(base, self.letters[t], self.act), pos)
+                letter = self.letters[t]
+                base = self.charged(lambda: derive_polynomial(base, letter, self.act), pos)
                 kind, t, p = self.take()
                 if t == "]":
                     break

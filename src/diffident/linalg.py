@@ -190,12 +190,17 @@ class Matrix:
 def integer_vector(vec: Sequence) -> tuple[int, dict]:
     """(d, {b: d * vec[b]}): a vector of Fractions or ints scaled by the lcm
     of its denominators, nonzero entries only.  One pass takes the entries
-    and the lcm of the denominators other than 1; only when that lcm is not
-    1 are the entries rescaled."""
+    and the lcm of the denominators other than 1, the ZERO and ONE
+    singletons by identity; only when that lcm is not 1 are the entries
+    rescaled."""
     d = 1
     out = {}
     for b, x in enumerate(vec):
-        if x:
+        if x is ZERO:
+            continue
+        if x is ONE:
+            out[b] = 1
+        elif x:
             if x.denominator == 1:
                 out[b] = x.numerator
             else:

@@ -13,28 +13,27 @@ index of its row of the evaluation matrix and of its column in kernels,
 closures and certificates, and reads positions back, without a table.
 
 Evaluation runs on integers.  EvaluationRows gives the rows of codim,
-identity_space and containment_check, and is_identity sums its rows over a
-polynomial's collapsed terms.  A row's columns carry one int label each,
-ordered like (basis tuple, output coordinate), so the eliminator compares
-and hashes ints.  Only the exponent tuples whose products are not all zero
-are visited.  Each row is built once, for the variable order (1..n)
-(EvaluationRows.first_order_rows); another order's row is that row with
-its labels renamed (EvaluationRows.renaming).  codim closes the rows of
-(1..n) under renamings that generate S_n, EvaluationRows.rows streams
-every nonzero row with its monomial's position, and combined_rows sums
-them.  codim and containment_check skip rows that repeat an earlier one
-up to scale; containment_check merges the streams of A and B by position
-and stops at the first joint row [A | B] that raises the rank but not A's.
-identity_space feeds every nonzero row, tagged with its position, for its
-kernel vector, and hands each zero row's monomial, a unit kernel vector,
-to the canonicalizing pass.
-evaluate_poly, at an arbitrary rational assignment, goes through the same
-integer product table of the algebra and the integer form of each word's
-operator (word_matrix).  It walks the polynomial's evaluation_plan, built
-once per polynomial: each position's image is taken at most once, a term
-extends the product it shares with the term before it, the terms under a
-zero prefix product are skipped, and each output coordinate is divided
-once per scale.
+identity_space and containment_check, and an explicit polynomial's value
+table is its row summed over its collapsed terms.  A row's columns carry
+one int label each, ordered like (basis tuple, output coordinate), so the
+eliminator compares and hashes ints.  Only the exponent tuples whose
+products are not all zero are visited.  Each row is built once, for the
+variable order (1..n) (EvaluationRows.first_order_rows); another order's
+row is that row with its labels renamed (EvaluationRows.renaming).  codim
+closes the rows of (1..n) under renamings that generate S_n,
+EvaluationRows.rows streams every nonzero row with its monomial's position,
+and combined_rows sums them.  codim and containment_check skip rows that
+repeat an earlier one up to scale; containment_check merges the streams of
+A and B by position and stops at the first joint row [A | B] that raises
+the rank but not A's.  identity_space feeds every nonzero row, tagged with
+its position, for its kernel vector, and hands each zero row's monomial, a
+unit kernel vector, to the canonicalizing pass.
+A multilinear polynomial is fixed by its values on the basis tuples, so
+is_identity and evaluate_poly both read that one value table
+(_value_table), with the polynomial's variables renamed to 1..n in
+increasing order.  is_identity builds it per call; evaluate_poly builds it
+once per polynomial and action, and at a rational assignment sums its
+entries at the basis tuples of the vectors' supports.
 
 consequences_space runs on integers too.  It builds one formal instance of a
 generator per shape, substituted, multiplied out and collapsed on variables
@@ -64,7 +63,7 @@ from .errors import (
     SizeCap,
     WordCapExceeded,
 )
-from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, common_denominator, draw_prime
+from .linalg import Matrix, ONE, ZERO, SparseRREF, Subspace, draw_prime
 from .linalg import frac, integer_vector
 
 Word = tuple  # of closure-basis indices
@@ -109,18 +108,6 @@ def _add(target: dict, key, c) -> None:
 def _accumulate(target: dict, source: dict, factor):
     for k, v in source.items():
         _add(target, k, factor * v)
-
-
-def word_matrix(act: LieAction, word: Word) -> Matrix:
-    """The word's operator (apply its letters left to right), built once per
-    word and shared: callers must not mutate it."""
-    cache = act._word_matrix_cache
-    if word not in cache:
-        m = Matrix.identity(act.algebra.dim)
-        for letter in word:
-            m = m * act.closure_basis[letter].matrix
-        cache[word] = m
-    return cache[word]
 
 
 def collapse_word(act: LieAction, word: Word) -> dict:
@@ -189,32 +176,6 @@ class LPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    @cached_property
-    def evaluation_plan(self) -> tuple:
-        """(positions, D, terms), how evaluate_poly walks f, built on first
-        use and kept; it does not depend on the action.  positions are the
-        distinct (variable, word) pairs of the terms, sorted, so the first
-        and the last hold the least and the greatest variable.  D is the
-        lcm of the coefficients' denominators.  terms holds (shared,
-        indices, D * coefficient) per term, sorted by indices, the term's
-        positions in product order; shared is the length of the prefix of
-        indices that the term shares with the one before it."""
-        positions = sorted({key for vars_, words in self.terms for key in zip(vars_, words)})
-        index = {key: i for i, key in enumerate(positions)}
-        d = common_denominator(self.terms.values())
-        keyed = sorted(
-            (tuple(index[key] for key in zip(vars_, words)), c.numerator * (d // c.denominator))
-            for (vars_, words), c in self.terms.items()
-        )
-        terms, before = [], ()
-        for indices, c in keyed:
-            shared = 0
-            while shared < len(before) and before[shared] == indices[shared]:
-                shared += 1
-            terms.append((shared, indices, c))
-            before = indices
-        return tuple(positions), d, tuple(terms)
 
     def __add__(self, other: "LPolynomial") -> "LPolynomial":
         out = dict(self.terms)
@@ -441,6 +402,7 @@ class EvaluationRows:
         forms = [op.integer_form for op in ops]
         d_a = lcm(*(d for d, _rows in forms))
         d_c, self.products = alg.integer_table
+        self.denominators = d_a, d_c
         self.denominator = d_a * d_c
         self.dim = alg.dim
         self.width = len(ops)
@@ -455,6 +417,12 @@ class EvaluationRows:
         so that a positional basis tuple bt sits at sum(bt[i] * weight[i])."""
         n, dim = len(vars_), self.dim
         return [dim ** (n + 1 - v) for v in vars_]
+
+    def scale(self, n: int) -> int:
+        """D_a^n * D_c^(n-1), the positive integer every degree-n row is its
+        rational row times."""
+        d_a, d_c = self.denominators
+        return d_a**n * d_c ** (n - 1)
 
     def label_tuple(self, label: int, n: int) -> tuple:
         """The basis tuple, indexed by variable, of a degree-n column label."""
@@ -587,11 +555,15 @@ class EvaluationRows:
 
         Each row is the rational one times a positive integer, so it has the
         same nonzero labels, and a set of them the same rank.  Only the
-        exponent tuples the combinations use are built.
+        exponent tuples the combinations use are built.  A variable outside
+        1..n is refused before any table.
         """
+        orders = {vars_ for combo in combos for vars_, _e in combo}
+        if any(v < 1 or v > n for vars_ in orders for v in vars_):
+            raise BadParams(f"a degree-{n} monomial has a variable outside 1..{n}")
         wanted = {exps for combo in combos for _vars, exps in combo}
         first, _charged = self.first_order_rows(n, max_entries, wanted)
-        renamings = {vars_: self.renaming(vars_) for combo in combos for vars_, _e in combo}
+        renamings = {vars_: self.renaming(vars_) for vars_ in orders}
         out = []
         for combo in combos:
             scale = lcm(*(c.denominator for c in combo.values()))
@@ -786,66 +758,70 @@ def identity_space(
 # identities of explicit polynomials
 
 
+def _value_table(f: LPolynomial, act: LieAction, max_entries: int) -> tuple[int, dict]:
+    """(scale, {t: [(k, x), ...]}): f's nonzero values on the basis tuples
+    t, indexed by f's variables in increasing order, coordinate k of the
+    value at t being x / scale.  They are read off f's EvaluationRows row,
+    summed over its collapsed terms with its variables renamed to 1..n in
+    increasing order.  charge_evaluation comes before any row, and the
+    positional table behind the row counts against max_entries as in
+    codim."""
+    charge_evaluation(f, act.algebra.dim, max_entries)
+    terms = collapsed_terms(f, act)
+    if not terms:
+        return 1, {}
+    rank = {v: i for i, v in enumerate(sorted(next(iter(terms))[0]), 1)}
+    d = lcm(*(c.denominator for c in terms.values()))
+    combo = {
+        (tuple(rank[v] for v in vars_), exps): c.numerator * (d // c.denominator)
+        for (vars_, exps), c in terms.items()
+    }
+    rows = EvaluationRows(act.algebra, act.envelope.op_basis)
+    table: dict = {}
+    for label, x in rows.combined_rows(f.degree, [combo], max_entries)[0].items():
+        table.setdefault(rows.label_tuple(label, f.degree), []).append((label % rows.dim, x))
+    return d * rows.scale(f.degree), table
+
+
 def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
     """Value of f at a tuple of coordinate vectors (index i for variable i+1).
 
     Every variable of f needs a vector of length dim, or ValueError is
-    raised before any product.  The arithmetic is on integers and walks
-    f.evaluation_plan: each vector is scaled to integers once, each
-    position's image is taken at most once, through the integer form of
-    word_matrix, and a term extends the prefix product it shares with the
-    term before it through the algebra's integer_table.  When a prefix
-    product is zero, the terms that share that prefix are skipped.  The
-    values are summed as ints per scale, one division per scale and output
-    coordinate.
+    raised before any other work.  f is fixed by its values on the basis
+    tuples, so its value table (_value_table) is built on first use, under
+    the default budget, and kept in act._value_tables; a degree over that
+    budget raises SizeCap.  Each vector is scaled to integers once, and the
+    table's entries at the tuples of their supports are summed as ints,
+    with one Fraction per nonzero output coordinate.  f of degree 0 has the
+    value 0.
     """
-    alg = act.algebra
-    positions, d_f, terms = f.evaluation_plan
-    if positions and (positions[0][0] < 1 or positions[-1][0] > len(assignment)):
+    dim = act.algebra.dim
+    variables = sorted(next(iter(f.terms), ((),))[0])
+    if variables and (variables[0] < 1 or variables[-1] > len(assignment)):
         raise ValueError("the assignment has no vector for some variable")
-    if any(len(vector) != alg.dim for vector in assignment):
-        raise ValueError("assignment vector length does not match the algebra")
-    d_c, table = alg.integer_table
-    scaled: dict = {}  # variable -> (scale, {b: int})
-    images = [None] * len(positions)  # position -> (scale, {k: int})
-    prefix: list = []  # prefix[i] = (scale, product of the first i + 1 images)
-    zero_prefix = inf  # length of a prefix of the last walked term whose product is 0
-    sums: dict = {}  # scale -> {k: int}
-    for shared, indices, c in terms:
-        if shared >= zero_prefix:
-            continue
-        zero_prefix = inf
-        del prefix[shared:]
-        for i in indices[shared:]:
-            image = images[i]
-            if image is None:
-                v, w = positions[i]
-                if v not in scaled:
-                    scaled[v] = integer_vector(assignment[v - 1])
-                image = scaled[v]
-                if w:
-                    m = word_matrix(act, w)
-                    acc = m.integer_apply(image[1].items())
-                    image = image[0] * m.integer_form[0], {k: x for k, x in enumerate(acc) if x}
-                images[i] = image
-            if prefix:
-                d, prod = prefix[-1]
-                image = d * image[0] * d_c, integer_product(table, prod, image[1])
-            prefix.append(image)
-            if not image[1]:
-                zero_prefix = len(prefix)
-                break
-        else:
-            if prefix:
-                d, prod = prefix[-1]
-                acc = sums.setdefault(d, {})
-                for k, x in prod.items():
-                    acc[k] = acc.get(k, 0) + c * x
-    out = [ZERO] * alg.dim
-    for d, acc in sums.items():
-        for k, x in acc.items():
-            if x:
-                out[k] += Fraction(x, d * d_f)
+    for vector in assignment:
+        if len(vector) != dim:
+            raise ValueError("assignment vector length does not match the algebra")
+    out = [ZERO] * dim
+    if not variables:
+        return out
+    entry = act._value_tables.get(id(f))
+    if entry is None:
+        entry = act._value_tables[id(f)] = (f, *_value_table(f, act, DEFAULT_MAX_ENTRIES))
+    _f, scale, table = entry
+    # (basis tuple, product of its coordinates) over the supports so far
+    partial = [((), 1)]
+    for v in variables:
+        d, vec = integer_vector(assignment[v - 1])
+        scale *= d
+        partial = [(t + (b,), c * x) for t, c in partial for b, x in vec.items()]
+    acc: dict = {}
+    for t, c in partial:
+        for k, x in table.get(t, ()):
+            acc[k] = acc.get(k, 0) + c * x
+    for k, x in acc.items():
+        if x:
+            out[k] = Fraction(x, scale)
     return out
 
 
@@ -865,25 +841,20 @@ def is_identity(
 ):
     """True iff f vanishes on all basis tuples (sufficient by multilinearity).
 
-    f's value row on every basis tuple is summed from EvaluationRows rows
-    over its collapsed terms; the witness is the least basis tuple (indexed
-    by variable) where it is nonzero.  charge_evaluation is checked before
-    any evaluation, and the positional table behind the rows counts against
-    max_entries as in codim.  f whose terms all collapse to zero, such as
-    the zero polynomial, is an identity without any row.
+    The answer is read from f's value table (_value_table), built for this
+    call under max_entries; the witness is the least basis tuple where f is
+    nonzero, indexed by f's variables in increasing order.  f whose terms
+    all collapse to zero, such as the zero polynomial, is an identity
+    without any row.
     """
     cap = default_word_cap(act)
     for (_vars, words) in f.terms:
         for w in words:
             if len(w) > cap:
                 raise WordCapExceeded(f"word {w} longer than cap {cap}")
-    n = f.degree
-    charge_evaluation(f, act.algebra.dim, max_entries)
-    rows = EvaluationRows(act.algebra, act.envelope.op_basis)
-    terms = collapsed_terms(f, act)
-    row = rows.combined_rows(n, [terms], max_entries)[0] if terms else {}
-    if row:
-        return (False, rows.label_tuple(min(row), n)) if witness else False
+    _scale, table = _value_table(f, act, max_entries)
+    if table:
+        return (False, min(table)) if witness else False
     return (True, None) if witness else True
 
 

@@ -146,6 +146,84 @@ def test_mutated_file_is_refused_with_a_location_or_round_trips(text):
         pass
 
 
+_EPS_ACTION = lie_closure(ut(2), [ad_unit(ut(2), 2, 2, name="eps")])
+# the polynomial texts of TestPolynomialParser and of the check-identity tests
+POLY_FUZZ_SEEDS = [
+    "x1 x2",
+    "2 x1 x2 - 1/2 x2 x1",
+    "x1^[eps,eps]",
+    "[x1,x2,x3]",
+    "[x1,x2]^[eps] - [x1,x2]",
+    "x1^[zeta]",
+    "x1 x2 ]",
+    "x4 [x1,x2,x3]",
+    "x1 x3",
+    "[x1,x2][x3,x4]",
+    "x1 x2 - x2 x1",
+    "x1^[eps,eps] - x1^[eps]",
+    "x1 + x1^[z]",
+    "x1 - x1",
+    "x2*x1 - x1*x3",
+    "x1 x2 +",
+    "x1^[zz] x2",
+    "x1 $ x2",
+    "2/0 x1 x2",
+]
+# the grammar's own alphabet
+poly_fuzz_pieces = st.sampled_from(
+    ["x1", "x2", "x5", "x0", "eps", ",eps", "zeta", "^[eps]", "[", "]", ",", "^", "1/2", "-3", "0"]
+) | st.text(" x0123456789[],^+-*/", min_size=1, max_size=3)
+
+
+@st.composite
+def mutated_polynomials(draw):
+    """A polynomial text after 1-3 insertions, deletions of 1-3 characters,
+    or replacements of the rest of the token at the site."""
+    text = draw(st.sampled_from(POLY_FUZZ_SEEDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # uniform mutation sites
+    for _ in range(draw(st.integers(1, 3))):
+        at = rng.randint(0, len(text))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 3)) :]
+            continue
+        rest = re.match(r"[^\s\[\],^+*-]*", text[at:]).end() if op == "replace" else 0
+        text = text[:at] + draw(poly_fuzz_pieces) + text[at + rest :]
+    return text
+
+
+def _poly_text(p, act):
+    """p in the polynomial grammar, one term per monomial."""
+    if p.is_zero():
+        return "0 x1"
+    names = [d.name for d in act.closure_basis]
+    terms = []
+    for (vars_, words), c in p.terms.items():
+        factors = [
+            f"x{v}^[{','.join(names[letter] for letter in w)}]" if w else f"x{v}"
+            for v, w in zip(vars_, words)
+        ]
+        terms.append(f"{c} {' '.join(factors)}")
+    return " + ".join(terms)
+
+
+@seed(31)
+@settings(max_examples=300, deadline=2000)
+@given(text=mutated_polynomials())
+def test_mutated_polynomial_is_refused_with_a_location_or_read_back(text):
+    """Every refusal names where in the text it happened; a polynomial that
+    parses reads back unchanged from its own text."""
+    try:
+        p = parse_polynomial(text, _EPS_ACTION)
+    except ParseError as exc:
+        assert exc.location is not None
+        return
+    except DiffidentError as exc:
+        assert re.search(r"\(at offset \d+\)$", str(exc)), exc
+        return
+    assert parse_polynomial(_poly_text(p, _EPS_ACTION), _EPS_ACTION) == p
+
+
 class TestPolynomialParser:
     def test_plain_monomial(self, eps_action):
         p = parse_polynomial("x1 x2", eps_action)
@@ -391,6 +469,16 @@ class TestCommands:
         assert err.startswith("error budget: ") and "(at offset 0)" in err
         assert "Traceback" not in err
 
+    def test_word_over_the_cap_names_its_factor(self, tmp_path, capsys):
+        path = self._gen(tmp_path, "ut2-eps")
+        poly = tmp_path / "p.poly"
+        poly.write_text("x1 x2^[eps] + x2^[eps,eps,eps] x1")
+        capsys.readouterr()
+        assert main(["check-identity", path, "--poly", str(poly)]) == 3
+        assert capsys.readouterr().err == (
+            "error budget: word length 3 > cap 2 (at offset 14)\n"
+        )
+
     def test_bad_generator_name_is_input_error(self, capsys):
         assert main(["gen", "nosuch"]) == 2
 
@@ -506,6 +594,7 @@ class TestCommands:
             ("x1^[zz] x2", "unknown derivation 'zz' (at offset 4)"),
             ("x1 $ x2", "unexpected character '$' (at offset 3)"),
             ("2/0 x1 x2", "bad rational '2/0' (at offset 0)"),
+            ("x1 [x1,x2]", "products need disjoint variables (at offset 3)"),
             ("[" * 400 + "x1, x2" + "]" * 400, "commutators nest deeper than 32 (at offset 32)"),
         ],
     )

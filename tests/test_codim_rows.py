@@ -11,8 +11,9 @@ It shares no integer table with the engine.
   the row generator nor SparseRREF with `codim`.
 * `evaluate_poly`, `is_identity` (with its witness) and the spanning-set
   rank of the battery are compared with the same evaluator on generated
-  polynomials and rational assignments, and `evaluate_poly` also on the
-  spanning-set members, whose terms share long prefixes and cancel.
+  polynomials, over variable sets other than 1..n too, and rational
+  assignments, and `evaluate_poly` also on the spanning-set members, whose
+  terms cancel heavily.
 """
 
 import random
@@ -38,7 +39,7 @@ from diffident.algebra import (
     truncated_grassmann,
     ut,
 )
-from diffident.errors import DenominatorDivisibleByPrime, SizeCap
+from diffident.errors import BadParams, DenominatorDivisibleByPrime, SizeCap
 from diffident.families import ut2_eps_spanning_set, ut2_spanning_set
 from diffident.linalg import Matrix, SparseRREF, draw_prime
 
@@ -60,6 +61,21 @@ def _fraction_evaluate(f, act, assignment):
         else:
             out = [a + c * b for a, b in zip(out, prod)]
     return out
+
+
+def _variables(f):
+    """f's variables in increasing order."""
+    return sorted(next(iter(f.terms), ((),))[0])
+
+
+def _at_basis_tuple(f, alg, tup):
+    """One vector per variable index up to f's greatest variable: the basis
+    vector tup[i] at f's i-th variable in increasing order, 0 elsewhere."""
+    variables = _variables(f)
+    assignment = [[Fraction(0)] * alg.dim for _ in range(max(variables, default=0))]
+    for v, b in zip(variables, tup):
+        assignment[v - 1] = alg.basis_vector(b)
+    return assignment
 
 
 def _value_row(f, act):
@@ -268,15 +284,17 @@ nonzero_rationals = rationals.filter(bool)
 @st.composite
 def polynomials(draw, act, max_degree=3):
     """A multilinear polynomial over act's closure letters, words no longer
-    than the word cap, with nonzero rational coefficients."""
+    than the word cap, with nonzero rational coefficients.  Its variables
+    are the image of 1..n under an increasing map into 1..n+2."""
     n = draw(st.integers(1, max_degree))
+    variables = draw(st.lists(st.integers(1, n + 2), min_size=n, max_size=n, unique=True))
     letters = st.integers(0, act.closure_dim - 1)
     longest = min(2, pe.default_word_cap(act))
     word = st.lists(letters, max_size=longest).map(tuple)
     terms = draw(
         st.dictionaries(
             st.tuples(
-                st.permutations(range(1, n + 1)).map(tuple),
+                st.permutations(sorted(variables)).map(tuple),
                 st.lists(word, min_size=n, max_size=n).map(tuple),
             ),
             nonzero_rationals,
@@ -307,41 +325,64 @@ ACTIONS = {name: build() for name, build, _ in CASES}
 def test_evaluate_poly_matches_fraction_evaluator(name, data):
     act = ACTIONS[name]
     f = data.draw(polynomials(act))
-    assignment = data.draw(vectors(act.algebra.dim, f.degree))
+    assignment = data.draw(vectors(act.algebra.dim, max(_variables(f))))
     assert pe.evaluate_poly(f, act, assignment) == _fraction_evaluate(f, act, assignment)
 
 
-def test_evaluate_poly_refuses_a_bad_assignment_before_any_product():
+def test_evaluate_poly_refuses_a_bad_assignment_before_any_product(monkeypatch):
     """A vector of the wrong length, or a missing one, is refused even where
-    the products vanish; the unit of * still evaluates to the zero vector."""
+    the products vanish and on a polynomial whose table is kept; then a
+    degree whose basis tuples times terms pass the default budget is
+    refused before any row; the unit of * still evaluates to the zero
+    vector."""
     x = pe.LPolynomial.variable
     act = lie_closure(ut(2), [])
     f = x(1) * x(2)
-    with pytest.raises(ValueError, match="length"):
-        pe.evaluate_poly(f, act, [[0, 0, 0], [1, 2]])
-    with pytest.raises(ValueError, match="no vector"):
-        pe.evaluate_poly(f, act, [[1, 0, 0]])
+    for cached in (False, True):
+        assert (id(f) in act._value_tables) is cached
+        with pytest.raises(ValueError, match="length"):
+            pe.evaluate_poly(f, act, [[0, 0, 0], [1, 2]])
+        with pytest.raises(ValueError, match="no vector"):
+            pe.evaluate_poly(f, act, [[1, 0, 0]])
+        assignment = [act.algebra.basis_vector(b) for b in (0, 1)]
+        assert pe.evaluate_poly(f, act, assignment) == _fraction_evaluate(f, act, assignment)
     with pytest.raises(ValueError, match="no vector"):
         pe.evaluate_poly(x(1) * x(3), act, [[0, 0, 0], [0, 0, 0]])
+    # 3^15 basis tuples times 1 term pass 10^7
+    big = pe.LPolynomial.monomial(range(1, 16))
+    monkeypatch.setattr(pe, "collapsed_terms", lambda *a: pytest.fail("collapsed"))
+    monkeypatch.setattr(pe, "EvaluationRows", lambda *a: pytest.fail("evaluated"))
+    with pytest.raises(ValueError, match="no vector"):
+        pe.evaluate_poly(big, act, [[0, 0, 0]] * 14)
+    with pytest.raises(ValueError, match="length"):
+        pe.evaluate_poly(big, act, [[0, 0, 0]] * 14 + [[1, 0]])
+    with pytest.raises(SizeCap, match=r"3\^15 basis tuples times 1 terms"):
+        pe.evaluate_poly(big, act, [[0, 0, 0]] * 15)
+    assert id(big) not in act._value_tables
     assert pe.evaluate_poly(pe.LPolynomial.monomial(()), act, []) == [0, 0, 0]
 
 
-def test_evaluation_plan_is_built_once_and_does_not_depend_on_the_action():
+def test_value_table_is_built_once_per_polynomial_and_action(monkeypatch):
+    """evaluate_poly builds f's value table on its first call on an action and
+    keeps it in the action; an equal twin and a second action get their own
+    tables, and every value is still the Fraction evaluator's."""
     f = ut2_eps_spanning_set(4)[-1]
     twin = pe.LPolynomial.from_terms(dict(f.terms))
-    text = repr(f)
-    plan = f.evaluation_plan
-    assert f.evaluation_plan is plan
-    for name, g in (("ut2-eps", f), ("rational-ut2-eps", twin)):
-        act = ACTIONS[name]
-        assignment = [act.algebra.basis_vector(b) for b in (0, 1, 1, 2)]
-        assert pe.evaluate_poly(g, act, assignment) == _fraction_evaluate(g, act, assignment)
-    assert f.evaluation_plan is plan
-    assert twin.evaluation_plan == plan
-    assert f == twin and repr(f) == repr(twin) == text
-    # the plan shares prefixes: every term after the first reuses at least one factor
-    terms = plan[2]
-    assert len(terms) > 1 and all(shared for shared, _i, _c in terms[1:])
+    assert f == twin and f is not twin
+    built = []
+    build = pe._value_table
+    monkeypatch.setattr(pe, "_value_table", lambda *a: built.append(a[:2]) or build(*a))
+    pairs = [(g, ACTIONS[name]) for name in ("ut2-eps", "rational-ut2-eps") for g in (f, twin)]
+    tables = []
+    for g, act in pairs:
+        for tup in ((0, 1, 1, 2), (2, 2, 0, 1), (0, 0, 2, 1)):
+            assignment = [act.algebra.basis_vector(b) for b in tup]
+            assert pe.evaluate_poly(g, act, assignment) == _fraction_evaluate(g, act, assignment)
+        entry = act._value_tables[id(g)]
+        assert entry[0] is g
+        tables.append(entry[2])
+    assert [(id(g), id(act)) for g, act in built] == [(id(g), id(act)) for g, act in pairs]
+    assert len({id(table) for table in tables}) == 4
 
 
 @pytest.mark.parametrize("name", ["ut2-eps", "rational-ut2-eps"])
@@ -366,10 +407,11 @@ def test_evaluate_poly_on_spanning_sets_matches_fraction_evaluator(name, data):
 
 
 def _scan(f, act):
-    """is_identity's answer by a lexicographic scan of the basis tuples."""
+    """is_identity's answer by a lexicographic scan of the basis tuples, each
+    indexed by f's variables in increasing order."""
     alg = act.algebra
-    for tup in iproduct(range(alg.dim), repeat=f.degree):
-        if any(_fraction_evaluate(f, act, [alg.basis_vector(b) for b in tup])):
+    for tup in iproduct(range(alg.dim), repeat=len(_variables(f))):
+        if any(_fraction_evaluate(f, act, _at_basis_tuple(f, alg, tup))):
             return False, tup
     return True, None
 
@@ -393,11 +435,16 @@ def test_is_identity_on_zero_identities_and_a_late_witness():
         x(1, (0, 0)) - x(1, (0,)),
         pe.derive_polynomial(commutator, 0, act) - commutator,
         commutator,
+        pe.commutator_poly(x(3, (0,)), x(1)),
+        pe.commutator_poly(x(1, (0,)), x(4)),
     ]
     answers = [pe.is_identity(f, act, witness=True) for f in cases]
     assert answers == [_scan(f, act) for f in cases]
     # e11 e11 commutes, e11 e12 does not: the first failing tuple is (e11, e12)
     assert answers[:3] == [(True, None)] * 3 and answers[3] == (False, (0, 1))
+    # eps(e11) = 0 and [eps(e12), e11] = e12, with the witness indexed by the
+    # variables in increasing order: (x1, x3) = (e11, e12), (x1, x4) = (e12, e11)
+    assert answers[4:] == [(False, (0, 1)), (False, (1, 0))]
 
 
 @pytest.mark.parametrize("family", [ut2_spanning_set, ut2_eps_spanning_set])
@@ -487,6 +534,17 @@ def test_one_monomial_combination_is_its_row(name):
         positions = [position for position, _row in stream]
         assert positions == sorted(set(positions))
         assert stream == [(position, row) for position, row in enumerate(combined) if row]
+
+
+def test_combined_rows_refuse_a_variable_outside_one_to_n():
+    """A row's labels are only right for variables 1..n, so another variable
+    is bad input, refused before any table."""
+    act = ACTIONS["ut2-eps"]
+    rows = pe.EvaluationRows(act.algebra, act.envelope.op_basis)
+    for vars_ in ((1, 3), (0, 1), (3, 2)):
+        with pytest.raises(BadParams, match="outside 1..2"):
+            rows.combined_rows(2, [{((1, 2), (0, 0)): 1}, {(vars_, (0, 1)): 1}])
+    assert rows.combined_rows(2, [{((2, 1), (0, 1)): 1}]) != [{}]
 
 
 @seed(27)
