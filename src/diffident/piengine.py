@@ -20,12 +20,13 @@ eliminator compares and hashes ints.  Only the exponent tuples whose
 products are not all zero are visited.  Each row is built once, for the
 variable order (1..n) (EvaluationRows.first_order_rows); another order's
 row is that row with its labels renamed (EvaluationRows.renaming).  codim
-closes the rows of (1..n) under renamings that generate S_n,
+closes the rows of (1..n) under renamings that generate S_n, each queued
+row carrying its monomial, so that no monomial's row is built twice;
 EvaluationRows.rows streams every nonzero row with its monomial's position,
-and combined_rows sums them.  codim and containment_check skip rows that
-repeat an earlier one up to scale; containment_check merges the streams of
-A and B by position and stops at the first joint row [A | B] that raises
-the rank but not A's.  identity_space feeds every nonzero row, tagged with
+and combined_rows sums them.  containment_check skips joint rows [A | B]
+that repeat an earlier one up to scale, merges the streams of A and B by
+position and stops at the first joint row that raises the rank but not
+A's.  identity_space feeds every nonzero row, tagged with
 its position, for its kernel vector, and hands each zero row's monomial, a
 unit kernel vector, to the canonicalizing pass.
 A multilinear polynomial is fixed by its values on the basis tuples, so
@@ -586,25 +587,14 @@ def _renamed(row: dict, renaming: LabelRenaming, charged: int, max_entries: int)
     return {renaming[c]: x for c, x in row.items()}, charged
 
 
-def _normal_form(row: dict, prime: int | None) -> tuple | None:
-    """row up to a nonzero scale, as (*columns, *values) in column order, or
-    None when it is zero.  Exact: the primitive integer row with a positive
-    lead.  Modulo prime: the nonzero residues scaled to lead 1, the form the
-    eliminator works in (a content divisible by prime must not be divided
-    out, since that would change the rank)."""
-    if not row:
-        return None
-    if prime is None:
-        cols = sorted(row)
-        g = gcd(*row.values())
-        if row[cols[0]] < 0:
-            g = -g
-        return (*cols, *[row[c] // g for c in cols])
-    cols = sorted(c for c, x in row.items() if x % prime)
-    if not cols:
-        return None
-    inv = pow(row[cols[0]], -1, prime)
-    return (*cols, *[row[c] * inv % prime for c in cols])
+def _normal_form(row: dict) -> tuple:
+    """A nonzero row up to a nonzero scale, as (*columns, *values) in column
+    order: the primitive integer row with a positive lead."""
+    cols = sorted(row)
+    g = gcd(*row.values())
+    if row[cols[0]] < 0:
+        g = -g
+    return (*cols, *[row[c] // g for c in cols])
 
 
 def _rank_closure(
@@ -619,19 +609,23 @@ def _rank_closure(
     The row of an order vars is the row of (1..n) with its labels renamed
     by vars, so the rows of (1..n) generate the row space as an S_n-module,
     and closing the rows that raise the rank under generators of S_n
-    reaches all of it.  Rows zero modulo the prime, and rows whose
-    _normal_form was fed before, are not fed.  The generators and the
-    order of feeding follow the number of live exponent tuples, the rows
-    of (1..n):
+    reaches all of it.  One queue holds (key, vars, exps, row), seeded with
+    the rows of (1..n).  Each row popped is fed; one that raises the rank
+    is renamed by each generator g, which sends the monomial (vars, exps)
+    to (g o vars, exps), and the renamed row is queued only if its
+    monomial never was, so no monomial's row is built twice.  The
+    generators and the key follow the number of live exponent tuples, the
+    rows of (1..n):
 
-    * Several: breadth first under _sn_generators, s_1 and the n-cycle.
+    * Several: _sn_generators, s_1 and the n-cycle, keyed by the queue's
+      running count, so first in, first out (breadth first).
     * One, as under the trivial action: the rows are one S_n-orbit, the n!
       rows of rows().  They are renamed by the adjacent transpositions and
-      fed in increasing position from a heap, the stream's order.  On a
-      dense algebra breadth first costs more than it saves: mat2 under the
-      trivial action at n = 6 feeds 459 rows against the stream's 720, but
-      takes a new pivot off a stored one 29,041 times against 11,976,
-      three times the work.
+      keyed by their order, so they are fed from a heap in increasing
+      position, the stream's order.  On a dense algebra breadth first costs
+      more than it saves: mat2 under the trivial action at n = 6 feeds 459
+      rows against the stream's 720, but takes a new pivot off a stored one
+      29,041 times against 11,976, three times the work.
 
     Every renamed row adds its entries to the table's charge (_renamed),
     as in rows().
@@ -640,37 +634,27 @@ def _rank_closure(
         raise DenominatorDivisibleByPrime(f"{prime} divides {rows.denominator}")
     rr = SparseRREF(prime=prime)
     first, charged = rows.first_order_rows(n, max_entries)
-    seen: set = set()
-
-    def raises(row: dict) -> bool:
-        form = _normal_form(row, prime)
-        if form is None or form in seen:
-            return False
-        seen.add(form)
-        return rr.add_row(row)
-
-    if len(first) == 1:
-        swaps = [(*range(1, i), i + 1, i, *range(i + 2, n + 1)) for i in range(1, n)]
-        renamings = [rows.renaming(s) for s in swaps]
-        identity = tuple(range(1, n + 1))
-        heap, pushed = [(identity, next(iter(first.values())))], {identity}
-        while heap:
-            vars_, row = heappop(heap)
-            if raises(row):
-                for s, renaming in zip(swaps, renamings):
-                    order = tuple(s[v - 1] for v in vars_)
-                    if order not in pushed:
-                        pushed.add(order)
-                        moved, charged = _renamed(row, renaming, charged, max_entries)
-                        heappush(heap, (order, moved))
-        return rr, charged
-    renamings = [rows.renaming(g) for g in _sn_generators(n)]
-    frontier = list(first.values())
-    while frontier:
-        raised, frontier = [row for row in frontier if raises(row)], []
-        for row, renaming in iproduct(raised, renamings):
-            moved, charged = _renamed(row, renaming, charged, max_entries)
-            frontier.append(moved)
+    identity = tuple(range(1, n + 1))
+    by_order = len(first) == 1
+    if by_order:
+        generators = [(*range(1, i), i + 1, i, *range(i + 2, n + 1)) for i in range(1, n)]
+    else:
+        generators = _sn_generators(n)
+    renamings = [(g, rows.renaming(g)) for g in generators]
+    queue = [
+        (identity if by_order else i, identity, exps, row)
+        for i, (exps, row) in enumerate(first.items())
+    ]
+    queued = {(identity, exps) for exps in first}
+    while queue:
+        _key, vars_, exps, row = heappop(queue)
+        if rr.add_row(row):
+            for g, renaming in renamings:
+                order = tuple(g[v - 1] for v in vars_)
+                if (order, exps) not in queued:
+                    queued.add((order, exps))
+                    moved, charged = _renamed(row, renaming, charged, max_entries)
+                    heappush(queue, (order if by_order else len(queued), order, exps, moved))
     return rr, charged
 
 
@@ -692,8 +676,9 @@ def codim(
 
     The rows of the variable order (1..n) generate the row space as an
     S_n-module, so codim builds only those and closes the ones that raise
-    the rank under renamings of the variables (_rank_closure); the rows of
-    the other n! - 1 orders are never built unless the closure reaches them.
+    the rank under renamings of the variables (_rank_closure); the row of
+    a monomial of another order is built only when the closure first
+    reaches that monomial, and never twice.
     The budget max_entries bounds one count: n for every product the
     positional table computes, the nonzero coordinates of every product it
     keeps, and the entries of every renamed row.  The work stops as soon as
@@ -1070,7 +1055,7 @@ def containment_check(
     ):
         joint = dict(row_a)
         joint.update((offset + label, x) for label, x in row_b.items())
-        form = _normal_form(joint, None)
+        form = _normal_form(joint)
         if form in seen:
             continue
         seen.add(form)

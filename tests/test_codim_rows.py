@@ -17,6 +17,7 @@ It shares no integer table with the engine.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import factorial
@@ -583,20 +584,20 @@ class _StreamedRows:
 
 
 def _fed_rank(rows, n, prime=None):
-    """(rank of a rank-only _rank_closure, number of rows it fed)."""
+    """(rank of a rank-only _rank_closure, the rows it fed, in order)."""
     fed = []
     add_row = pe.SparseRREF.add_row
 
-    def counting(rr, row, tag=None):
-        fed.append(tag)
+    def recording(rr, row, tag=None):
+        fed.append(row)
         return add_row(rr, row, tag)
 
-    pe.SparseRREF.add_row = counting
+    pe.SparseRREF.add_row = recording
     try:
         rank = pe._rank_closure(rows, n, prime=prime)[0].rank
     finally:
         pe.SparseRREF.add_row = add_row
-    return rank, len(fed)
+    return rank, fed
 
 
 def _gf_rank(rows, width, p):
@@ -611,8 +612,8 @@ def _gf_rank(rows, width, p):
 def test_modular_row_skip_keeps_the_gf_rank(p):
     """Integer operators on mat2 with multiples of p mixed in: some rows
     vanish mod p, some repeat others only mod p, and some have leads
-    divisible by p.  The skipping pass must keep the rank over GF(p) of
-    every row."""
+    divisible by p.  The closure, which feeds fewer rows than the stream
+    holds, must keep the rank over GF(p) of every row."""
     m2 = full_matrix(2)
     rng = random.Random(p)
 
@@ -633,10 +634,10 @@ def test_modular_row_skip_keeps_the_gf_rank(p):
     assert any(all(x % p == 0 for x in row.values()) for row in stream)
     rank, fed = _fed_rank(rows, n, prime=p)
     assert rank == _gf_rank(stream, 4 ** (n + 1), p)
-    assert fed < len(stream)
-    # offered every row of the stream, unrenamed, the skip keeps the rank too
-    streamed_rank, streamed_fed = _fed_rank(_StreamedRows(stream), 1, prime=p)
-    assert streamed_rank == rank and streamed_fed < len(stream)
+    assert len(fed) < len(stream)
+    # offered every row of the stream, unrenamed, the eliminator keeps the
+    # rank too
+    assert _fed_rank(_StreamedRows(stream), 1, prime=p)[0] == rank
     # without skipping, the eliminator gives the same rank
     every_row = pe.SparseRREF(prime=p)
     for row in stream:
@@ -661,15 +662,67 @@ sparse_rows = st.dictionaries(
 def test_exact_row_skip_keeps_the_rank_of_the_distinct_rows(distinct, repeats, order):
     """Negated and scaled repeats, and zero rows (scale 0), fed among the
     rows they repeat: the rank is that of the distinct rows alone, over Q
-    and modulo a prime."""
+    and modulo a prime, and _normal_form, the key containment_check skips
+    repeated joint rows by, tells at most the distinct rows apart."""
     stream = list(distinct)
     for i, c in repeats:
         row = distinct[i % len(distinct)]
         stream.append({col: c * x for col, x in row.items() if c * x})
     order.shuffle(stream)
     expected = _qq_rank([[Fraction(row.get(c, 0)) for c in range(12)] for row in distinct], 12)
-    rank, fed = _fed_rank(_StreamedRows(stream), 1)
-    assert rank == expected
-    assert fed <= len(distinct)
+    assert _fed_rank(_StreamedRows(stream), 1)[0] == expected
+    assert len({pe._normal_form(row) for row in stream if row}) <= len(distinct)
     p = 1_000_003
     assert _fed_rank(_StreamedRows(stream), 1, prime=p)[0] == _gf_rank(distinct, 12, p)
+
+
+def _ut3_ad12():
+    u3 = ut(3)
+    return lie_closure(u3, [ad_unit(u3, 1, 2, name="ad12")])
+
+
+def _row_key(row):
+    return tuple(sorted(row.items()))
+
+
+@pytest.mark.parametrize(
+    "build,n", [(_ut2_eps, 6), (_mat2_ad11, 4), (_ut3_ad12, 5)],
+    ids=["ut2-eps", "mat2-ad11", "ut3-ad12"],
+)
+def test_closure_renames_no_monomial_twice(build, n, monkeypatch):
+    """Every row the closure renames is the row of a monomial outside the
+    order (1..n), and no monomial's row is built twice: the renamed rows
+    form a sub-multiset of the stream's rows at positions from
+    Monomials(n, width).block on, the orders other than (1..n)."""
+    act = build()
+    rows = pe.EvaluationRows(act.algebra, act.envelope.op_basis)
+    block = pe.Monomials(n, rows.width).block
+    others = Counter(_row_key(row) for position, row in rows.rows(n) if position >= block)
+    renamed = Counter()
+    rename = pe._renamed
+
+    def recording(row, renaming, charged, max_entries):
+        moved, charged = rename(row, renaming, charged, max_entries)
+        renamed[_row_key(moved)] += 1
+        return moved, charged
+
+    monkeypatch.setattr(pe, "_renamed", recording)
+    pe._rank_closure(rows, n)
+    excess = renamed - others
+    assert renamed and not excess, f"{sum(excess.values())} rows beyond the stream's"
+
+
+@pytest.mark.parametrize(
+    "alg,n", [(full_matrix(2), 5), (ut(2), 6), (truncated_grassmann(2), 5)],
+    ids=["mat2", "ut2", "grassmann2"],
+)
+def test_one_live_tuple_feeds_rows_in_stream_order(alg, n):
+    """Under the trivial action the rows of (1..n) are one live exponent
+    tuple's, and the closure feeds its rows in increasing position: the
+    rows it feeds are a subsequence, in order, of the stream's."""
+    act = trivial_action(alg)
+    rows = pe.EvaluationRows(alg, act.envelope.op_basis)
+    assert len(rows.first_order_rows(n)[0]) == 1
+    stream = iter([row for _position, row in rows.rows(n)])
+    _rank, fed = _fed_rank(rows, n)
+    assert len(fed) > 1 and all(row in stream for row in fed)

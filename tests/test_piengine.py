@@ -322,7 +322,7 @@ class TestCodim:
 
     def test_ut2_eps_stops_at_degree_16_under_the_default_budget(self, u2, act_eps):
         """c_15 = 245,761 fits the default budget and degree 16 does not:
-        its renamed rows pass 10^7 entries (about 20 s and 470 MB before
+        its renamed rows pass 10^7 entries (about 27 s and 554 MB before
         the refusal, on one core)."""
         with pytest.raises(SizeCap, match="exceed the budget 10000000"):
             pe.codim(u2, act_eps, 16, mode="modular")

@@ -5,19 +5,20 @@
 Runs ``bench/run.py`` of the checkout (default: this repository) on every
 workload in its BENCHMARK.json with seed 0 and the benchmark's own run
 length, once at ``--trace 0`` (end-to-end metrics) and once at ``--trace 1``
-(per-layer metrics), one run at a time, then runs the checkout's
-``diffident battery`` once, ``diffident codim`` on the shipped ``ut2-eps``
-file for n = 1..CODIM_MAX_N (12) in exact and in modular mode,
-``identity_space`` on it at n = 4, 5 and 6, ``consequences_space`` of
-battery criterion 9's three identities on it at n = 4, 5, 6 and 7,
-``lie_closure`` of the block-triangular UT(2,2) under the seeded inner pairs
-0 and 1 and the input checks on the same inputs, ``lie_closure`` on the
-generators of every battery fixture, ``evaluate_poly`` on the
-spanning sets of battery criterion 8, ``containment_check`` over the
-ordered pairs of the one-generator UT2 actions at n = 1..4 and
-``classify_growth`` on battery criterion 11's five UT2 actions, ``codim`` of
-mat2 under the trivial action at n = 6 (each run in a fresh interpreter whose address space is capped
-at SCRIPT_ADDRESS_SPACE, so that a checkout that holds these spaces densely
+(per-layer metrics), one run at a time, then runs the checkout's ``diffident
+battery`` once, ``diffident codim`` on the shipped ``ut2-eps`` file for n =
+1..CODIM_MAX_N (12) in exact and in modular mode, RUNS (3) times,
+alternating the modes, ``identity_space`` on it at n = 4, 5 and 6,
+``consequences_space`` of battery criterion 9's three identities on it at n
+= 4, 5, 6 and 7, ``lie_closure`` of the block-triangular UT(2,2) under the
+seeded inner pairs 0 and 1 and the input checks on the same inputs,
+``lie_closure`` on the generators of every battery fixture,
+``evaluate_poly`` on the spanning sets of battery criterion 8,
+``containment_check`` over the ordered pairs of the one-generator UT2
+actions at n = 1..4 and ``classify_growth`` on battery criterion 11's five
+UT2 actions, ``codim`` of mat2 under the trivial action at n = 6, RUNS times
+(each run in a fresh interpreter whose address space is capped at
+SCRIPT_ADDRESS_SPACE, so that a checkout that holds these spaces densely
 stops with MemoryError instead of filling the machine's memory), and its
 tier-1 test command once, and writes BENCH_<pr>.json at the root of this
 repository. The file holds the checkout's commit (and whether its tree had
@@ -25,39 +26,40 @@ uncommitted changes), the Python version, nproc, the load average before and
 after, for each workload and trace level the run's correct/attempted/failed
 counts and every metric with its unit, under ``battery`` the battery's exit
 code and the seconds of each criterion, read from its ``criterion K T s``
-stderr lines, under ``codim`` each mode's exit code and, per n, the
-monomials, rank and seconds read from its ``n N monomials M rank C T s``
-stderr lines, under ``identity_space`` per n the seconds, ``codim``,
-``identity_dim`` and the interpreter's ``ru_maxrss`` in KiB, under
-``consequences`` per n the seconds, the dimension, whether it equals the
-``identity_space`` kernel (past n = 6, where that kernel is not built,
-whether the dimension is the monomial count minus ``codim``, which proves
-the same, since the closure lies in the kernel) and ``ru_maxrss``, or the
-error it ended with (a ``MemoryError`` under the cap among them), under
-``ut22_lie_closure`` per seed the seconds and the envelope dimension, under
-``actions`` the least over ACTIONS_RUNS runs of the ``lie_closure`` seconds
-summed over the 25 battery fixtures and the sha256 of the reprs of their
-closures, bracket constants and envelopes, under
-``validate`` per seed the seconds of
-``StructureAlgebra(constants, unit_vector=...)`` with its
-associativity and unit checks (``algebra_seconds``), the seconds of
-``leibniz_failure`` on the two inner derivations (``derivation_seconds``)
-and whether both passed, under ``evaluate`` the seconds, the count and the
-sha256 of the values of the ``evaluate_poly`` calls that the ``identities``
-workload's spanning-set job makes (every member of the ut2 and ut2-eps
-spanning sets for n = 2..5 at every basis tuple), under ``containment``
-the seconds, the count and the sha256 of the reprs of the 64
-``containment_check`` results (zero, eps, delta and eta 1 1, every ordered
-pair, n = 1..4), and the seconds, the sha256 of the reprs and the
-classification of the ``classify_growth`` reports, under
-``mat2_trivial_codim`` per n the seconds, the codimension and
-``ru_maxrss``, and under ``tier1`` the test run's exit code, its
-passed and failed counts (from pytest's summary line), its wall-clock
-seconds and its ten slowest test phases with their seconds (from pytest's
-``--durations=10`` report), and under ``src_lines`` the line
-count of the checkout's ``src/diffident/*.py``. Two files made on the same
-machine can be compared workload by workload and layer by layer, and any
-two files by the size of the engine.
+stderr lines, under ``codim`` each mode's greatest exit code and, per n, the
+monomials and rank read from its ``n N monomials M rank C T s`` stderr
+lines, every run's seconds (``runs_s``) and their median (``seconds``),
+under ``identity_space`` per n the seconds, ``codim``, ``identity_dim`` and
+the interpreter's ``ru_maxrss`` in KiB, under ``consequences`` per n the
+seconds, the dimension, whether it equals the ``identity_space`` kernel
+(past n = 6, where that kernel is not built, whether the dimension is the
+monomial count minus ``codim``, which proves the same, since the closure
+lies in the kernel) and ``ru_maxrss``, or the error it ended with (a
+``MemoryError`` under the cap among them), under ``ut22_lie_closure`` per
+seed the seconds and the envelope dimension, under ``actions`` the least
+over ACTIONS_RUNS runs of the ``lie_closure`` seconds summed over the 25
+battery fixtures and the sha256 of the reprs of their closures, bracket
+constants and envelopes, under ``validate`` per seed the seconds of
+``StructureAlgebra(constants, unit_vector=...)`` with its associativity and
+unit checks (``algebra_seconds``), the seconds of ``leibniz_failure`` on the
+two inner derivations (``derivation_seconds``) and whether both passed,
+under ``evaluate`` the seconds, the count and the sha256 of the values of
+the ``evaluate_poly`` calls that the ``identities`` workload's spanning-set
+job makes (every member of the ut2 and ut2-eps spanning sets for n = 2..5 at
+every basis tuple), under ``containment`` the seconds, the count and the
+sha256 of the reprs of the 64 ``containment_check`` results (zero, eps,
+delta and eta 1 1, every ordered pair, n = 1..4), and the seconds, the
+sha256 of the reprs and the classification of the ``classify_growth``
+reports, under ``mat2_trivial_codim`` per n every run's seconds
+(``runs_s``), their median (``seconds``), the codimension and the greatest
+``ru_maxrss``, and under ``tier1`` the test run's exit code, its passed and
+failed counts (from pytest's summary line), its wall-clock seconds and its
+ten slowest test phases with their seconds (from pytest's ``--durations=10``
+report), and under ``src_lines`` the line count of the checkout's
+``src/diffident/*.py``. Two files made on the same machine can be compared
+workload by workload and layer by layer, and any two files by the size of
+the engine; the spread of the repeated runs tells a change from the
+machine's drift.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ import os
 import platform
 import re
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -77,6 +80,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SEED = 0
 CODIM_MAX_N = 12
+RUNS = 3  # runs of the codim and mat2_trivial_codim sections, each recorded
 IDENTITY_SPACE_N = (4, 5, 6)
 CONSEQUENCES_N = (4, 5, 6, 7)
 SCRIPT_ADDRESS_SPACE = 2 * 2**30  # bytes: the RLIMIT_AS of each run_script interpreter
@@ -335,23 +339,32 @@ def run_battery(checkout: Path) -> dict:
 
 def run_codim(checkout: Path) -> dict:
     """``diffident codim`` on the shipped ut2-eps file for n = 1..CODIM_MAX_N,
-    exact then modular, timed per degree."""
-    out = {}
+    exact then modular, RUNS times, timed per degree.  A degree whose runs
+    disagree on its monomials or rank, or that some run lacks, is left out,
+    so the record then has fewer than CODIM_MAX_N degrees."""
+    out = {mode: {"returncode": 0, "n": {}} for mode in ("exact", "modular")}
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "ut2-eps.alg")
         gen = _diffident(checkout, "gen", "ut2-eps", "-o", path)
         if gen.returncode != 0:
             return {"error": f"gen exit code {gen.returncode}"}
-        for mode in ("exact", "modular"):
-            proc = _diffident(checkout, "codim", path, "--max-n", str(CODIM_MAX_N), "--mode", mode)
-            lines = re.findall(r"^n (\d+) monomials (\d+) rank (\d+) (\d+\.\d+)s$", proc.stderr, re.M)
-            out[mode] = {
-                "returncode": proc.returncode,
-                "n": {
-                    n: {"monomials": int(m), "rank": int(c), "seconds": float(t)}
-                    for n, m, c, t in lines
-                },
-            }
+        runs = {mode: [] for mode in out}
+        for _ in range(RUNS):
+            for mode, record in out.items():
+                args = ("codim", path, "--max-n", str(CODIM_MAX_N), "--mode", mode)
+                proc = _diffident(checkout, *args)
+                lines = re.findall(
+                    r"^n (\d+) monomials (\d+) rank (\d+) (\d+\.\d+)s$", proc.stderr, re.M
+                )
+                record["returncode"] = max(record["returncode"], proc.returncode)
+                runs[mode].append({n: (int(m), int(c), float(t)) for n, m, c, t in lines})
+    for mode, record in out.items():
+        for n, (m, c, _t) in runs[mode][0].items():
+            found = [run.get(n) for run in runs[mode]]
+            if all(f is not None and f[:2] == (m, c) for f in found):
+                seconds = [t for _m, _c, t in found]
+                record["n"][n] = {"monomials": m, "rank": c, "runs_s": seconds,
+                                  "seconds": statistics.median(seconds)}
     return out
 
 
@@ -364,6 +377,19 @@ def run_script(checkout: Path, script: str, n: int) -> dict:
     if proc.returncode != 0 or not lines:
         return {"error": f"exit code {proc.returncode}", "stderr_tail": proc.stderr.strip().splitlines()[-5:]}
     return json.loads(lines[-1])
+
+
+def run_script_repeated(checkout: Path, script: str, n: int) -> dict:
+    """run_script RUNS times: the first run's JSON line with every run's
+    seconds (runs_s), their median (seconds) and the greatest ru_maxrss, or
+    the first error."""
+    results = [run_script(checkout, script, n) for _ in range(RUNS)]
+    errors = [r for r in results if "error" in r]
+    if errors:
+        return errors[0]
+    seconds = [r["seconds"] for r in results]
+    return {**results[0], "runs_s": seconds, "seconds": statistics.median(seconds),
+            "ru_maxrss_kb": max(r["ru_maxrss_kb"] for r in results)}
 
 
 def run_tier1(checkout: Path) -> dict:
@@ -445,7 +471,8 @@ def main(argv=None) -> int:
         record[key] = {}
         for n in degrees:
             print(f"{key} {what} {n} ...", file=sys.stderr, flush=True)
-            record[key][n] = result = run_script(checkout, script, n)
+            run = run_script_repeated if key == "mat2_trivial_codim" else run_script
+            record[key][n] = result = run(checkout, script, n)
             summary = result.get("error") or " ".join(
                 f"{k} {v:.3f}" for k, v in result.items() if k.endswith("seconds")
             )
