@@ -32,9 +32,10 @@ unit kernel vector, to the canonicalizing pass.
 A multilinear polynomial is fixed by its values on the basis tuples, so
 is_identity and evaluate_poly both read that one value table
 (_value_table), with the polynomial's variables renamed to 1..n in
-increasing order.  is_identity builds it per call; evaluate_poly builds it
-once per polynomial and action, and at a rational assignment sums its
-entries at the basis tuples of the vectors' supports.
+increasing order, kept as a prefix trie with no empty branch.  is_identity
+builds it per call; evaluate_poly builds it once per polynomial and action,
+and at a rational assignment walks it over the vectors' supports, returning
+zero at the first dead prefix.
 
 consequences_space runs on integers too.  It builds one formal instance of a
 generator per shape, substituted, multiplied out and collapsed on variables
@@ -744,13 +745,14 @@ def identity_space(
 
 
 def _value_table(f: LPolynomial, act: LieAction, max_entries: int) -> tuple[int, dict]:
-    """(scale, {t: [(k, x), ...]}): f's nonzero values on the basis tuples
-    t, indexed by f's variables in increasing order, coordinate k of the
-    value at t being x / scale.  They are read off f's EvaluationRows row,
-    summed over its collapsed terms with its variables renamed to 1..n in
-    increasing order.  charge_evaluation comes before any row, and the
-    positional table behind the row counts against max_entries as in
-    codim."""
+    """(scale, trie): f's nonzero values on the basis tuples t, indexed by
+    f's variables in increasing order, as nested dicts keyed by t[0], t[1],
+    ... with no empty subtrie, the leaf at t being [(k, x), ...], coordinate
+    k of the value at t being x / scale.  They are read off f's
+    EvaluationRows row, summed over its collapsed terms with its variables
+    renamed to 1..n in increasing order.  charge_evaluation comes before any
+    row, and the positional table behind the row counts against max_entries
+    as in codim."""
     charge_evaluation(f, act.algebra.dim, max_entries)
     terms = collapsed_terms(f, act)
     if not terms:
@@ -762,10 +764,14 @@ def _value_table(f: LPolynomial, act: LieAction, max_entries: int) -> tuple[int,
         for (vars_, exps), c in terms.items()
     }
     rows = EvaluationRows(act.algebra, act.envelope.op_basis)
-    table: dict = {}
+    trie: dict = {}
     for label, x in rows.combined_rows(f.degree, [combo], max_entries)[0].items():
-        table.setdefault(rows.label_tuple(label, f.degree), []).append((label % rows.dim, x))
-    return d * rows.scale(f.degree), table
+        *prefix, last = rows.label_tuple(label, f.degree)
+        node = trie
+        for b in prefix:
+            node = node.setdefault(b, {})
+        node.setdefault(last, []).append((label % rows.dim, x))
+    return d * rows.scale(f.degree), trie
 
 
 def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
@@ -775,10 +781,11 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
     raised before any other work.  f is fixed by its values on the basis
     tuples, so its value table (_value_table) is built on first use, under
     the default budget, and kept in act._value_tables; a degree over that
-    budget raises SizeCap.  Each vector is scaled to integers once, and the
-    table's entries at the tuples of their supports are summed as ints,
-    with one Fraction per nonzero output coordinate.  f of degree 0 has the
-    value 0.
+    budget raises SizeCap.  The trie is walked variable by variable, each
+    vector scaled to integers once while some branch is live, and the zero
+    vector is returned at the first dead prefix; the leaves reached are
+    summed as ints, with one Fraction per nonzero output coordinate.  f of
+    degree 0 has the value 0.
     """
     dim = act.algebra.dim
     variables = sorted(next(iter(f.terms), ((),))[0])
@@ -793,16 +800,18 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
     entry = act._value_tables.get(id(f))
     if entry is None:
         entry = act._value_tables[id(f)] = (f, *_value_table(f, act, DEFAULT_MAX_ENTRIES))
-    _f, scale, table = entry
-    # (basis tuple, product of its coordinates) over the supports so far
-    partial = [((), 1)]
+    _f, scale, trie = entry
+    # (subtrie, product of the coordinates on its path) per live prefix
+    frontier = [(trie, 1)]
     for v in variables:
         d, vec = integer_vector(assignment[v - 1])
         scale *= d
-        partial = [(t + (b,), c * x) for t, c in partial for b, x in vec.items()]
+        frontier = [(node[b], c * x) for node, c in frontier for b, x in vec.items() if b in node]
+        if not frontier:
+            return out
     acc: dict = {}
-    for t, c in partial:
-        for k, x in table.get(t, ()):
+    for leaf, c in frontier:
+        for k, x in leaf:
             acc[k] = acc.get(k, 0) + c * x
     for k, x in acc.items():
         if x:
@@ -827,8 +836,9 @@ def is_identity(
     """True iff f vanishes on all basis tuples (sufficient by multilinearity).
 
     The answer is read from f's value table (_value_table), built for this
-    call under max_entries; the witness is the least basis tuple where f is
-    nonzero, indexed by f's variables in increasing order.  f whose terms
+    call under max_entries; the witness is the trie's leftmost path, which,
+    no branch being empty, is the least basis tuple where f is nonzero,
+    indexed by f's variables in increasing order.  f whose terms
     all collapse to zero, such as the zero polynomial, is an identity
     without any row.
     """
@@ -837,10 +847,14 @@ def is_identity(
         for w in words:
             if len(w) > cap:
                 raise WordCapExceeded(f"word {w} longer than cap {cap}")
-    _scale, table = _value_table(f, act, max_entries)
-    if table:
-        return (False, min(table)) if witness else False
-    return (True, None) if witness else True
+    _scale, node = _value_table(f, act, max_entries)
+    if not node:
+        return (True, None) if witness else True
+    path = []
+    for _ in range(f.degree):
+        path.append(min(node))
+        node = node[path[-1]]
+    return (False, tuple(path)) if witness else False
 
 
 # ---------------------------------------------------------------------------

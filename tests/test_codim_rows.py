@@ -13,7 +13,8 @@ It shares no integer table with the engine.
   rank of the battery are compared with the same evaluator on generated
   polynomials, over variable sets other than 1..n too, and rational
   assignments, and `evaluate_poly` also on the spanning-set members, whose
-  terms cancel heavily.
+  terms cancel heavily.  The value table's trie holds exactly the nonzero
+  values, and the walk reads no vector past a dead prefix.
 """
 
 import random
@@ -384,6 +385,69 @@ def test_value_table_is_built_once_per_polynomial_and_action(monkeypatch):
         tables.append(entry[2])
     assert [(id(g), id(act)) for g, act in built] == [(id(g), id(act)) for g, act in pairs]
     assert len({id(table) for table in tables}) == 4
+
+
+def test_evaluate_poly_reads_no_vector_past_a_dead_prefix(monkeypatch):
+    """A ut2-eps spanning-set member whose value table has no branch at the
+    basis element e12 of its first variable is zero wherever that variable
+    is e12, and evaluate_poly reads only that one vector of the four.  The
+    length and missing-vector checks still come before the walk, on an
+    uncached polynomial and on the same one once cached."""
+    act = _ut2_eps()
+    dim = act.algebra.dim
+    f = ut2_eps_spanning_set(4)[4]
+    _scale, trie = pe._value_table(f, act, pe.DEFAULT_MAX_ENTRIES)
+    assert 1 not in trie and trie
+    reads = []
+    read = pe.integer_vector
+    monkeypatch.setattr(pe, "integer_vector", lambda vec: reads.append(vec) or read(vec))
+    assignment = [act.algebra.basis_vector(b) for b in (1, 0, 0, 0)]
+    for cached in (False, True):
+        assert (id(f) in act._value_tables) is cached
+        with pytest.raises(ValueError, match="length"):
+            pe.evaluate_poly(f, act, assignment[:3] + [[1, 2]])
+        with pytest.raises(ValueError, match="no vector"):
+            pe.evaluate_poly(f, act, assignment[:3])
+        assert reads == [] and (id(f) in act._value_tables) is cached
+        assert pe.evaluate_poly(f, act, assignment) == [0] * dim
+        assert reads == assignment[:1]
+        reads.clear()
+    assert _fraction_evaluate(f, act, assignment) == [0] * dim
+
+
+def _trie_leaves(node, path, depth):
+    """{basis tuple: leaf} of a value-table trie below path, checking that
+    every root-to-leaf path has length depth and that no subtrie or leaf is
+    empty."""
+    assert node
+    if len(path) == depth:
+        assert isinstance(node, list)
+        return {path: node}
+    assert isinstance(node, dict)
+    leaves = {}
+    for b, sub in node.items():
+        leaves.update(_trie_leaves(sub, (*path, b), depth))
+    return leaves
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+@seed(10)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_value_table_is_a_trie_of_the_nonzero_values(name, data):
+    """Every root-to-leaf path of f's value table has length f.degree and no
+    subtrie is empty; each leaf over the scale is f's value at its basis
+    tuple, and every basis tuple off the trie is a zero of f."""
+    act = ACTIONS[name]
+    alg = act.algebra
+    f = data.draw(polynomials(act))
+    scale, trie = pe._value_table(f, act, pe.DEFAULT_MAX_ENTRIES)
+    leaves = _trie_leaves(trie, (), f.degree) if trie else {}
+    for tup in iproduct(range(alg.dim), repeat=f.degree):
+        value = _fraction_evaluate(f, act, _at_basis_tuple(f, alg, tup))
+        leaf = leaves.get(tup, [])
+        assert len({k for k, _x in leaf}) == len(leaf)
+        assert {k: Fraction(x, scale) for k, x in leaf} == {k: x for k, x in enumerate(value) if x}
 
 
 @pytest.mark.parametrize("name", ["ut2-eps", "rational-ut2-eps"])

@@ -13,7 +13,7 @@ alternating the modes, ``identity_space`` on it at n = 4, 5 and 6,
 = 4, 5, 6 and 7, ``lie_closure`` of the block-triangular UT(2,2) under the
 seeded inner pairs 0 and 1 and the input checks on the same inputs,
 ``lie_closure`` on the generators of every battery fixture,
-``evaluate_poly`` on the spanning sets of battery criterion 8,
+``evaluate_poly`` on the spanning sets of battery criterion 8, RUNS times,
 ``containment_check`` over the ordered pairs of the one-generator UT2
 actions at n = 1..4 and ``classify_growth`` on battery criterion 11's five
 UT2 actions, ``codim`` of mat2 under the trivial action at n = 6, RUNS times
@@ -43,9 +43,10 @@ constants and envelopes, under ``validate`` per seed the seconds of
 ``StructureAlgebra(constants, unit_vector=...)`` with its associativity and
 unit checks (``algebra_seconds``), the seconds of ``leibniz_failure`` on the
 two inner derivations (``derivation_seconds``) and whether both passed,
-under ``evaluate`` the seconds, the count and the sha256 of the values of
-the ``evaluate_poly`` calls that the ``identities`` workload's spanning-set
-job makes (every member of the ut2 and ut2-eps spanning sets for n = 2..5 at
+under ``evaluate`` every run's seconds (``runs_s``), their median
+(``seconds``), the count and the sha256 of the values of the
+``evaluate_poly`` calls that the ``identities`` workload's spanning-set job
+makes (every member of the ut2 and ut2-eps spanning sets for n = 2..5 at
 every basis tuple), under ``containment`` the seconds, the count and the
 sha256 of the reprs of the 64 ``containment_check`` results (zero, eps,
 delta and eta 1 1, every ordered pair, n = 1..4), and the seconds, the
@@ -80,7 +81,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SEED = 0
 CODIM_MAX_N = 12
-RUNS = 3  # runs of the codim and mat2_trivial_codim sections, each recorded
+RUNS = 3  # runs of the codim, evaluate and mat2_trivial_codim sections, each recorded
 IDENTITY_SPACE_N = (4, 5, 6)
 CONSEQUENCES_N = (4, 5, 6, 7)
 SCRIPT_ADDRESS_SPACE = 2 * 2**30  # bytes: the RLIMIT_AS of each run_script interpreter
@@ -381,15 +382,20 @@ def run_script(checkout: Path, script: str, n: int) -> dict:
 
 def run_script_repeated(checkout: Path, script: str, n: int) -> dict:
     """run_script RUNS times: the first run's JSON line with every run's
-    seconds (runs_s), their median (seconds) and the greatest ru_maxrss, or
-    the first error."""
+    seconds (runs_s), their median (seconds) and, where the script reports
+    it, the greatest ru_maxrss, or the first error; an error too if the
+    runs' digests differ."""
     results = [run_script(checkout, script, n) for _ in range(RUNS)]
     errors = [r for r in results if "error" in r]
     if errors:
         return errors[0]
+    if len({r.get("digest") for r in results}) > 1:
+        return {"error": "the runs' digests differ"}
     seconds = [r["seconds"] for r in results]
-    return {**results[0], "runs_s": seconds, "seconds": statistics.median(seconds),
-            "ru_maxrss_kb": max(r["ru_maxrss_kb"] for r in results)}
+    record = {**results[0], "runs_s": seconds, "seconds": statistics.median(seconds)}
+    if "ru_maxrss_kb" in record:
+        record["ru_maxrss_kb"] = max(r["ru_maxrss_kb"] for r in results)
+    return record
 
 
 def run_tier1(checkout: Path) -> dict:
@@ -471,7 +477,8 @@ def main(argv=None) -> int:
         record[key] = {}
         for n in degrees:
             print(f"{key} {what} {n} ...", file=sys.stderr, flush=True)
-            run = run_script_repeated if key == "mat2_trivial_codim" else run_script
+            repeated = key in ("evaluate", "mat2_trivial_codim")
+            run = run_script_repeated if repeated else run_script
             record[key][n] = result = run(checkout, script, n)
             summary = result.get("error") or " ".join(
                 f"{k} {v:.3f}" for k, v in result.items() if k.endswith("seconds")
