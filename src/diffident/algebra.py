@@ -270,9 +270,9 @@ class LieAction:
     # word -> result caches of piengine.pbw_normalize_word and collapse_word
     _pbw_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _collapse_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # id(f) -> (f, scale, trie), the value table (a prefix trie over basis
-    # tuples) piengine.evaluate_poly builds for each polynomial f it walks;
-    # holding f keeps the id from being reused while the entry lives
+    # id(f) -> (f, scale, trie, variables): the value table (a prefix trie
+    # over basis tuples) and sorted variables of each polynomial f that
+    # piengine.evaluate_poly walks; holding f keeps the id from being reused
     _value_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -19,14 +19,15 @@ one int label each, ordered like (basis tuple, output coordinate), so the
 eliminator compares and hashes ints.  Only the exponent tuples whose
 products are not all zero are visited.  Each row is built once, for the
 variable order (1..n) (EvaluationRows.first_order_rows); another order's
-row is that row with its labels renamed (EvaluationRows.renaming).  codim
-closes the rows of (1..n) under renamings that generate S_n, each queued
-row carrying its monomial, so that no monomial's row is built twice;
-EvaluationRows.rows streams every nonzero row with its monomial's position,
-and combined_rows sums them.  containment_check skips joint rows [A | B]
-that repeat an earlier one up to scale, merges the streams of A and B by
-position and stops at the first joint row that raises the rank but not
-A's.  identity_space feeds every nonzero row, tagged with
+row is that row with its labels renamed (EvaluationRows.renaming).  One
+closure (_rank_closure) closes the rows of (1..n) under renamings that
+generate S_n, each queued row carrying its monomial, so that no
+monomial's row is built twice, and yields each row that raises the rank
+with its monomial.  codim counts them.  containment_check runs it on the
+direct sum A + B, whose identities are those of both, and stops at the
+first row whose A part does not raise A's rank.  EvaluationRows.rows
+streams every nonzero row with its monomial's position, and combined_rows
+sums them.  identity_space feeds every nonzero row, tagged with
 its position, for its kernel vector, and hands each zero row's monomial, a
 unit kernel vector, to the canonicalizing pass.
 A multilinear polynomial is fixed by its values on the basis tuples, so
@@ -53,10 +54,10 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, permutations, product as iproduct
-from math import factorial, gcd, inf, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
-from .algebra import LieAction, StructureAlgebra, integer_product
+from .algebra import LieAction, StructureAlgebra, direct_sum, integer_product
 from .errors import (
     AlphabetMismatch,
     BadParams,
@@ -71,6 +72,7 @@ from .linalg import frac, integer_vector
 Word = tuple  # of closure-basis indices
 
 DEFAULT_MAX_ENTRIES = 10**7
+_RATIONAL_TYPES = frozenset((int, Fraction))  # the coordinate types evaluate_poly takes
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +396,8 @@ class EvaluationRows:
     `denominator` that scale vanishes, so such a prime is refused.
     ops[0] must be the identity, as it is in an envelope's op_basis and in
     the generator words of containment_check.
-    Rows have one builder, first_order_rows; rows() and combined_rows
-    rename its rows.
+    Rows have one builder, first_order_rows; rows(), combined_rows and
+    _rank_closure rename its rows.
     """
 
     def __init__(self, alg: StructureAlgebra, ops: list[Matrix]):
@@ -524,15 +526,14 @@ class EvaluationRows:
 
     def rows(self, n: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         """The nonzero rows as (position, row) pairs in increasing position
-        (Monomials(n, width).position), for identity_space and
-        containment_check, whose kernel vectors need positions: each row of
-        first_order_rows renamed by each variable order, charged as in codim
-        (the table, then every row yielded).  Their labels are split into
-        digits once, so each order renames one by a weighted sum, as
-        renaming(vars) does.  An A that is not nilpotent has A^n != 0, so
-        its all-identity tuple is live (ops[0] is the identity) and it
-        streams at least n! nonempty rows: it is refused before the table
-        when n! alone passes the budget."""
+        (Monomials(n, width).position), for identity_space, whose kernel
+        vectors need positions: each row of first_order_rows renamed by
+        each variable order, charged as in codim (the table, then every row
+        yielded).  Their labels are split into digits once, so each order
+        renames one by a weighted sum, as renaming(vars) does.  An A that
+        is not nilpotent has A^n != 0, so its all-identity tuple is live
+        (ops[0] is the identity) and it streams at least n! nonempty rows:
+        it is refused before the table when n! alone passes the budget."""
         monomials = Monomials(n, self.width)
         if not self._nilpotent and factorial(n) > max_entries:
             raise SizeCap(f"{n}! variable orders exceed the budget {max_entries}")
@@ -588,33 +589,24 @@ def _renamed(row: dict, renaming: LabelRenaming, charged: int, max_entries: int)
     return {renaming[c]: x for c, x in row.items()}, charged
 
 
-def _normal_form(row: dict) -> tuple:
-    """A nonzero row up to a nonzero scale, as (*columns, *values) in column
-    order: the primitive integer row with a positive lead."""
-    cols = sorted(row)
-    g = gcd(*row.values())
-    if row[cols[0]] < 0:
-        g = -g
-    return (*cols, *[row[c] // g for c in cols])
-
-
 def _rank_closure(
     rows: EvaluationRows,
     n: int,
     prime: int | None = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> tuple[SparseRREF, int]:
-    """(eliminator, charged): one rank-only eliminator, exact or modulo
-    prime, holding the span of every degree-n row, and the count charged.
+):
+    """Yield (vars, exps, row) for each degree-n row that raises the rank of
+    one rank-only eliminator, exact or modulo prime: the rows yielded are a
+    basis of the span of every degree-n row, each with its monomial.
 
     The row of an order vars is the row of (1..n) with its labels renamed
     by vars, so the rows of (1..n) generate the row space as an S_n-module,
     and closing the rows that raise the rank under generators of S_n
     reaches all of it.  One queue holds (key, vars, exps, row), seeded with
     the rows of (1..n).  Each row popped is fed; one that raises the rank
-    is renamed by each generator g, which sends the monomial (vars, exps)
-    to (g o vars, exps), and the renamed row is queued only if its
-    monomial never was, so no monomial's row is built twice.  The
+    is yielded, then renamed by each generator g, which sends the monomial
+    (vars, exps) to (g o vars, exps), and the renamed row is queued only if
+    its monomial never was, so no monomial's row is built twice.  The
     generators and the key follow the number of live exponent tuples, the
     rows of (1..n):
 
@@ -628,8 +620,8 @@ def _rank_closure(
       rows against the stream's 720, but takes a new pivot off a stored one
       29,041 times against 11,976, three times the work.
 
-    Every renamed row adds its entries to the table's charge (_renamed),
-    as in rows().
+    The positional table and every renamed row (_renamed) count against
+    max_entries, as in rows().
     """
     if prime is not None and rows.denominator % prime == 0:
         raise DenominatorDivisibleByPrime(f"{prime} divides {rows.denominator}")
@@ -650,13 +642,13 @@ def _rank_closure(
     while queue:
         _key, vars_, exps, row = heappop(queue)
         if rr.add_row(row):
+            yield vars_, exps, row
             for g, renaming in renamings:
                 order = tuple(g[v - 1] for v in vars_)
                 if (order, exps) not in queued:
                     queued.add((order, exps))
                     moved, charged = _renamed(row, renaming, charged, max_entries)
                     heappush(queue, (order if by_order else len(queued), order, exps, moved))
-    return rr, charged
 
 
 def _sn_generators(n: int) -> list[tuple]:
@@ -676,10 +668,10 @@ def codim(
     """n-th differential codimension: rank of the evaluation matrix.
 
     The rows of the variable order (1..n) generate the row space as an
-    S_n-module, so codim builds only those and closes the ones that raise
-    the rank under renamings of the variables (_rank_closure); the row of
-    a monomial of another order is built only when the closure first
-    reaches that monomial, and never twice.
+    S_n-module, so codim builds only those, closes the ones that raise the
+    rank under renamings of the variables (_rank_closure) and counts the
+    rows the closure yields; a monomial of another order has its row
+    built only when the closure first reaches it, and never twice.
     The budget max_entries bounds one count: n for every product the
     positional table computes, the nonzero coordinates of every product it
     keeps, and the entries of every renamed row.  The work stops as soon as
@@ -694,7 +686,7 @@ def codim(
         raise ValueError("mode must be 'exact' or 'modular'")
     rows = EvaluationRows(alg, act.envelope.op_basis)
     prime = draw_prime(seed, rows.denominator) if mode == "modular" else None
-    return _rank_closure(rows, n, prime, max_entries=max_entries)[0].rank
+    return sum(1 for _ in _rank_closure(rows, n, prime, max_entries))
 
 
 @dataclass
@@ -777,10 +769,11 @@ def _value_table(f: LPolynomial, act: LieAction, max_entries: int) -> tuple[int,
 def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
     """Value of f at a tuple of coordinate vectors (index i for variable i+1).
 
-    Every variable of f needs a vector of length dim, or ValueError is
-    raised before any other work.  f is fixed by its values on the basis
-    tuples, so its value table (_value_table) is built on first use, under
-    the default budget, and kept in act._value_tables; a degree over that
+    Every variable of f needs a vector of length dim, and every coordinate
+    must be an int or a Fraction, or ValueError is raised before any other
+    work.  f is fixed by its values on the basis tuples, so its value table
+    (_value_table) is built on first use, under the default budget, and
+    kept in act._value_tables with f's variables; a degree over that
     budget raises SizeCap.  The trie is walked variable by variable, each
     vector scaled to integers once while some branch is live, and the zero
     vector is returned at the first dead prefix; the leaves reached are
@@ -788,19 +781,22 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
     degree 0 has the value 0.
     """
     dim = act.algebra.dim
-    variables = sorted(next(iter(f.terms), ((),))[0])
+    entry = act._value_tables.get(id(f))
+    variables = entry[3] if entry else sorted(next(iter(f.terms), ((),))[0])
     if variables and (variables[0] < 1 or variables[-1] > len(assignment)):
         raise ValueError("the assignment has no vector for some variable")
     for vector in assignment:
         if len(vector) != dim:
             raise ValueError("assignment vector length does not match the algebra")
+    if not _RATIONAL_TYPES.issuperset(map(type, chain.from_iterable(assignment))):
+        raise ValueError("assignment coordinates must be ints or Fractions")
     out = [ZERO] * dim
     if not variables:
         return out
-    entry = act._value_tables.get(id(f))
     if entry is None:
-        entry = act._value_tables[id(f)] = (f, *_value_table(f, act, DEFAULT_MAX_ENTRIES))
-    _f, scale, trie = entry
+        table = _value_table(f, act, DEFAULT_MAX_ENTRIES)
+        entry = act._value_tables[id(f)] = (f, *table, variables)
+    _f, scale, trie, _variables = entry
     # (subtrie, product of the coordinates on its path) per live prefix
     frontier = [(trie, 1)]
     for v in variables:
@@ -1023,13 +1019,12 @@ def _generator_words(m: int, cap: int) -> list:
     return [w for k in range(cap + 1) for w in iproduct(range(m), repeat=k)]
 
 
-def _formal_rows(act: LieAction, words: list) -> EvaluationRows:
-    """The evaluation rows of the action's generator words."""
-    alg = act.algebra
-    mats = {(): Matrix.identity(alg.dim)}
-    for w in words[1:]:  # words[0] is ()
+def _word_matrices(act: LieAction, words: list) -> list[Matrix]:
+    """The operator on the action's algebra of each word, words[0] being ()."""
+    mats = {(): Matrix.identity(act.algebra.dim)}
+    for w in words[1:]:
         mats[w] = mats[w[:-1]] * act.generators[w[-1]].matrix
-    return EvaluationRows(alg, [mats[w] for w in words])
+    return [mats[w] for w in words]
 
 
 def containment_check(
@@ -1043,15 +1038,17 @@ def containment_check(
     Returns (contained, certificate); the certificate is an LPolynomial in
     Id_n(A) \\ Id_n(B) witnessing B outside the variety of A.
 
-    One pass over the joint rows [A | B], B's labels shifted past A's: a row
-    that raises their rank but not A's has a kernel vector over A that is
-    nonzero on B, the certificate.  The two streams of nonzero rows are
-    merged by position, so a monomial zero on both sides is never built and
-    one zero on a single side contributes an empty part.  Until the
-    certificate the joint rank is A's, so repeated joint rows are skipped
-    and only rows that raise it reach the kernel-tracking eliminator of the
-    A parts, tagged with their positions.  Each stream's entries count
-    against max_entries as in codim.
+    Id(A + B) = Id(A) & Id(B), so the question is whether the rows of the
+    direct sum A + B, each generator word w acting as op_w on A plus op_w on
+    B, have A's rank.  codim's closure (_rank_closure) yields a basis of
+    those rows under max_entries.  A basis tuple that mixes the summands
+    has product 0, so a row's entries with an output coordinate in A
+    (label % dim below A's dim) are A's row, and the rest are B's.  The A
+    parts go to a kernel-tracking eliminator tagged with their monomials.
+    The joint rows are independent, so the first A part that does not raise
+    A's rank gives a kernel vector over A that is nonzero on B, the
+    certificate.  If none does, A + B has A's rank, and the two left kernels
+    are equal.
     """
     if len(act_a.generators) != len(act_b.generators):
         raise AlphabetMismatch(
@@ -1059,41 +1056,18 @@ def containment_check(
         )
     cap = max(default_word_cap(act_a), default_word_cap(act_b))
     words = _generator_words(len(act_a.generators), cap)
-    rows_a, rows_b = _formal_rows(act_a, words), _formal_rows(act_b, words)
-    offset = rows_a.dim ** (n + 1)
-    joint_rr = SparseRREF()
+    dim_a, dim_b = act_a.algebra.dim, act_b.algebra.dim
+    ops = [
+        Matrix.from_rows(
+            [row + [ZERO] * dim_b for row in op_a.entries]
+            + [[ZERO] * dim_a + row for row in op_b.entries]
+        )
+        for op_a, op_b in zip(_word_matrices(act_a, words), _word_matrices(act_b, words))
+    ]
+    rows = EvaluationRows(direct_sum(act_a.algebra, act_b.algebra), ops)
     kernel_a = SparseRREF(track_kernel=True)
-    seen: set = set()
-    for position, row_a, row_b in _aligned(
-        rows_a.rows(n, max_entries), rows_b.rows(n, max_entries)
-    ):
-        joint = dict(row_a)
-        joint.update((offset + label, x) for label, x in row_b.items())
-        form = _normal_form(joint)
-        if form in seen:
-            continue
-        seen.add(form)
-        if joint_rr.add_row(joint) and not kernel_a.add_row(row_a, tag=position):
-            monomials = Monomials(n, len(words))
-            terms = {}
-            for p, c in kernel_a.kernel[-1].items():
-                vars_, exps = monomials[p]
-                terms[(vars_, tuple(words[i] for i in exps))] = c
-            return False, LPolynomial.from_terms(terms)
+    for vars_, exps, row in _rank_closure(rows, n, max_entries=max_entries):
+        part_a = {label: x for label, x in row.items() if label % rows.dim < dim_a}
+        if not kernel_a.add_row(part_a, tag=(vars_, tuple(words[u] for u in exps))):
+            return False, LPolynomial.from_terms(kernel_a.kernel[-1])
     return True, None
-
-
-def _aligned(stream_a, stream_b):
-    """Merge two (position, row) streams, each in increasing position, into
-    (position, row_a, row_b) over the positions of either; a stream without
-    the position gives the empty row."""
-    end = (inf, None)
-    pa, ra = next(stream_a, end)
-    pb, rb = next(stream_b, end)
-    while min(pa, pb) < inf:
-        position = min(pa, pb)
-        yield position, ra if pa == position else {}, rb if pb == position else {}
-        if pa == position:
-            pa, ra = next(stream_a, end)
-        if pb == position:
-            pb, rb = next(stream_b, end)

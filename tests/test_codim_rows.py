@@ -240,7 +240,7 @@ def test_prime_dividing_cleared_denominator_is_refused(rational):
     rows = pe.EvaluationRows(rational.algebra, rational.envelope.op_basis)
     assert rows.denominator == 3 * 5 * 7
     with pytest.raises(DenominatorDivisibleByPrime):
-        pe._rank_closure(rows, 3, prime=3)
+        next(pe._rank_closure(rows, 3, prime=3))
     exact = pe.codim(rational.algebra, rational, 3)
     assert pe.codim(rational.algebra, rational, 3, mode="modular") == exact
 
@@ -413,6 +413,23 @@ def test_evaluate_poly_reads_no_vector_past_a_dead_prefix(monkeypatch):
         assert reads == assignment[:1]
         reads.clear()
     assert _fraction_evaluate(f, act, assignment) == [0] * dim
+
+
+def test_evaluate_poly_refuses_a_float_read_or_not(monkeypatch):
+    """A float coordinate is refused with ValueError before any vector is
+    read or any table built, both where the walk would read it (the first
+    variable e11) and where it would stop first at a dead prefix (e12)."""
+    act = _ut2_eps()
+    f = ut2_eps_spanning_set(4)[4]
+    e11, e12 = (act.algebra.basis_vector(b) for b in (0, 1))
+    reads = []
+    read = pe.integer_vector
+    monkeypatch.setattr(pe, "integer_vector", lambda vec: reads.append(vec) or read(vec))
+    for first in (e12, e11):
+        with pytest.raises(ValueError, match="ints or Fractions"):
+            pe.evaluate_poly(f, act, [first, [0.5, 0, 0], e11, e11])
+    assert reads == [] and id(f) not in act._value_tables
+    assert pe.evaluate_poly(f, act, [e12, [Fraction(1, 2), 0, 0], e11, e11]) == [0, 0, 0]
 
 
 def _trie_leaves(node, path, depth):
@@ -648,7 +665,8 @@ class _StreamedRows:
 
 
 def _fed_rank(rows, n, prime=None):
-    """(rank of a rank-only _rank_closure, the rows it fed, in order)."""
+    """(rank of a rank-only _rank_closure, the count of the rows it
+    yields, and the rows it fed, in order)."""
     fed = []
     add_row = pe.SparseRREF.add_row
 
@@ -658,7 +676,7 @@ def _fed_rank(rows, n, prime=None):
 
     pe.SparseRREF.add_row = recording
     try:
-        rank = pe._rank_closure(rows, n, prime=prime)[0].rank
+        rank = sum(1 for _ in pe._rank_closure(rows, n, prime=prime))
     finally:
         pe.SparseRREF.add_row = add_row
     return rank, fed
@@ -725,9 +743,9 @@ sparse_rows = st.dictionaries(
 )
 def test_exact_row_skip_keeps_the_rank_of_the_distinct_rows(distinct, repeats, order):
     """Negated and scaled repeats, and zero rows (scale 0), fed among the
-    rows they repeat: the rank is that of the distinct rows alone, over Q
-    and modulo a prime, and _normal_form, the key containment_check skips
-    repeated joint rows by, tells at most the distinct rows apart."""
+    rows they repeat: the closure that codim and containment_check share
+    yields as many rows as the rank of the distinct rows alone, over Q and
+    modulo a prime."""
     stream = list(distinct)
     for i, c in repeats:
         row = distinct[i % len(distinct)]
@@ -735,7 +753,6 @@ def test_exact_row_skip_keeps_the_rank_of_the_distinct_rows(distinct, repeats, o
     order.shuffle(stream)
     expected = _qq_rank([[Fraction(row.get(c, 0)) for c in range(12)] for row in distinct], 12)
     assert _fed_rank(_StreamedRows(stream), 1)[0] == expected
-    assert len({pe._normal_form(row) for row in stream if row}) <= len(distinct)
     p = 1_000_003
     assert _fed_rank(_StreamedRows(stream), 1, prime=p)[0] == _gf_rank(distinct, 12, p)
 
@@ -771,7 +788,8 @@ def test_closure_renames_no_monomial_twice(build, n, monkeypatch):
         return moved, charged
 
     monkeypatch.setattr(pe, "_renamed", recording)
-    pe._rank_closure(rows, n)
+    for _ in pe._rank_closure(rows, n):
+        pass
     excess = renamed - others
     assert renamed and not excess, f"{sum(excess.values())} rows beyond the stream's"
 

@@ -16,6 +16,7 @@ from diffident.algebra import (
     ad_unit,
     inner_derivation,
     lie_closure,
+    make_algebra,
     trivial_action,
     ut,
 )
@@ -248,9 +249,8 @@ class TestCodim:
 
         rows = pe.EvaluationRows(u2, act_eps.envelope.op_basis)
         monkeypatch.setattr(pe, "LabelRenaming", Counting)
-        rr, charged = pe._rank_closure(rows, n)
-        assert rr.rank == 81 and renamed
-        assert charged == _table_charge(u2, act_eps.envelope.op_basis, n) + len(renamed)
+        assert sum(1 for _ in pe._rank_closure(rows, n)) == 81 and renamed
+        charged = _table_charge(u2, act_eps.envelope.op_basis, n) + len(renamed)
         assert pe.codim(u2, act_eps, n, max_entries=charged) == 81
         with pytest.raises(SizeCap):
             pe.codim(u2, act_eps, n, max_entries=charged - 1)
@@ -750,6 +750,14 @@ class TestContainment:
         assert _vanishes_on(cert, a_triv)
         assert not _vanishes_on(cert, act_eps)
 
+    def test_eps_in_eta11_at_degree_11_under_the_default_budget(self):
+        """The closure feeds only rows that raise the rank, so eps in eta11
+        is decided at n = 11, where the n! variable orders alone pass the
+        default budget."""
+        actions = _one_generator_actions()
+        assert factorial(11) > pe.DEFAULT_MAX_ENTRIES
+        assert pe.containment_check(actions["eps"], actions["eta11"], 11) == (True, None)
+
     def test_certificates_are_pinned(self, u2, act_eps):
         a_triv = lie_closure(u2, [Derivation(Matrix.zero(3, 3), "g0")])
         contained, cert = pe.containment_check(a_triv, act_eps, 2)
@@ -777,7 +785,16 @@ def _one_generator_actions():
         "eps": lie_closure(u2, [eps]),
         "delta": lie_closure(u2, [delta]),
         "eta11": lie_closure(u2, [Derivation(eps.matrix + delta.matrix, "eta")]),
+        "ut3-ad12": lie_closure(ut(3), [ad_unit(ut(3), 1, 2, name="ad12")]),
+        "field": _zero_generator(make_algebra([[[Fraction(1)]]], label="field")),
+        "zero2": _zero_generator(
+            make_algebra([[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)], label="zero2")
+        ),
     }
+
+
+def _zero_generator(alg):
+    return lie_closure(alg, [Derivation(Matrix.zero(alg.dim, alg.dim), "g0")])
 
 
 @cache
@@ -814,13 +831,25 @@ def _qq_rank(rows):
 
 
 ONE_GENERATOR = ("zero", "eps", "delta", "eta11")
+# pairs of different dimension: ut3 (dim 6) under ad e12 against ut2 (dim 3),
+# and the 2-dimensional zero algebra against the field, whose one output
+# coordinate is the first past the zero algebra's
+MIXED_DIMENSION = [
+    pair
+    for a, b in (("ut3-ad12", "eps"), ("ut3-ad12", "zero"), ("zero2", "field"))
+    for pair in ((a, b), (b, a))
+]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("a, b", [(a, b) for a in ONE_GENERATOR for b in ONE_GENERATOR])
+@pytest.mark.parametrize(
+    "a, b", [(a, b) for a in ONE_GENERATOR for b in ONE_GENERATOR] + MIXED_DIMENSION
+)
 def test_containment_matches_the_joint_rank(a, b, n):
     """Id_n(A) lies in Id_n(B) iff B's values add no rank to A's: the rank
-    of the value rows of A equals that of the joint rows [A | B]."""
+    of the value rows of A equals that of the joint rows [A | B].  The
+    mixed pairs check that A's part of a row of A + B is told apart by its
+    output coordinate when A and B differ in dimension."""
     act_a, act_b = _one_generator_actions()[a], _one_generator_actions()[b]
     cap = max(pe.default_word_cap(act_a), pe.default_word_cap(act_b))
     rows_a = _value_rows(a, n, cap)

@@ -49,9 +49,13 @@ under ``evaluate`` every run's seconds (``runs_s``), their median
 makes (every member of the ut2 and ut2-eps spanning sets for n = 2..5 at
 every basis tuple), under ``containment`` the seconds, the count and the
 sha256 of the reprs of the 64 ``containment_check`` results (zero, eps,
-delta and eta 1 1, every ordered pair, n = 1..4), and the seconds, the
-sha256 of the reprs and the classification of the ``classify_growth``
-reports, under ``mat2_trivial_codim`` per n every run's seconds
+delta and eta 1 1, every ordered pair, n = 1..4) and of their answers alone
+(``decisions_digest``), the seconds, the sha256 of the reprs and the
+classification of the ``classify_growth`` reports and the sha256 of their
+decisions alone (``classify_decisions_digest``: classification, exponent and
+each reference's exclusion and its degree, not the certificate), and the
+seconds, answer and ``ru_maxrss`` of ``containment_check`` of eps in eta 1 1
+at n = 8 (``eps_in_eta11_n8``), under ``mat2_trivial_codim`` per n every run's seconds
 (``runs_s``), their median (``seconds``), the codimension and the greatest
 ``ru_maxrss``, and under ``tier1`` the test run's exit code, its passed and
 failed counts (from pytest's summary line), its wall-clock seconds and its
@@ -226,12 +230,16 @@ print(json.dumps({"seconds": seconds, "calls": len(values), "digest": digest}))
 """
 EVALUATE_TOP = (5,)
 
-# containment_check over the ordered pairs of the one-generator UT2 actions
-# (zero, eps, delta, eta 1 1) at n = 1..argv[1], then classify_growth on battery
-# criterion 11's five UT2 actions: the seconds of each part and the sha256 of
-# the reprs of its results, and each action's classification; one JSON line
+# containment_check of eps in eta 1 1 at n = 8 (its seconds, answer and the
+# interpreter's ru_maxrss right after it), then over the ordered pairs of the
+# one-generator UT2 actions (zero, eps, delta, eta 1 1) at n = 1..argv[1], then
+# classify_growth on battery criterion 11's five UT2 actions: the seconds of
+# each part, the sha256 of the reprs of its results and of its decisions alone
+# (the 64 answers; each report's classification, exponent and per reference
+# whether it is excluded and at which degree), and each action's
+# classification; one JSON line
 _CONTAINMENT = """
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 from diffident.algebra import Derivation, ad_unit, lie_closure, trivial_action, ut
 from diffident.exponent import classify_growth
 from diffident.linalg import Matrix
@@ -243,6 +251,10 @@ eta = Derivation(eps.matrix + delta.matrix, "eta")
 one = {"zero": lie_closure(u2, [Derivation(Matrix.zero(3, 3), "g0")]),
        "eps": lie_closure(u2, [eps]), "delta": lie_closure(u2, [delta]),
        "eta11": lie_closure(u2, [eta])}
+start = time.perf_counter()
+contained, _cert = containment_check(one["eps"], one["eta11"], 8)
+deep = {"seconds": time.perf_counter() - start, "contained": contained,
+        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
 results = []
 start = time.perf_counter()
 for n in range(1, int(sys.argv[1]) + 1):
@@ -262,10 +274,16 @@ def digest(values):
     return hashlib.sha256("\\n".join(map(repr, values)).encode()).hexdigest()
 
 
+decisions = [(r.classification, r.exponent, {label: (e["excluded"], e["degree"])
+                                             for label, e in r.evidence.items()})
+             for r in reports.values()]
 print(json.dumps({"seconds": seconds, "calls": len(results), "digest": digest(results),
+                  "decisions_digest": digest(c for c, _cert in results),
                   "classify_seconds": classify_seconds,
                   "classify_digest": digest(reports.values()),
-                  "classification": {k: r.classification for k, r in reports.items()}}))
+                  "classify_decisions_digest": digest(decisions),
+                  "classification": {k: r.classification for k, r in reports.items()},
+                  "eps_in_eta11_n8": deep}))
 """
 CONTAINMENT_TOP = (4,)
 
