@@ -777,7 +777,7 @@ class TestContainment:
 
 @cache
 def _one_generator_actions():
-    u2 = ut(2)
+    u2, u3 = ut(2), ut(3)
     eps = ad_unit(u2, 2, 2, name="eps")
     delta = ad_unit(u2, 1, 2, name="delta")
     return {
@@ -785,7 +785,7 @@ def _one_generator_actions():
         "eps": lie_closure(u2, [eps]),
         "delta": lie_closure(u2, [delta]),
         "eta11": lie_closure(u2, [Derivation(eps.matrix + delta.matrix, "eta")]),
-        "ut3-ad12": lie_closure(ut(3), [ad_unit(ut(3), 1, 2, name="ad12")]),
+        "ut3-ad12": lie_closure(u3, [ad_unit(u3, 1, 2, name="ad12")]),
         "field": _zero_generator(make_algebra([[[Fraction(1)]]], label="field")),
         "zero2": _zero_generator(
             make_algebra([[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)], label="zero2")
