@@ -274,6 +274,9 @@ class LieAction:
     # over basis tuples) and sorted variables of each polynomial f that
     # piengine.evaluate_poly walks; holding f keeps the id from being reused
     _value_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # block sequence -> B_s1^L A+ ... A+ B_sk^L, exponent._differential_step's
+    # chain products; the length-1 entries are the moved blocks B_i^L
+    _differential_chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def closure_dim(self) -> int:

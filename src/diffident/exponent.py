@@ -27,76 +27,90 @@ class ExponentReport:
     pruned_count: int
 
 
-def _best_sequence(blocks: list[Subspace], step) -> ExponentReport:
+def _best_sequence(blocks: list[Subspace], chain) -> ExponentReport:
     """DFS over sequences of distinct blocks, pruning dead prefixes.
 
-    step(state, i) extends the running product by block i (state None starts
-    it); a sequence qualifies when its product is nonzero.  The witness is the
-    lexicographically least maximum-weight sequence.
+    chain(seq) is the product of the chain over the tuple seq of block
+    indices; a sequence qualifies when its product is nonzero.  The witness
+    is the lexicographically least maximum-weight sequence.
     """
     best_value = 0
     best_seq: tuple = ()
     pruned = 0
 
-    def rec(seq, state, weight):
+    def rec(seq, weight):
         nonlocal best_value, best_seq, pruned
-        if seq and (weight > best_value or (weight == best_value and tuple(seq) < best_seq)):
-            best_value, best_seq = weight, tuple(seq)
+        if seq and (weight > best_value or (weight == best_value and seq < best_seq)):
+            best_value, best_seq = weight, seq
         for i in range(len(blocks)):
             if i in seq:
                 continue
-            nstate = step(state, i)
-            if nstate.is_zero():
+            nseq = seq + (i,)
+            if chain(nseq).is_zero():
                 pruned += 1
                 continue
-            rec(seq + [i], nstate, weight + blocks[i].dim)
+            rec(nseq, weight + blocks[i].dim)
 
-    rec([], None, 0)
+    rec((), 0)
     return ExponentReport(value=best_value, witness_sequence=best_seq, pruned_count=pruned)
 
 
 def _ordinary_step(alg: StructureAlgebra, wd: WedderburnData):
-    """Chain step S -> S J B_i of the ordinary exponent; None starts at B_i."""
+    """chain(seq) = B_s1 J B_s2 ... J B_sk, kept by prefix in wd._ordinary_chains."""
+    memo = wd._ordinary_chains
 
-    def step(state, i):
-        if state is None:
-            return wd.blocks[i]
-        return alg.subspace_product(alg.subspace_product(state, wd.radical), wd.blocks[i])
+    def chain(seq):
+        if seq not in memo:
+            if len(seq) == 1:
+                memo[seq] = wd.blocks[seq[0]]
+            else:
+                state = alg.subspace_product(chain(seq[:-1]), wd.radical)
+                memo[seq] = alg.subspace_product(state, wd.blocks[seq[-1]])
+        return memo[seq]
 
-    return step
+    return chain
 
 
 def _differential_step(alg: StructureAlgebra, act: LieAction, wd: WedderburnData):
-    """Chain step S -> S A+ B_i^L of the differential exponent, computed in A;
-    None starts at B_i^L.
+    """chain(seq) = B_s1^L A+ B_s2^L ... A+ B_sk^L, computed in A.
 
-    A+ = A + Q*1, so S A+ = S + S A and no unit needs adjoining.  Each moved
-    block B_i^L is built on first use and kept for the life of the step.
+    A+ = A + Q*1, so S A+ = S + S A and no unit needs adjoining.  Each
+    product is built once from its prefix and kept in
+    act._differential_chains for the life of the action; the length-1
+    entries are the moved blocks B_i^L.
     """
     full = Subspace.full(alg.dim)
-    moved: dict[int, Subspace] = {}
+    memo = act._differential_chains
 
-    def step(state, i):
-        if i not in moved:
-            moved[i] = subspace_under_action(wd.blocks[i], act.envelope, include_identity=True)
-        if state is None:
-            return moved[i]
-        return alg.subspace_product(state.sum(alg.subspace_product(state, full)), moved[i])
+    def chain(seq):
+        if seq not in memo:
+            if len(seq) == 1:
+                block = wd.blocks[seq[0]]
+                memo[seq] = subspace_under_action(block, act.envelope, include_identity=True)
+            else:
+                state = chain(seq[:-1])
+                state = state.sum(alg.subspace_product(state, full))
+                memo[seq] = alg.subspace_product(state, chain(seq[-1:]))
+        return memo[seq]
 
-    return step
+    return chain
 
 
-def _chain_nonzero(step, sequence) -> bool:
-    state = None
-    for i in sequence:
-        state = step(state, i)
-    return state is not None and not state.is_zero()
+def _decomposition(alg: StructureAlgebra, wd, act: LieAction | None = None) -> WedderburnData:
+    """wedderburn_malcev(alg), refusing a wd that is not it or an action on
+    another algebra: the chain memos are keyed by block sequence alone."""
+    if act is not None and act.algebra is not alg:
+        raise ValueError("the action is not on this algebra")
+    if wd is None:
+        return wedderburn_malcev(alg)
+    if wd is not alg._wedderburn:
+        raise ValueError("wd is not wedderburn_malcev(alg)")
+    return wd
 
 
 def exp_ordinary(alg: StructureAlgebra, wd: WedderburnData | None = None) -> ExponentReport:
     """Max total dimension over distinct-block chains with B_1 J B_2 ... != 0."""
-    if wd is None:
-        wd = wedderburn_malcev(alg)
+    wd = _decomposition(alg, wd)
     return _best_sequence(wd.blocks, _ordinary_step(alg, wd))
 
 
@@ -107,8 +121,7 @@ def exp_differential(
 
     Every product is taken in A, since S A+ = S + S A for a subspace S of A.
     """
-    if wd is None:
-        wd = wedderburn_malcev(alg)
+    wd = _decomposition(alg, wd, act)
     return _best_sequence(wd.blocks, _differential_step(alg, act, wd))
 
 
@@ -124,16 +137,17 @@ def lemma_bridge_check(
 
     hypothesis: B_1^L A+ B_2^L ... A+ B_k^L != 0, taken in A as S + S A;
     conclusion: B_1 J B_2 ... J B_k != 0.
-    Both fold the chain steps of exp_differential and exp_ordinary.
+    Both read the chains that exp_differential and exp_ordinary memoize.
     """
-    if wd is None:
-        wd = wedderburn_malcev(alg)
+    wd = _decomposition(alg, wd, act)
     sequence = tuple(sequence)
+    if any(i not in range(len(wd.blocks)) for i in sequence):
+        raise ValueError(f"block indices must lie in range({len(wd.blocks)})")
     if len(set(sequence)) != len(sequence):
         raise ValueError("block indices must be distinct")
     return (
-        _chain_nonzero(_differential_step(alg, act, wd), sequence),
-        _chain_nonzero(_ordinary_step(alg, wd), sequence),
+        bool(sequence) and not _differential_step(alg, act, wd)(sequence).is_zero(),
+        bool(sequence) and not _ordinary_step(alg, wd)(sequence).is_zero(),
     )
 
 

@@ -226,10 +226,10 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
 
 
 def left_kernel(m: Matrix) -> "Subspace":
-    """Subspace of row vectors v with v*M = 0."""
+    """Subspace of row vectors v with v*M = 0, read from M's integer_form."""
     rr = SparseRREF(track_kernel=True)
-    for i, row in enumerate(m.entries):
-        rr.add_row(dict(enumerate(row)), tag=i)
+    for i, row in enumerate(m.integer_form[1]):
+        rr.add_row(dict(row), tag=i)
     return Subspace.from_kernel(m.rows, rr)
 
 

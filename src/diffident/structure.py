@@ -6,7 +6,7 @@ semisimple part into blocks come from integer root isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LieAction, StructureAlgebra, subspace_under_action
@@ -21,14 +21,15 @@ def radical(alg: StructureAlgebra) -> Subspace:
     rad(A) = { x in A : trace(L_{xy} on A+) = 0 for all y in A }, valid in
     characteristic zero.  For x in A, L_x on A+ = A + Q*1 sends 1 to x, which
     has no 1-component, so its trace on A+ is its trace on A:
-    t_m = sum_k c_mkk for L_{e_m}, and T[i][j] = sum_m c_ijm t_m.  The
+    t_m = sum_k c_mkk for L_{e_m}, and T[i][j] = sum_m c_ijm t_m, both read
+    as sparse int sums from integer_table (D_c t_m and D_c^2 T[i][j]).  The
     candidate is post-verified to be a nilpotent two-sided ideal.
     """
-    c = alg.constants
+    d, table = alg.integer_table
     n = alg.dim
-    t = [sum(c[m][k][k] for k in range(n)) for m in range(n)]
-    form = [[sum(x * tm for x, tm in zip(c[i][j], t)) for j in range(n)] for i in range(n)]
-    rad = left_kernel(Matrix.from_rows(form))
+    t = [sum(x for k, cell in enumerate(row) for l, x in cell if l == k) for row in table]
+    form = [[sum(x * t[m] for m, x in cell) for cell in row] for row in table]
+    rad = left_kernel(Matrix.from_integer(n, n, d * d, form))
     _verify_radical(alg, rad)
     return rad
 
@@ -232,6 +233,8 @@ class WedderburnData:
     blocks: list[Subspace]
     block_units: list[list]
     semisimple_part: Subspace
+    # block sequence -> B_s1 J ... J B_sk, exponent._ordinary_step's chain products
+    _ordinary_chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def wedderburn_malcev(alg: StructureAlgebra) -> WedderburnData:

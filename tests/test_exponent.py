@@ -13,6 +13,7 @@ from diffident.algebra import (
     lie_closure,
     make_algebra,
     matrix_unit_vector,
+    subspace_under_action,
     trivial_action,
     truncated_grassmann,
     ut,
@@ -25,6 +26,7 @@ from diffident.exponent import (
     lemma_bridge_check,
     verify_gk,
 )
+from diffident.linalg import Subspace
 from diffident.structure import radical, wedderburn_malcev
 
 
@@ -266,6 +268,162 @@ class TestBridgeLemma:
         act = trivial_action(u2)
         with pytest.raises(ValueError):
             lemma_bridge_check(u2, act, (0, 0))
+
+    @pytest.mark.parametrize("sequence", [(0, -3), (-1,), (3,)])
+    def test_rejects_indices_outside_the_blocks(self, sequence):
+        # -3 would alias block 0 of ut3's three and fake a violation, -1
+        # would mean the last block and 3 would raise a bare IndexError
+        u3 = ut(3)
+        act = lie_closure(u3, [])
+        with pytest.raises(ValueError, match="range"):
+            lemma_bridge_check(u3, act, sequence)
+        assert act._differential_chains == {}
+        assert wedderburn_malcev(u3)._ordinary_chains == {}
+
+
+class TestMemoSoundness:
+    """The chain memos are keyed by block sequence alone, so every entry
+    point refuses a decomposition or an action of another algebra."""
+
+    def test_refuses_a_decomposition_that_is_not_the_algebras(self):
+        from dataclasses import replace
+
+        u3, other = ut(3), ut(3)
+        act = lie_closure(u3, [])
+        for wd in (wedderburn_malcev(other), replace(wedderburn_malcev(other))):
+            with pytest.raises(ValueError, match="wedderburn_malcev"):
+                exp_ordinary(u3, wd)
+            with pytest.raises(ValueError, match="wedderburn_malcev"):
+                exp_differential(u3, act, wd)
+            with pytest.raises(ValueError, match="wedderburn_malcev"):
+                lemma_bridge_check(u3, act, (0,), wd)
+        assert u3._wedderburn is None  # refused before any work
+        with pytest.raises(ValueError, match="wedderburn_malcev"):
+            exp_ordinary(u3, replace(wedderburn_malcev(u3)))
+
+    def test_refuses_an_action_on_another_algebra(self):
+        u3 = ut(3)
+        act = lie_closure(ut(3), [ad_unit(u3, 1, 2)])
+        with pytest.raises(ValueError, match="action"):
+            exp_differential(u3, act)
+        with pytest.raises(ValueError, match="action"):
+            lemma_bridge_check(u3, act, (0, 1))
+        with pytest.raises(ValueError, match="action"):
+            verify_gk(u3, act)
+        assert u3._wedderburn is None
+        assert act._differential_chains == {}
+
+
+def _differential_step(alg, act, wd):
+    """The memo-free chain step S -> (S + S A) B_i^L; None starts at B_i^L."""
+    full = Subspace.full(alg.dim)
+
+    def step(state, i):
+        moved = subspace_under_action(wd.blocks[i], act.envelope, include_identity=True)
+        if state is None:
+            return moved
+        return alg.subspace_product(state.sum(alg.subspace_product(state, full)), moved)
+
+    return step
+
+
+def _ordinary_step(alg, wd):
+    """The memo-free chain step S -> S J B_i; None starts at B_i."""
+
+    def step(state, i):
+        if state is None:
+            return wd.blocks[i]
+        return alg.subspace_product(alg.subspace_product(state, wd.radical), wd.blocks[i])
+
+    return step
+
+
+def _chain(step, sequence):
+    state = None
+    for i in sequence:
+        state = step(state, i)
+    return state
+
+
+def _chain_nonzero(step, sequence) -> bool:
+    state = _chain(step, sequence)
+    return state is not None and not state.is_zero()
+
+
+def _moved_case():
+    """ut2+mat2 in a fixed random rational basis, under a seeded inner pair."""
+    from test_basis_change import _inner_pair, _moved_ut2_mat2
+
+    alg = _moved_ut2_mat2()
+    return alg, lie_closure(alg, _inner_pair(alg, 0))
+
+
+CHAIN_CASES = [label for label, _alg, _act in battery_fixtures()] + ["ut2+mat2 moved"]
+
+
+class TestChainMemo:
+    @pytest.mark.parametrize("label", CHAIN_CASES)
+    def test_memoized_chains_equal_the_memo_free_fold(self, label):
+        if label == "ut2+mat2 moved":
+            alg, act = _moved_case()
+        else:
+            alg, act = {lab: (a, c) for lab, a, c in battery_fixtures()}[label]
+        wd = wedderburn_malcev(alg)
+        k = len(wd.blocks)
+        sequences = [seq for r in range(1, k + 1) for seq in permutations(range(k), r)]
+        differential, ordinary = _differential_step(alg, act, wd), _ordinary_step(alg, wd)
+        exp_differential(alg, act, wd)
+        exp_ordinary(alg, wd)
+        for seq in sequences:
+            assert lemma_bridge_check(alg, act, seq, wd) == (
+                _chain_nonzero(differential, seq),
+                _chain_nonzero(ordinary, seq),
+            )
+        assert set(act._differential_chains) == set(sequences)
+        assert set(wd._ordinary_chains) == set(sequences)
+        for seq in sequences:
+            assert act._differential_chains[seq] == _chain(differential, seq), seq
+            assert wd._ordinary_chains[seq] == _chain(ordinary, seq), seq
+
+    # (value, witness, pruned_count) of exp and of exp^L, the same on each
+    PINNED = {
+        "ut2 eps": (2, (0, 1), 1),
+        "ut3 ad e12": (3, (0, 1, 2), 5),
+        "ut2+mat2 mixed inner": (4, (2,), 6),
+        "grassmann3 trivial": (1, (0,), 0),
+        "random inner seed=2": (2, (1, 2), 6),
+        "random inner seed=3": (4, (0,), 2),
+    }
+
+    @pytest.mark.parametrize("label", sorted(PINNED))
+    def test_pinned_witnesses_and_pruned_counts(self, label):
+        alg, act = {lab: (a, c) for lab, a, c in battery_fixtures()}[label]
+        for rep in (exp_ordinary(alg), exp_differential(alg, act)):
+            assert (rep.value, rep.witness_sequence, rep.pruned_count) == self.PINNED[label]
+
+    def test_bridge_sweep_and_second_search_build_no_moved_block(self, monkeypatch):
+        from diffident import exponent
+
+        calls = []
+        real = exponent.subspace_under_action
+        monkeypatch.setattr(
+            exponent, "subspace_under_action", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        ds = direct_sum(ut(2), full_matrix(2))
+        rng = random.Random(1)
+        gens = [
+            inner_derivation(ds, [Fraction(rng.randint(-2, 2)) for _ in range(ds.dim)])
+            for _ in range(2)
+        ]
+        act = lie_closure(ds, gens)
+        k = len(wedderburn_malcev(ds).blocks)
+        first = exp_differential(ds, act)
+        assert len(calls) == k == 3  # one moved block B_i^L each
+        for r in range(1, k + 1):
+            for seq in permutations(range(k), r):
+                lemma_bridge_check(ds, act, seq)
+        assert exp_differential(ds, act) == first
+        assert len(calls) == k
 
 
 class TestSolvability:

@@ -16,8 +16,10 @@ seeded inner pairs 0 and 1 and the input checks on the same inputs,
 ``evaluate_poly`` on the spanning sets of battery criterion 8, RUNS times,
 ``containment_check`` over the ordered pairs of the one-generator UT2
 actions at n = 1..4 and ``classify_growth`` on battery criterion 11's five
-UT2 actions, ``codim`` of mat2 under the trivial action at n = 6, RUNS times
-(each run in a fresh interpreter whose address space is capped at
+UT2 actions, ``exp_ordinary``, ``exp_differential``, ``lemma_bridge_check``
+on every block sequence and ``check_block_action`` on the 25 battery
+fixtures, RUNS times, ``codim`` of mat2 under the trivial action at n = 6,
+RUNS times (each run in a fresh interpreter whose address space is capped at
 SCRIPT_ADDRESS_SPACE, so that a checkout that holds these spaces densely
 stops with MemoryError instead of filling the machine's memory), and its
 tier-1 test command once, and writes BENCH_<pr>.json at the root of this
@@ -55,7 +57,12 @@ classification of the ``classify_growth`` reports and the sha256 of their
 decisions alone (``classify_decisions_digest``: classification, exponent and
 each reference's exclusion and its degree, not the certificate), and the
 seconds, answer and ``ru_maxrss`` of ``containment_check`` of eps in eta 1 1
-at n = 8 (``eps_in_eta11_n8``), under ``mat2_trivial_codim`` per n every run's seconds
+at n = 8 (``eps_in_eta11_n8``), under ``exponents`` the first run's
+seconds of each part (``ordinary_seconds``, ``differential_seconds``,
+``bridge_seconds``, ``block_action_seconds``), every run's total
+(``runs_s``), their median (``seconds``), the sequence count and the sha256
+of the exponent reports (values, witnesses, ``pruned_count``), bridge pairs
+and block-action entries, under ``mat2_trivial_codim`` per n every run's seconds
 (``runs_s``), their median (``seconds``), the codimension and the greatest
 ``ru_maxrss``, and under ``tier1`` the test run's exit code, its passed and
 failed counts (from pytest's summary line), its wall-clock seconds and its
@@ -287,6 +294,50 @@ print(json.dumps({"seconds": seconds, "calls": len(results), "digest": digest(re
 """
 CONTAINMENT_TOP = (4,)
 
+# exp_ordinary, exp_differential, lemma_bridge_check on every distinct block
+# sequence and check_block_action on the first argv[1] battery fixtures, each
+# part timed over all of them after their decompositions are built: the
+# seconds of each part and their sum, and the sha256 of the reprs of the
+# exponent reports (value, witness, pruned_count), the bridge pairs and the
+# block-action entries; one JSON line
+_EXPONENTS = """
+import hashlib, json, sys, time
+from itertools import permutations
+from diffident.acceptance import battery_fixtures
+from diffident.exponent import exp_differential, exp_ordinary, lemma_bridge_check
+from diffident.structure import check_block_action, wedderburn_malcev
+
+fixtures = [(alg, act, wedderburn_malcev(alg))
+            for _label, alg, act in battery_fixtures()[: int(sys.argv[1])]]
+parts = {"ordinary": [], "differential": [], "bridge": [], "block_action": []}
+times = dict.fromkeys(parts, 0.0)
+
+
+def timed(part, call):
+    start = time.perf_counter()
+    parts[part].append(call())
+    times[part] += time.perf_counter() - start
+
+
+for alg, act, wd in fixtures:
+    timed("ordinary", lambda: exp_ordinary(alg, wd))
+for alg, act, wd in fixtures:
+    timed("differential", lambda: exp_differential(alg, act, wd))
+for alg, act, wd in fixtures:
+    k = len(wd.blocks)
+    sequences = [seq for r in range(1, k + 1) for seq in permutations(range(k), r)]
+    timed("bridge", lambda: [(seq, lemma_bridge_check(alg, act, seq, wd)) for seq in sequences])
+for alg, act, wd in fixtures:
+    timed("block_action", lambda: check_block_action(wd, act))
+digest = hashlib.sha256("\\n".join(repr(parts[p]) for p in parts).encode()).hexdigest()
+print(json.dumps({"seconds": sum(times.values()),
+                  **{f"{p}_seconds": t for p, t in times.items()},
+                  "fixtures": len(fixtures),
+                  "sequences": sum(len(pairs) for pairs in parts["bridge"]),
+                  "digest": digest}))
+"""
+EXPONENTS_FIXTURES = (25,)
+
 # codim of mat2 under the trivial action at degree argv[1], exact: the dense
 # case where the order codim feeds its rows in matters most; one JSON line
 _MAT2_TRIVIAL = """
@@ -490,12 +541,13 @@ def main(argv=None) -> int:
         ("validate", _VALIDATE, UT22_SEEDS, "UT(2,2) seed"),
         ("evaluate", _EVALUATE, EVALUATE_TOP, "spanning sets n = 2.."),
         ("containment", _CONTAINMENT, CONTAINMENT_TOP, "ut2 one-generator pairs n = 1.."),
+        ("exponents", _EXPONENTS, EXPONENTS_FIXTURES, "battery fixtures"),
         ("mat2_trivial_codim", _MAT2_TRIVIAL, MAT2_TRIVIAL_N, "mat2 trivial n ="),
     ):
         record[key] = {}
         for n in degrees:
             print(f"{key} {what} {n} ...", file=sys.stderr, flush=True)
-            repeated = key in ("evaluate", "mat2_trivial_codim")
+            repeated = key in ("evaluate", "exponents", "mat2_trivial_codim")
             run = run_script_repeated if repeated else run_script
             record[key][n] = result = run(checkout, script, n)
             summary = result.get("error") or " ".join(
@@ -524,7 +576,7 @@ def main(argv=None) -> int:
         (key, n)
         for key in (
             "identity_space", "ut22_lie_closure", "actions", "evaluate", "containment",
-            "mat2_trivial_codim",
+            "exponents", "mat2_trivial_codim",
         )
         for n, r in record[key].items() if "error" in r
     ]
