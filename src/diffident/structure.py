@@ -27,7 +27,7 @@ def radical(alg: StructureAlgebra) -> Subspace:
     """
     d, table = alg.integer_table
     n = alg.dim
-    t = [sum(x for k, cell in enumerate(row) for l, x in cell if l == k) for row in table]
+    t = [sum(x for k, cell in enumerate(row) for j, x in cell if j == k) for row in table]
     form = [[sum(x * t[m] for m, x in cell) for cell in row] for row in table]
     rad = left_kernel(Matrix.from_integer(n, n, d * d, form))
     _verify_radical(alg, rad)
