@@ -34,9 +34,9 @@ from .exponent import (
 )
 from .linalg import Matrix, SparseRREF, frac
 from .piengine import (
-    EvaluationRows,
     LPolynomial,
     Monomials,
+    action_rows,
     codim,
     collapsed_terms,
     commutator_poly,
@@ -279,10 +279,11 @@ def criterion_7() -> CriterionResult:
 def _evaluation_rank(polys, act):
     """Rank of the polynomials' value rows over all basis tuples.
 
-    Each row is summed from EvaluationRows rows over the polynomial's
-    collapsed terms; polynomials of one degree share a positional table.
+    Each row is summed from the action's EvaluationRows rows (action_rows)
+    over the polynomial's collapsed terms; polynomials of one degree share
+    a positional table.
     """
-    rows = EvaluationRows(act.algebra, act.envelope.op_basis)
+    rows = action_rows(act)
     by_degree: dict = {}
     for p in polys:
         by_degree.setdefault(p.degree, []).append(collapsed_terms(p, act))

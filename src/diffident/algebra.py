@@ -274,6 +274,14 @@ class LieAction:
     # over basis tuples) and sorted variables of each polynomial f that
     # piengine.evaluate_poly walks; holding f keeps the id from being reused
     _value_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # piengine.EvaluationRows of the algebra under the envelope's op_basis,
+    # shared by codim, identity_space and every value table (None until
+    # piengine.action_rows builds it)
+    _evaluation_rows: object = field(default=None, init=False, repr=False, compare=False)
+    # id(other) -> (other, words, rows): piengine.containment_check's
+    # generator words and EvaluationRows on the direct sum with each action
+    # it was checked against; holding other keeps the id from being reused
+    _containment_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # block sequence -> B_s1^L A+ ... A+ B_sk^L, exponent._differential_step's
     # chain products; the length-1 entries are the moved blocks B_i^L
     _differential_chains: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -14,7 +14,9 @@ closures and certificates, and reads positions back, without a table.
 
 Evaluation runs on integers.  EvaluationRows gives the rows of codim,
 identity_space and containment_check, and an explicit polynomial's value
-table is its row summed over its collapsed terms.  A row's columns carry
+table is its row summed over its collapsed terms.  Each action keeps one
+EvaluationRows (action_rows) and containment_check one per ordered pair of
+actions (_pair_rows); neither holds a row.  A row's columns carry
 one int label each, ordered like (basis tuple, output coordinate), so the
 eliminator compares and hashes ints.  Only the exponent tuples whose
 products are not all zero are visited.  Each row is built once, for the
@@ -36,7 +38,8 @@ is_identity and evaluate_poly both read that one value table
 increasing order, kept as a prefix trie with no empty branch.  is_identity
 builds it per call; evaluate_poly builds it once per polynomial and action,
 and at a rational assignment walks it over the vectors' supports, returning
-zero at the first dead prefix.
+zero at the first dead prefix, with one lookup per variable while a single
+prefix is live and the vector read has a single nonzero coordinate.
 
 consequences_space runs on integers too.  It builds one formal instance of a
 generator per shape, substituted, multiplied out and collapsed on variables
@@ -581,6 +584,20 @@ class EvaluationRows:
         return out
 
 
+def action_rows(act: LieAction, alg: StructureAlgebra | None = None) -> EvaluationRows:
+    """The EvaluationRows of act's algebra under its envelope's op_basis,
+    built on first use and kept in act._evaluation_rows, so that codim,
+    identity_space, every value table and the battery's spanning-set ranks
+    share one.  It holds no row: only the applied-operator table, the
+    algebra's integer table and whether A is nilpotent.  An alg other than
+    act.algebra gets rows of its own, not kept."""
+    if alg is not None and alg is not act.algebra:
+        return EvaluationRows(alg, act.envelope.op_basis)
+    if act._evaluation_rows is None:
+        act._evaluation_rows = EvaluationRows(act.algebra, act.envelope.op_basis)
+    return act._evaluation_rows
+
+
 def _renamed(row: dict, renaming: LabelRenaming, charged: int, max_entries: int) -> tuple:
     """(row renamed, charged + its entries); SizeCap past max_entries."""
     charged += len(row)
@@ -684,7 +701,7 @@ def codim(
     """
     if mode not in ("exact", "modular"):
         raise ValueError("mode must be 'exact' or 'modular'")
-    rows = EvaluationRows(alg, act.envelope.op_basis)
+    rows = action_rows(act, alg)
     prime = draw_prime(seed, rows.denominator) if mode == "modular" else None
     return sum(1 for _ in _rank_closure(rows, n, prime, max_entries))
 
@@ -713,7 +730,7 @@ def identity_space(
     order = Monomials(n, act.envelope.dim)
     if order.count > max_entries:
         raise SizeCap(f"{order.count} monomials exceed the budget {max_entries}")
-    rows = EvaluationRows(alg, act.envelope.op_basis)
+    rows = action_rows(act, alg)
     rr = SparseRREF(track_kernel=True)
     dead, after = [], 0
     for position, row in rows.rows(n, max_entries):
@@ -755,7 +772,7 @@ def _value_table(f: LPolynomial, act: LieAction, max_entries: int) -> tuple[int,
         (tuple(rank[v] for v in vars_), exps): c.numerator * (d // c.denominator)
         for (vars_, exps), c in terms.items()
     }
-    rows = EvaluationRows(act.algebra, act.envelope.op_basis)
+    rows = action_rows(act)
     trie: dict = {}
     for label, x in rows.combined_rows(f.degree, [combo], max_entries)[0].items():
         *prefix, last = rows.label_tuple(label, f.degree)
@@ -776,9 +793,12 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
     kept in act._value_tables with f's variables; a degree over that
     budget raises SizeCap.  The trie is walked variable by variable, each
     vector scaled to integers once while some branch is live, and the zero
-    vector is returned at the first dead prefix; the leaves reached are
-    summed as ints, with one Fraction per nonzero output coordinate.  f of
-    degree 0 has the value 0.
+    vector is returned at the first dead prefix.  While one prefix is live
+    and the vector read has one nonzero coordinate, as at a basis tuple,
+    the walk descends with one lookup; a vector with several widens it to
+    a frontier of live prefixes, which narrows back to one prefix when
+    only one survives.  The leaves reached are summed as ints, with one
+    Fraction per nonzero output coordinate.  f of degree 0 has the value 0.
     """
     dim = act.algebra.dim
     entry = act._value_tables.get(id(f))
@@ -790,25 +810,38 @@ def evaluate_poly(f: LPolynomial, act: LieAction, assignment: list) -> list:
             raise ValueError("assignment vector length does not match the algebra")
     if not _RATIONAL_TYPES.issuperset(map(type, chain.from_iterable(assignment))):
         raise ValueError("assignment coordinates must be ints or Fractions")
-    out = [ZERO] * dim
     if not variables:
-        return out
+        return [ZERO] * dim
     if entry is None:
         table = _value_table(f, act, DEFAULT_MAX_ENTRIES)
         entry = act._value_tables[id(f)] = (f, *table, variables)
-    _f, scale, trie, _variables = entry
-    # (subtrie, product of the coordinates on its path) per live prefix
-    frontier = [(trie, 1)]
+    _f, scale, node, _variables = entry
+    # one live prefix: its subtrie node and the product c of the coordinates
+    # on its path; several: frontier, a list of such pairs
+    c, frontier = 1, None
     for v in variables:
         d, vec = integer_vector(assignment[v - 1])
         scale *= d
-        frontier = [(node[b], c * x) for node, c in frontier for b, x in vec.items() if b in node]
+        if frontier is None and len(vec) == 1:
+            b, x = vec.popitem()
+            node = node.get(b)
+            if node is None:
+                return [ZERO] * dim
+            c *= x
+            continue
+        frontier = [
+            (sub[b], p * x) for sub, p in frontier or ((node, c),) for b, x in vec.items() if b in sub
+        ]
         if not frontier:
-            return out
+            return [ZERO] * dim
+        if len(frontier) == 1:
+            [(node, c)] = frontier
+            frontier = None
     acc: dict = {}
-    for leaf, c in frontier:
+    for leaf, p in frontier or ((node, c),):
         for k, x in leaf:
-            acc[k] = acc.get(k, 0) + c * x
+            acc[k] = acc.get(k, 0) + p * x
+    out = [ZERO] * dim
     for k, x in acc.items():
         if x:
             out[k] = Fraction(x, scale)
@@ -1027,6 +1060,28 @@ def _word_matrices(act: LieAction, words: list) -> list[Matrix]:
     return [mats[w] for w in words]
 
 
+def _pair_rows(act_a: LieAction, act_b: LieAction) -> tuple[list, EvaluationRows]:
+    """(words, rows): the generator words up to the longer word cap, and the
+    EvaluationRows of direct_sum(A, B) under them, each word acting as op_w
+    on A plus op_w on B; built on first use and kept in
+    act_a._containment_rows, keyed by id(act_b) and holding act_b."""
+    entry = act_a._containment_rows.get(id(act_b))
+    if entry is None:
+        cap = max(default_word_cap(act_a), default_word_cap(act_b))
+        words = _generator_words(len(act_a.generators), cap)
+        dim_a, dim_b = act_a.algebra.dim, act_b.algebra.dim
+        ops = [
+            Matrix.from_rows(
+                [row + [ZERO] * dim_b for row in op_a.entries]
+                + [[ZERO] * dim_a + row for row in op_b.entries]
+            )
+            for op_a, op_b in zip(_word_matrices(act_a, words), _word_matrices(act_b, words))
+        ]
+        rows = EvaluationRows(direct_sum(act_a.algebra, act_b.algebra), ops)
+        entry = act_a._containment_rows[id(act_b)] = (act_b, words, rows)
+    return entry[1], entry[2]
+
+
 def containment_check(
     act_a: LieAction,
     act_b: LieAction,
@@ -1048,23 +1103,15 @@ def containment_check(
     The joint rows are independent, so the first A part that does not raise
     A's rank gives a kernel vector over A that is nonzero on B, the
     certificate.  If none does, A + B has A's rank, and the two left kernels
-    are equal.
+    are equal.  The words and the rows of A + B are built once per ordered
+    pair (_pair_rows) and kept on act_a.
     """
     if len(act_a.generators) != len(act_b.generators):
         raise AlphabetMismatch(
             f"{len(act_a.generators)} vs {len(act_b.generators)} generators"
         )
-    cap = max(default_word_cap(act_a), default_word_cap(act_b))
-    words = _generator_words(len(act_a.generators), cap)
-    dim_a, dim_b = act_a.algebra.dim, act_b.algebra.dim
-    ops = [
-        Matrix.from_rows(
-            [row + [ZERO] * dim_b for row in op_a.entries]
-            + [[ZERO] * dim_a + row for row in op_b.entries]
-        )
-        for op_a, op_b in zip(_word_matrices(act_a, words), _word_matrices(act_b, words))
-    ]
-    rows = EvaluationRows(direct_sum(act_a.algebra, act_b.algebra), ops)
+    words, rows = _pair_rows(act_a, act_b)
+    dim_a = act_a.algebra.dim
     kernel_a = SparseRREF(track_kernel=True)
     for vars_, exps, row in _rank_closure(rows, n, max_entries=max_entries):
         part_a = {label: x for label, x in row.items() if label % rows.dim < dim_a}

@@ -163,12 +163,19 @@ def center(alg: StructureAlgebra) -> Subspace:
 
     v e_i - e_i v = sum_r v_r (c_rik - c_irk) e_k, so the center is the left
     kernel of the matrix whose row r holds c_irk - c_rik over columns (i, k)
-    (the sign does not change the kernel).
+    (the sign does not change the kernel), summed as the ints D_c c_irk -
+    D_c c_rik from integer_table.
     """
-    c = alg.constants
+    d, table = alg.integer_table
     n = alg.dim
-    stacked = [[c[i][r][k] - c[r][i][k] for i in range(n) for k in range(n)] for r in range(n)]
-    return left_kernel(Matrix.from_rows(stacked))
+    stacked = [[0] * (n * n) for _ in range(n)]
+    for r, acc in enumerate(stacked):
+        for i in range(n):
+            for k, x in table[i][r]:
+                acc[i * n + k] += x
+            for k, x in table[r][i]:
+                acc[i * n + k] -= x
+    return left_kernel(Matrix.from_integer(n, n * n, d, stacked))
 
 
 def semisimple_blocks(alg: StructureAlgebra) -> list[Subspace]:

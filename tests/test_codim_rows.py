@@ -432,6 +432,76 @@ def test_evaluate_poly_refuses_a_float_read_or_not(monkeypatch):
     assert pe.evaluate_poly(f, act, [e12, [Fraction(1, 2), 0, 0], e11, e11]) == [0, 0, 0]
 
 
+@st.composite
+def walk_vectors(draw, dim, count, kind):
+    """count rational vectors for one path of the walk: "single", each a
+    basis vector times a nonzero rational (one live prefix throughout);
+    "several", each with at least two nonzero coordinates (a frontier);
+    "mixed", each of either kind or zero, so the frontier widens and
+    narrows back to one prefix."""
+    single = st.tuples(st.integers(0, dim - 1), nonzero_rationals).map(
+        lambda bx: [bx[1] if b == bx[0] else Fraction(0) for b in range(dim)]
+    )
+    several = st.lists(rationals, min_size=dim, max_size=dim).filter(
+        lambda vec: sum(1 for x in vec if x) >= 2
+    )
+    vector = {
+        "single": single,
+        "several": several,
+        "mixed": st.one_of(single, single, several, st.just([Fraction(0)] * dim)),
+    }[kind]
+    return [draw(vector) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", ["single", "several", "mixed"])
+@pytest.mark.parametrize("name", ["ut2-eps", "rational-ut2-eps"])
+@seed(12)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_evaluate_poly_walk_paths_match_fraction_evaluator(name, kind, data):
+    """The one-prefix descent, the frontier and the walk that switches
+    between them give the Fraction evaluator's value, on generated
+    polynomials and on spanning-set members."""
+    act = ACTIONS[name]
+    dim = act.algebra.dim
+    if data.draw(st.booleans()):
+        f = data.draw(polynomials(act))
+    else:
+        family = data.draw(st.sampled_from([ut2_spanning_set, ut2_eps_spanning_set]))
+        f = data.draw(st.sampled_from(family(data.draw(st.integers(1, 4)))))
+    assignment = data.draw(walk_vectors(dim, max(_variables(f)), kind))
+    assert pe.evaluate_poly(f, act, assignment) == _fraction_evaluate(f, act, assignment)
+
+
+def test_one_evaluation_rows_per_action(monkeypatch):
+    """codim in both modes, identity_space, is_identity, evaluate_poly and
+    the battery's spanning-set rank share the action's one EvaluationRows;
+    an algebra that is not the action's own gets rows of its own, which
+    the action does not keep."""
+    built = []
+
+    class Counted(pe.EvaluationRows):
+        def __init__(self, alg, ops):
+            built.append(alg)
+            super().__init__(alg, ops)
+
+    monkeypatch.setattr(pe, "EvaluationRows", Counted)
+    act = _ut2_eps()
+    alg = act.algebra
+    f = ut2_eps_spanning_set(3)[-1]
+    assert pe.codim(alg, act, 3) == pe.codim(alg, act, 3, mode="modular")
+    report = pe.identity_space(alg, act, 3)
+    assert pe.is_identity(f, act) is False
+    values = pe.evaluate_poly(f, act, [alg.basis_vector(b) for b in (0, 1, 2)])
+    assert values == _fraction_evaluate(f, act, [alg.basis_vector(b) for b in (0, 1, 2)])
+    assert acceptance._evaluation_rank(ut2_eps_spanning_set(3), act) == report.codim
+    assert built == [alg] and isinstance(act._evaluation_rows, Counted)
+    kept = act._evaluation_rows
+    copy = make_algebra(alg.constants, unit_vector=alg.unit_vector)
+    assert pe.codim(copy, act, 3) == report.codim
+    assert built == [alg, copy] and act._evaluation_rows is kept
+
+
 def _trie_leaves(node, path, depth):
     """{basis tuple: leaf} of a value-table trie below path, checking that
     every root-to-leaf path has length depth and that no subtrie or leaf is

@@ -289,23 +289,36 @@ class TestCodim:
             list(rows.rows(5, max_entries=5000))
         assert len(calls) < full / 2
 
-    def test_budget_is_decided_before_the_table(self):
-        """Charged per product computed, the table of an algebra that is not
-        nilpotent stops far over the budget at once, with bounded memory,
-        and a nilpotent one gives rank 0 past its dimension."""
+    def test_budget_is_decided_before_the_table(self, monkeypatch):
+        """Charged n per product computed, the table of an algebra that is
+        not nilpotent far over the budget computes at most budget / n
+        products before it is refused, and a nilpotent one gives rank 0
+        past its dimension without computing any.  The count fails the test
+        as soon as it passes its bound, so a table that is not charged per
+        product fails fast instead of filling memory."""
         from diffident.algebra import full_matrix, make_algebra
 
         m2 = full_matrix(2)
         mat2_ad11 = lie_closure(m2, [ad_unit(m2, 1, 1, name="ad11")])
         z = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
         zero2 = make_algebra(z, label="zero2")
-        start = time.perf_counter()
+        bound = pe.DEFAULT_MAX_ENTRIES // 30 + 1
+        calls = []
+        product = pe.integer_product
+
+        def counted(*args):
+            calls.append(None)
+            if len(calls) > bound:
+                pytest.fail(f"more than {bound} products computed")
+            return product(*args)
+
+        monkeypatch.setattr(pe, "integer_product", counted)
         with pytest.raises(SizeCap):
             pe.codim(m2, mat2_ad11, 30)
-        assert time.perf_counter() - start < 1
-        start = time.perf_counter()
+        assert 0 < len(calls) <= bound
+        calls.clear()
         assert pe.codim(zero2, trivial_action(zero2), 40) == 0
-        assert time.perf_counter() - start < 1
+        assert calls == []
 
     def test_nilpotent_stream_past_its_dimension_is_empty(self):
         """A nilpotent A has no nonzero row past its dimension, so its
@@ -757,6 +770,35 @@ class TestContainment:
         actions = _one_generator_actions()
         assert factorial(11) > pe.DEFAULT_MAX_ENTRIES
         assert pe.containment_check(actions["eps"], actions["eta11"], 11) == (True, None)
+
+    def test_rows_are_built_once_per_ordered_pair(self, monkeypatch):
+        """The direct sum, its word operators and its rows are built on a
+        pair's first check and kept on A for every later degree; the
+        reverse pair gets its own.  Every answer is that of fresh actions."""
+        u2 = ut(2)
+        eps = ad_unit(u2, 2, 2, name="eps")
+
+        def fresh():
+            return lie_closure(u2, [Derivation(Matrix.zero(3, 3), "g0")]), lie_closure(u2, [eps])
+
+        expected = {}
+        for n in (1, 2, 3):
+            zero, with_eps = fresh()
+            expected[(n, False)] = repr(pe.containment_check(zero, with_eps, n))
+            zero, with_eps = fresh()
+            expected[(n, True)] = repr(pe.containment_check(with_eps, zero, n))
+        built = []
+        direct_sum = pe.direct_sum
+        monkeypatch.setattr(pe, "direct_sum", lambda *a: built.append(a) or direct_sum(*a))
+        a, b = fresh()
+        for n in (1, 2, 3, 2):
+            assert repr(pe.containment_check(a, b, n)) == expected[(n, False)]
+            assert repr(pe.containment_check(b, a, n)) == expected[(n, True)]
+        assert built == [(a.algebra, b.algebra), (b.algebra, a.algebra)]
+        assert set(a._containment_rows) == {id(b)} and a._containment_rows[id(b)][0] is b
+        with pytest.raises(AlphabetMismatch):
+            pe.containment_check(a, trivial_action(u2), 2)
+        assert len(built) == 2
 
     def test_certificates_are_pinned(self, u2, act_eps):
         a_triv = lie_closure(u2, [Derivation(Matrix.zero(3, 3), "g0")])

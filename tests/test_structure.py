@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from diffident.cli import main
 from diffident.errors import NonSplitCenter
 from diffident.exponent import exp_differential, exp_ordinary
 from diffident.fileformat import AlgebraFile
+from diffident.linalg import Matrix, left_kernel
 
 from diffident.structure import (
     center,
@@ -25,6 +27,7 @@ from diffident.structure import (
     semisimple_blocks,
     wedderburn_malcev,
 )
+from test_basis_change import ALGEBRAS, _in_basis, _invertible
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -68,6 +71,14 @@ def _with_roots(roots):
     for r in roots:
         f = _times(f, [-r, F1])
     return f
+
+
+def _fraction_center(alg):
+    """The center as the left kernel of the Fraction structure constants,
+    row r holding c_irk - c_rik over the columns (i, k)."""
+    c, n = alg.constants, alg.dim
+    stacked = [[c[i][r][k] - c[r][i][k] for i in range(n) for k in range(n)] for r in range(n)]
+    return left_kernel(Matrix.from_rows(stacked))
 
 
 distinct_roots = st.lists(
@@ -173,6 +184,16 @@ class TestBlocks:
         with pytest.raises(NonSplitCenter):
             semisimple_blocks(alg)
 
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    @pytest.mark.parametrize("basis_seed", [0, 1, 2])
+    def test_center_in_a_rational_basis_is_the_fraction_kernel(self, name, basis_seed):
+        """Read from integer_table, the center of an algebra whose constants
+        have denominators is the Subspace of the Fraction constants."""
+        alg = ALGEBRAS[name]()
+        moved = _in_basis(alg, *_invertible(alg.dim, random.Random(basis_seed)))
+        assert center(moved) == _fraction_center(moved)
+        assert center(moved).dim == center(alg).dim
+
     def test_center_of_mat2_is_scalars(self):
         z = center(full_matrix(2))
         assert z.dim == 1
@@ -199,6 +220,7 @@ class TestBlocks:
         }[name]
         z = center(alg)
         assert z.dim == dim
+        assert z == _fraction_center(alg)
         for v in z.basis:
             for i in range(alg.dim):
                 e = alg.basis_vector(i)
